@@ -171,7 +171,7 @@ def cmd_train(args) -> int:
 
     manifest_path = os.path.join(args.data, "manifest.json") if os.path.isdir(args.data) else args.data
     manifest = load_manifest(manifest_path)
-    samples = load_dataset(manifest_path)
+    samples = load_dataset(manifest)
     started = time.perf_counter()
     state, metrics = run_training(samples, manifest.num_classes, config)
     elapsed = time.perf_counter() - started
@@ -214,7 +214,7 @@ def cmd_infer(args) -> int:
 
     manifest_path = os.path.join(args.data, "manifest.json") if os.path.isdir(args.data) else args.data
     manifest = load_manifest(manifest_path)
-    samples = load_dataset(manifest_path)
+    samples = load_dataset(manifest)
     if params.num_classes != manifest.num_classes:
         raise ValidationError(
             f"checkpoint has {params.num_classes} classes but dataset has {manifest.num_classes}"

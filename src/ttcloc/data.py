@@ -119,6 +119,8 @@ class DatasetManifest:
     def validate(self) -> None:
         if self.num_classes < 1 or len(self.class_names) != self.num_classes:
             raise ValidationError("manifest: class_names length must equal num_classes")
+        if not self.records:
+            raise ValidationError("manifest: lists no videos")
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -268,9 +270,14 @@ def _load_features(path: str, record: VideoRecord) -> np.ndarray:
     return raw.reshape(record.num_snippets, record.feature_dim)
 
 
-def load_dataset(manifest_path: str) -> list[VideoSample]:
-    """Load every video listed in the manifest, validating all invariants."""
-    manifest = load_manifest(manifest_path)
+def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
+    """Load every video of a manifest, validating all invariants.
+
+    ``manifest`` is the path of ``manifest.json`` or a manifest already
+    parsed by :func:`load_manifest`.
+    """
+    if not isinstance(manifest, DatasetManifest):
+        manifest = load_manifest(manifest)
     samples = []
     for record in manifest.records:
         feats = _load_features(feature_path(manifest, record.id), record)

@@ -15,7 +15,9 @@ ground truth are excluded from mAP.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .data import DatasetManifest, VideoSample
 from .errors import ValidationError
@@ -191,35 +193,52 @@ def interval_iou(a: tuple, b: tuple) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def match_detections(dets: list[Detection], gts, iou_thresh: float) -> list[bool]:
+def match_detections(
+    dets: list[Detection], gts, iou_thresh: float | Sequence[float]
+) -> list[bool] | list[list[bool]]:
     """TP/FP flags in score order under the one-detection-per-GT rule.
 
     ``gts`` is a sequence of (video_id, start, end) for a single class.
     Each detection, visited in descending score order, claims the
     highest-IoU unmatched ground truth of its own video, if any reaches
-    the threshold.
+    the threshold; of equal IoUs the earliest ground truth wins.
+
+    ``iou_thresh`` is one threshold, giving one flag list, or a sequence
+    of thresholds, giving one flag list per threshold.  The detections are
+    sorted and their IoUs computed once for all thresholds.
     """
     by_video: dict = {}
     for j, (vid, gs, ge) in enumerate(gts):
         by_video.setdefault(vid, []).append((j, gs, ge))
-    used = set()
-    flags = []
-    for det in _sorted_dets(dets):
-        best_iou = -1.0
-        best_j = -1
-        for j, gs, ge in by_video.get(det.video_id, ()):
-            if j in used:
-                continue
-            iou = interval_iou((det.start, det.end), (gs, ge))
-            if iou >= iou_thresh and iou > best_iou:
-                best_iou = iou
-                best_j = j
-        if best_j >= 0:
-            used.add(best_j)
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    single = isinstance(iou_thresh, (int, float))
+    thresholds = (iou_thresh,) if single else tuple(iou_thresh)
+    # (rank in score order, [(iou, j), ...]) for each detection that reaches
+    # the lowest threshold with some ground truth of its video; candidates
+    # highest IoU first, ties in ground-truth order (the sort is stable)
+    ranked = _sorted_dets(dets)
+    lowest = min(thresholds, default=0.0)
+    candidates = []
+    for rank, det in enumerate(ranked):
+        row = [(interval_iou((det.start, det.end), (gs, ge)), j) for j, gs, ge in by_video.get(det.video_id, ())]
+        row.sort(key=itemgetter(0), reverse=True)
+        if row and row[0][0] >= lowest:
+            candidates.append((rank, row))
+
+    def flags_at(thresh: float) -> list[bool]:
+        used = set()
+        flags = [False] * len(ranked)
+        for rank, row in candidates:
+            for iou, j in row:
+                if iou < thresh:
+                    break
+                if j not in used:
+                    used.add(j)
+                    flags[rank] = True
+                    break
+        return flags
+
+    per_threshold = [flags_at(t) for t in thresholds]
+    return per_threshold[0] if single else per_threshold
 
 
 def average_precision(flags: list[bool], num_gt: int) -> float | None:
@@ -245,13 +264,16 @@ def evaluate(
 ) -> EvalReport:
     _validate_inputs(detections, gt, iou_thresholds)
     names = _default_names(gt, class_names)
-    per_class = [[d for d in detections if d.class_id == c] for c in range(gt.num_classes)]
+    per_class: list[list[Detection]] = [[] for _ in range(gt.num_classes)]
+    for det in detections:
+        per_class[det.class_id].append(det)
+    flags_per_class = [match_detections(per_class[c], gt.by_class[c], iou_thresholds) for c in range(gt.num_classes)]
 
     ap_rows, count_rows, maps = [], [], []
-    for thresh in iou_thresholds:
+    for i in range(len(iou_thresholds)):
         aps, counts = [], []
         for c in range(gt.num_classes):
-            flags = match_detections(per_class[c], gt.by_class[c], thresh)
+            flags = flags_per_class[c][i]
             num_gt = len(gt.by_class[c])
             tp = sum(flags)
             counts.append((tp, len(flags) - tp, num_gt))

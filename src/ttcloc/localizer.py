@@ -10,6 +10,7 @@ snippet scores.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -33,9 +34,11 @@ class Detection:
     score: float
 
     def validate(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValidationError(f"detection in {self.video_id!r}: non-finite start {self.start} or end {self.end}")
         if not self.start < self.end:
             raise ValidationError(f"detection in {self.video_id!r}: start {self.start} must precede end {self.end}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValidationError(f"detection in {self.video_id!r}: non-finite score")
 
 
@@ -84,26 +87,36 @@ def infer_video(
     probs = pool_and_classify(smap, pool_gate, aggregator)
     classes = sorted(select_classes(probs))
 
+    if mode == "predicted":
+        columns, cuts = sig_gate, [0.5] * s.shape[1]
+    else:
+        columns, cuts = s, manual_thresholds(s).tolist()
+    runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(columns[:, c], cuts[c])]
+    if not runs:
+        return []
+    cls, t0s, t1s = np.array(runs).T
+    scores = (probs.probs[cls] * run_means(sig_gate, cls, t0s, t1s)).tolist()
     tau = sample.snippet_duration
-    detections = []
-    for c in classes:
-        if mode == "predicted":
-            runs = extract_segments(sig_gate[:, c], 0.5)
-        else:
-            thr = manual_thresholds(s)
-            runs = extract_segments(s[:, c], float(thr[c]))
-        for t0, t1 in runs:
-            seg_score = float(probs.probs[c] * sig_gate[t0 : t1 + 1, c].mean())
-            detections.append(
-                Detection(
-                    video_id=sample.id,
-                    class_id=c,
-                    start=t0 * tau,
-                    end=(t1 + 1) * tau,
-                    score=seg_score,
-                )
-            )
-    return detections
+    return [Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score) for (c, t0, t1), score in zip(runs, scores)]
+
+
+def run_means(values: np.ndarray, cls: np.ndarray, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
+    """``values[t0 : t1 + 1, c].mean()`` for every run, bit for bit.
+
+    Runs of one length are gathered into a contiguous (runs, length) block
+    and averaged along its rows, which sums each row in the same pairwise
+    order as the mean of a single slice; prefix-sum differences and
+    ``np.add.reduceat`` round differently.
+    """
+    lengths = t1s - t0s + 1
+    means = np.empty(len(lengths))
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, bounds):
+        n = int(lengths[group[0]])
+        block = values[t0s[group, None] + np.arange(n), cls[group, None]]
+        means[group] = block.mean(axis=1)
+    return means
 
 
 def infer_dataset(
@@ -120,25 +133,27 @@ def infer_dataset(
 
 
 def detections_to_jsonl(detections: list[Detection], class_names: tuple[str, ...]) -> str:
+    """One JSON object per line, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
+
+    Each distinct video id and class name is encoded once.  Times and
+    scores are written as floats with ``repr``, which for the finite values
+    that ``Detection.validate`` admits is exactly what ``json.dumps`` writes.
+    """
+    names = [json.dumps(name) for name in class_names]
+    ids: dict = {}
     lines = []
     for det in detections:
         det.validate()
         if not 0 <= det.class_id < len(class_names):
             raise ValidationError(f"detection class {det.class_id} outside the {len(class_names)}-class space")
+        vid = ids.get(det.video_id)
+        if vid is None:
+            vid = ids[det.video_id] = json.dumps(det.video_id)
         lines.append(
-            json.dumps(
-                {
-                    "video_id": det.video_id,
-                    "class_id": det.class_id,
-                    "class_name": class_names[det.class_id],
-                    "start_s": det.start,
-                    "end_s": det.end,
-                    "score": det.score,
-                },
-                sort_keys=True,
-            )
+            f'{{"class_id": {int(det.class_id)}, "class_name": {names[det.class_id]}, "end_s": {float(det.end)!r}, '
+            f'"score": {float(det.score)!r}, "start_s": {float(det.start)!r}, "video_id": {vid}}}\n'
         )
-    return "".join(line + "\n" for line in lines)
+    return "".join(lines)
 
 
 def write_detections(detections: list[Detection], class_names: tuple[str, ...], path: str) -> None:
@@ -150,6 +165,8 @@ def write_detections(detections: list[Detection], class_names: tuple[str, ...], 
 
 
 def load_detections(path: str) -> list[Detection]:
+    """Parse and validate a detection file; errors name ``path:lineno``."""
+    decode = json.JSONDecoder().raw_decode
     detections = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -157,16 +174,18 @@ def load_detections(path: str) -> list[Detection]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = decode(line)
+                if end != len(line):
+                    raise ValueError(f"extra data at character {end}")
                 det = Detection(
-                    video_id=str(obj["video_id"]),
-                    class_id=int(obj["class_id"]),
-                    start=float(obj["start_s"]),
-                    end=float(obj["end_s"]),
-                    score=float(obj["score"]),
+                    str(obj["video_id"]),
+                    int(obj["class_id"]),
+                    float(obj["start_s"]),
+                    float(obj["end_s"]),
+                    float(obj["score"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+                det.validate()
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc
-            det.validate()
             detections.append(det)
     return detections

@@ -192,6 +192,36 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestEmptyManifest:
+    @pytest.fixture
+    def trained(self, tmp_path):
+        ds = make_dataset(str(tmp_path / "ds"))
+        run = str(tmp_path / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "2", "--hidden-dim", "8") == 0
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        manifest = json.loads(open(os.path.join(ds, "manifest.json")).read())
+        manifest["videos"] = []
+        (empty / "manifest.json").write_text(json.dumps(manifest))
+        return ds, run, str(empty)
+
+    def test_infer_fails_cleanly(self, trained, tmp_path, capsys):
+        _, run, empty = trained
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", run, "--data", empty, "--out", det) == 1
+        assert "no videos" in capsys.readouterr().err
+        assert not os.path.exists(det)
+
+    def test_train_and_eval_fail_cleanly(self, trained, tmp_path):
+        ds, run, empty = trained
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", run, "--data", ds, "--out", det) == 0
+        assert run_cli("train", "--data", empty, "--out", str(tmp_path / "run2"), "--iterations", "2") == 1
+        out = str(tmp_path / "report.json")
+        assert run_cli("eval", "--det", det, "--gt", os.path.join(empty, "manifest.json"), "--out", out) == 1
+        assert not os.path.exists(out)
+
+
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
         assert run_cli("gradcheck") == 0

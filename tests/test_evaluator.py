@@ -298,3 +298,85 @@ class TestRendering:
     def test_rendering_deterministic(self):
         assert render_report_csv(self.report()) == render_report_csv(self.report())
         assert render_report_json(self.report()) == render_report_json(self.report())
+
+
+def reference_match(dets, gts, iou_thresh):
+    """The single-threshold matcher ``evaluate`` used to call per threshold."""
+    by_video = {}
+    for j, (vid, gs, ge) in enumerate(gts):
+        by_video.setdefault(vid, []).append((j, gs, ge))
+    used = set()
+    flags = []
+    for d in sorted(dets, key=lambda d: (-d.score, d.start, d.video_id)):
+        best_iou = -1.0
+        best_j = -1
+        for j, gs, ge in by_video.get(d.video_id, ()):
+            if j in used:
+                continue
+            iou = interval_iou((d.start, d.end), (gs, ge))
+            if iou >= iou_thresh and iou > best_iou:
+                best_iou = iou
+                best_j = j
+        if best_j >= 0:
+            used.add(best_j)
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def reference_evaluate(dets, gt, thresholds):
+    """Per-threshold, per-class matching as ``evaluate`` did it before."""
+    ap_rows, count_rows, maps = [], [], []
+    for thresh in thresholds:
+        aps, counts = [], []
+        for c in range(gt.num_classes):
+            flags = reference_match([d for d in dets if d.class_id == c], gt.by_class[c], thresh)
+            num_gt = len(gt.by_class[c])
+            counts.append((sum(flags), len(flags) - sum(flags), num_gt))
+            aps.append(average_precision(flags, num_gt))
+        defined = [a for a in aps if a is not None]
+        maps.append(sum(defined) / len(defined))
+        ap_rows.append(tuple(aps))
+        count_rows.append(tuple(counts))
+    return tuple(ap_rows), tuple(count_rows), tuple(maps), sum(maps) / len(maps)
+
+
+def large_instance(rng, num_classes=4, num_videos=5, num_gts=40, num_dets=400):
+    """Many detections on a half-second grid, so IoUs tie as well as scores."""
+    videos = tuple(f"v{i}" for i in range(num_videos))
+
+    def interval():
+        start = 0.5 * int(rng.integers(0, 80))
+        return start, start + 0.5 * int(rng.integers(1, 16))
+
+    rows = [(str(rng.choice(videos)), int(rng.integers(0, num_classes)), *interval()) for _ in range(num_gts)]
+    dets = [
+        Detection(str(rng.choice(videos)), int(rng.integers(0, num_classes)), *interval(), float(rng.choice([0.2, 0.5, 0.9])) if rng.uniform() < 0.5 else float(rng.uniform()))
+        for _ in range(num_dets)
+    ]
+    return gt_index(rows, num_classes, videos), dets
+
+
+class TestAllThresholdsAtOnce:
+    THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+
+    def test_evaluate_equals_per_threshold_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            gt, dets = large_instance(rng)
+            report = evaluate(dets, gt, self.THRESHOLDS)
+            ap, counts, maps, average = reference_evaluate(dets, gt, self.THRESHOLDS)
+            assert report.per_class_ap == ap
+            assert report.per_class_counts == counts
+            assert report.map_per_threshold == maps
+            assert report.average_map == average
+
+    def test_threshold_sequence_equals_single_calls(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            gt, dets = large_instance(rng, num_classes=1)
+            gts = gt.by_class[0]
+            per_threshold = match_detections(dets, gts, self.THRESHOLDS)
+            assert per_threshold == [match_detections(dets, gts, t) for t in self.THRESHOLDS]
+            assert per_threshold == [reference_match(dets, gts, t) for t in self.THRESHOLDS]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from ttcloc.localizer import (
     infer_dataset,
     infer_video,
     load_detections,
+    run_means,
     select_classes,
     write_detections,
 )
 from ttcloc.network import init_params, zeros_like_params
-from ttcloc.objectives import VideoProbabilities, manual_thresholds
+from ttcloc.objectives import VideoProbabilities, manual_thresholds, pool_and_classify
 
 
 def make_sample(rng, t=8, d=3, vid="v0"):
@@ -148,6 +150,61 @@ class TestInferVideo:
         assert all_dets == [d for group in per_video for d in group]
 
 
+def reference_infer(params, sample, mode):
+    """Detections with one ``.mean()`` per run, as ``infer_video`` scored them before."""
+    smap, _ = network.forward(params, sample.features)
+    s = smap.scores
+    sig_gate = network.gate_values(s - smap.thresholds[:, None], "sigmoid")
+    probs = pool_and_classify(smap, network.Gate(values=sig_gate, kind="sigmoid"), "gated")
+    dets = []
+    for c in sorted(select_classes(probs)):
+        if mode == "predicted":
+            runs = extract_segments(sig_gate[:, c], 0.5)
+        else:
+            runs = extract_segments(s[:, c], float(manual_thresholds(s)[c]))
+        for t0, t1 in runs:
+            score = float(probs.probs[c] * sig_gate[t0 : t1 + 1, c].mean())
+            tau = sample.snippet_duration
+            dets.append(Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score))
+    return dets
+
+
+class TestRunScores:
+    def test_run_means_equal_per_run_mean(self):
+        rng = np.random.default_rng(6)
+        values = rng.uniform(size=(1200, 4))
+        runs = []
+        for _ in range(400):
+            n = int(rng.choice([1, 2, 7, 8, 9, 16, 127, 128, 129, 130, 255, 256, 257, 300, 513, 1000, int(rng.integers(1, 1200))]))
+            t0 = int(rng.integers(0, 1200 - n + 1))
+            runs.append((int(rng.integers(0, 4)), t0, t0 + n - 1))
+        cls, t0s, t1s = np.array(runs).T
+        expected = [values[t0 : t1 + 1, c].mean() for c, t0, t1 in runs]
+        assert run_means(values, cls, t0s, t1s).tolist() == expected
+
+    @pytest.mark.parametrize("mode", ["predicted", "manual"])
+    def test_infer_video_equals_per_run_mean(self, mode):
+        rng = np.random.default_rng(7)
+        params = init_params(rng, 6, 16, 3)
+        for arr in params.as_dict().values():
+            arr *= 2.0
+        longest = 0
+        for i in range(6):
+            # slowly drifting features give runs of a few hundred snippets
+            t = 700
+            drift = np.cumsum(rng.normal(scale=0.15, size=(t, 6)), axis=0)
+            sample = VideoSample(
+                id=f"v{i}",
+                features=(drift + rng.normal(scale=0.05, size=(t, 6))).astype(np.float32),
+                labels=frozenset({0}),
+                snippet_duration=0.64,
+            )
+            dets = infer_video(params, sample, mode=mode)
+            assert dets == reference_infer(params, sample, mode)
+            longest = max([longest] + [round((d.end - d.start) / 0.64) for d in dets])
+        assert longest > 128
+
+
 class TestDetectionIO:
     def make_dets(self):
         return [
@@ -186,6 +243,72 @@ class TestDetectionIO:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValidationError):
             Detection("v1", 0, 2.0, 2.0, 0.5).validate()
+
+    @pytest.mark.parametrize(
+        "start, end", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_non_finite_interval_rejected(self, start, end, tmp_path):
+        bad = Detection("v1", 0, start, end, 0.5)
+        with pytest.raises(ValidationError):
+            bad.validate()
+        with pytest.raises(ValidationError):
+            write_detections([bad], ("alpha",), str(tmp_path / "det.jsonl"))
+
+    def test_infinite_end_in_file_names_location(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = '{"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}'
+        path.write_text(good + "\n" + good.replace("1.0", "Infinity") + "\n")
+        with pytest.raises(ValidationError, match="det.jsonl:2"):
+            load_detections(str(path))
+
+    def test_two_records_on_one_line_rejected(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = '{"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}'
+        path.write_text("\n" + good + "\n  \n" + good + " " + good + "\n")
+        with pytest.raises(ValidationError, match="det.jsonl:4"):
+            load_detections(str(path))
+
+    def test_blank_and_padded_lines_accepted(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        good = '{"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}'
+        path.write_text("\n \t" + good + "  \n\n" + good + "\n")
+        assert load_detections(str(path)) == [Detection("v1", 0, 0.0, 1.0, 0.5)] * 2
+
+    def test_lines_equal_json_dumps(self):
+        """The direct formatting writes what ``json.dumps(sort_keys=True)`` writes."""
+        names = ('plain', 'quo"te', "back\\slash", "caf\u00e9 \u52d5\u4f5c", "tab\tnew\nline", "\U0001f3c3")
+        ids = ('v"1', "v\\2", "vid\u00e9o", "\u30d3\u30c7\u30aa", "v\x00\x7f")
+        rng = np.random.default_rng(8)
+        dets = []
+        for i in range(300):
+            start = float(rng.choice([0.0, -0.0, 1e-300, 0.1 + 0.2, 1 / 3, 1e16, float(rng.uniform(0, 1e3))]))
+            end = max(start + float(rng.choice([0.64, 1e-9, 123456.789, float(rng.uniform(0, 10))])), math.nextafter(start, math.inf))
+            score = float(rng.choice([0.0, 1.0, 2.0**-1074, 0.1, float(rng.uniform())]))
+            dets.append(Detection(ids[i % len(ids)], i % len(names), start, end, score))
+        expected = "".join(
+            json.dumps(
+                {
+                    "video_id": d.video_id,
+                    "class_id": d.class_id,
+                    "class_name": names[d.class_id],
+                    "start_s": d.start,
+                    "end_s": d.end,
+                    "score": d.score,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for d in dets
+        )
+        assert detections_to_jsonl(dets, names) == expected
+
+    def test_numpy_scalars_written_as_plain_numbers(self):
+        det = Detection("v1", np.int64(1), np.float64(0.5), np.float64(1.5), np.float64(0.25))
+        line = detections_to_jsonl([det], ("alpha", "beta"))
+        assert line == json.dumps(
+            {"class_id": 1, "class_name": "beta", "end_s": 1.5, "score": 0.25, "start_s": 0.5, "video_id": "v1"},
+            sort_keys=True,
+        ) + "\n"
 
 
 class TestEndToEnd:
