@@ -3,9 +3,7 @@
 Configuration precedence is flags > config file > defaults.  Unknown
 config keys are rejected.  Exit codes: 0 success, 1 validation error,
 2 numerical failure.  All outputs are written atomically (temp file plus
-rename), and every subcommand is deterministic given its seed; the
-implementation is single-threaded throughout, so ``--threads 1`` (the
-default) is simply the documented guarantee.
+rename), and every subcommand is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -17,19 +15,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import gradcheck as gradcheck_mod
 from . import network
 from .data import load_dataset, load_manifest, write_dataset
 from .errors import NumericalError, ValidationError
-from .evaluator import (
-    evaluate,
-    index_from_manifest,
-    index_from_samples,
-    render_report_csv,
-    render_report_json,
-)
+from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
 from .localizer import INFERENCE_MODES, infer_dataset, load_detections, write_detections
 from .objectives import AGGREGATORS, LossConfig, REG_FORMS
 from .synth import PRESETS, SynthSpec, generate, preset_spec
@@ -137,11 +127,6 @@ def _overrides_from_args(args, names) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
-def _note_threads(threads: int) -> None:
-    if threads != 1:
-        print(f"note: execution is always single-threaded; ignoring --threads {threads}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -163,7 +148,6 @@ TRAIN_CONFIG_NAME = "train_config.json"
 
 
 def cmd_train(args) -> int:
-    _note_threads(args.threads)
     file_cfg = _load_json_config(args.config) if args.config else {}
     overrides = _overrides_from_args(args, _field_names(TrainConfig))
     loss_overrides = _overrides_from_args(args, _field_names(LossConfig))
@@ -233,7 +217,7 @@ def cmd_eval(args) -> int:
     thresholds = parse_iou_spec(args.iou)
     manifest = load_manifest(args.gt)
     detections = load_detections(args.det)
-    gt = index_from_manifest(manifest)
+    gt = index_from_videos(manifest.records, manifest.num_classes)
     report = evaluate(detections, gt, thresholds, class_names=manifest.class_names)
     _write_text(args.out, render_report_json(report) + "\n")
     csv_path = os.path.splitext(args.out)[0] + ".csv"
@@ -353,14 +337,13 @@ def _run_ablate_cell(samples, num_classes, spec_row: dict, seed: int, train_base
     detections = infer_dataset(
         state.params, samples, spec_row["test_mode"], spec_row["aggregator"], spec_row["gating"]
     )
-    gt = index_from_samples(samples, num_classes)
+    gt = index_from_videos(samples, num_classes)
     report = evaluate(detections, gt, thresholds)
     at_half = report.map_per_threshold[thresholds.index(0.5)] if 0.5 in thresholds else float("nan")
     return at_half, report.average_map
 
 
 def cmd_ablate(args) -> int:
-    _note_threads(args.threads)
     file_cfg = _load_json_config(args.config) if args.config else {}
     _reject_unknown(
         file_cfg,
@@ -430,7 +413,6 @@ def _add_train_parser(sub):
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--config", help="JSON train config")
     p.add_argument("--out", required=True, help="output directory for checkpoint and logs")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--max-clip-len", dest="max_clip_len", type=int, default=None)
@@ -487,7 +469,6 @@ def _add_ablate_parser(sub):
     p.add_argument("--videos-per-class", dest="videos_per_class", type=int, default=None)
     p.add_argument("--iou", default=None)
     p.add_argument("--lambda-sweep", dest="lambda_sweep", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ablate)
 

@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .data import DatasetManifest, VideoSample
 from .errors import ValidationError
 from .localizer import Detection
 
@@ -51,20 +50,10 @@ def index_from_rows(num_classes: int, video_ids, rows) -> GroundTruthIndex:
     )
 
 
-def index_from_manifest(manifest: DatasetManifest) -> GroundTruthIndex:
-    rows = []
-    for r in manifest.records:
-        for seg in r.segments or ():
-            rows.append((r.id, seg.class_id, seg.start, seg.end))
-    return index_from_rows(manifest.num_classes, (r.id for r in manifest.records), rows)
-
-
-def index_from_samples(samples: list[VideoSample], num_classes: int) -> GroundTruthIndex:
-    rows = []
-    for s in samples:
-        for seg in s.segments or ():
-            rows.append((s.id, seg.class_id, seg.start, seg.end))
-    return index_from_rows(num_classes, (s.id for s in samples), rows)
+def index_from_videos(videos: Sequence, num_classes: int) -> GroundTruthIndex:
+    """Index over anything with ``.id`` and ``.segments``: manifest records or samples."""
+    rows = [(v.id, seg.class_id, seg.start, seg.end) for v in videos for seg in v.segments or ()]
+    return index_from_rows(num_classes, (v.id for v in videos), rows)
 
 
 @dataclass(frozen=True)

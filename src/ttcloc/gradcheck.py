@@ -15,23 +15,9 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .network import NetworkParams
 
 FD_STEP = 1e-5
 STRICT_TOLERANCE = 1e-5
-
-
-def flatten_params(params: NetworkParams) -> np.ndarray:
-    return np.concatenate([v.ravel() for v in params.as_dict().values()])
-
-
-def unflatten_params(theta: np.ndarray, template: NetworkParams) -> NetworkParams:
-    arrays = {}
-    i = 0
-    for name, arr in template.as_dict().items():
-        arrays[name] = theta[i : i + arr.size].reshape(arr.shape).copy()
-        i += arr.size
-    return NetworkParams(**arrays)
 
 
 def numerical_gradient(f: Callable[[np.ndarray], float], x0: np.ndarray, step: float = FD_STEP) -> np.ndarray:
@@ -67,43 +53,26 @@ class ComponentCheck:
         return (not self.strict) or self.max_rel_err <= STRICT_TOLERANCE
 
 
-def check_network_backward(seed: int = 0, t: int = 3, d: int = 2, h: int = 4, c: int = 2) -> float:
-    """FD check of forward/backward on a random linear functional of the outputs."""
+def check_network_backward(
+    seed: int = 0, t: int = 3, d: int = 2, h: int = 4, c: int = 2, dropout: bool = False
+) -> float:
+    """FD check of forward/backward on a random linear functional of the outputs,
+    with a random half of the hidden units dropped (rate 0.7) if ``dropout``."""
     rng = np.random.default_rng(seed)
     params = network.init_params(rng, d, h, c)
     params.conv_bias += rng.normal(scale=0.1, size=h)  # keep relu inputs off exact kinks
     x = rng.normal(size=(t, d))
+    mask = (rng.uniform(size=(t, h)) > 0.5).astype(np.float64) if dropout else None
     d_scores = rng.normal(size=(t, c))
     d_thresholds = rng.normal(size=(t,))
 
     def objective(theta: np.ndarray) -> float:
-        p = unflatten_params(theta, params)
-        smap, _ = network.forward(p, x)
-        return float(np.sum(d_scores * smap.scores) + np.sum(d_thresholds * smap.thresholds))
-
-    smap, cache = network.forward(params, x)
-    analytic = flatten_params(network.backward(cache, d_scores, d_thresholds))
-    numeric = numerical_gradient(objective, flatten_params(params))
-    return relative_error(analytic, numeric)
-
-
-def check_network_backward_with_dropout(seed: int = 0, t: int = 4, d: int = 2, h: int = 4, c: int = 2) -> float:
-    rng = np.random.default_rng(seed)
-    params = network.init_params(rng, d, h, c)
-    params.conv_bias += rng.normal(scale=0.1, size=h)
-    x = rng.normal(size=(t, d))
-    mask = (rng.uniform(size=(t, h)) > 0.5).astype(np.float64)
-    d_scores = rng.normal(size=(t, c))
-    d_thresholds = rng.normal(size=(t,))
-
-    def objective(theta: np.ndarray) -> float:
-        p = unflatten_params(theta, params)
-        smap, _ = network.forward(p, x, dropout_mask=mask, drop_rate=0.7)
+        smap, _ = network.forward(params.with_flat(theta), x, dropout_mask=mask, drop_rate=0.7)
         return float(np.sum(d_scores * smap.scores) + np.sum(d_thresholds * smap.thresholds))
 
     _, cache = network.forward(params, x, dropout_mask=mask, drop_rate=0.7)
-    analytic = flatten_params(network.backward(cache, d_scores, d_thresholds))
-    numeric = numerical_gradient(objective, flatten_params(params))
+    analytic = network.backward(cache, d_scores, d_thresholds).flat
+    numeric = numerical_gradient(objective, params.flat)
     return relative_error(analytic, numeric)
 
 
@@ -158,8 +127,11 @@ def check_total_loss(
     reg_form: str,
     with_localization: bool,
     seed: int = 0,
+    train_localization: str = "predicted",
 ) -> float:
-    """FD check of the combined objective for one configuration."""
+    """FD check of the combined objective for one configuration.  Under
+    ``train_localization="none"`` the clip ``with_localization`` flags must
+    change nothing: the localization loss stays inactive."""
     from .objectives import LossConfig, total_loss
 
     params, clips = _fd_instance(seed, flagged=with_localization)
@@ -169,20 +141,20 @@ def check_total_loss(
         reg_form=reg_form,
         aggregator=aggregator,
     )
-    rule = "none" if aggregator == "topk_eighth" and gating == "none" else "predicted"
 
     def objective(theta: np.ndarray) -> float:
-        p = unflatten_params(theta, params)
-        breakdown, _ = total_loss(p, clips, config, gating=gating, train_localization=rule)
+        breakdown, _ = total_loss(
+            params.with_flat(theta), clips, config, gating=gating, train_localization=train_localization
+        )
         return breakdown.total
 
-    _, grads = total_loss(params, clips, config, gating=gating, train_localization=rule)
-    numeric = numerical_gradient(objective, flatten_params(params))
-    return relative_error(flatten_params(grads), numeric)
+    _, grads = total_loss(params, clips, config, gating=gating, train_localization=train_localization)
+    numeric = numerical_gradient(objective, params.flat)
+    return relative_error(grads.flat, numeric)
 
 
 def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
-    """Full sweep: network backward, gates, and every objective configuration.
+    """Full sweep: network backward, gates, and the objective configurations.
 
     Differentiable configurations are strict (enforced at 1e-5); the
     binarize gate's straight-through surrogate is reported but exempt.
@@ -196,7 +168,7 @@ def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
     checks.append(ComponentCheck("network_backward", err, True, time.perf_counter() - start))
 
     start = time.perf_counter()
-    err = check_network_backward_with_dropout(seed)
+    err = check_network_backward(seed, t=4, dropout=True)
     checks.append(ComponentCheck("network_backward_dropout", err, True, time.perf_counter() - start))
 
     for kind in ("sigmoid", "softsign", "binarize"):
@@ -212,5 +184,15 @@ def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
                     err = check_total_loss(gating, aggregator, reg_form, with_loc, seed)
                     name = f"loss_{gating}_{aggregator}_{reg_form}_{'loc' if with_loc else 'noloc'}"
                     checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
+
+    # "none" computes no gate, so the gating kind is irrelevant.  "manual"
+    # is not checked: its thresholds are a stop-gradient, which plain finite
+    # differences do not hold constant.
+    for reg_form in REG_FORMS:
+        for with_loc in (False, True):
+            start = time.perf_counter()
+            err = check_total_loss("sigmoid", "topk_eighth", reg_form, with_loc, seed, train_localization="none")
+            name = f"loss_none_topk_eighth_{reg_form}_{'loc' if with_loc else 'noloc'}"
+            checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
 
     return checks

@@ -16,9 +16,10 @@ math is float64; relu'(0) is taken as 0.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +28,51 @@ from .errors import ValidationError
 GATING_KINDS = ("sigmoid", "softsign", "binarize")
 
 
-@dataclass
+PARAM_NAMES = ("w1", "b1", "conv_kernel", "conv_bias", "w2", "b2")
+
+
+def _param_shapes(d: int, h: int, c: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes in ``PARAM_NAMES`` order, which is also the order in ``flat``."""
+    return (d, h), (h,), (3, h, h), (h,), (h, c + 1), (c + 1,)
+
+
 class NetworkParams:
-    w1: np.ndarray  # (D, H)
-    b1: np.ndarray  # (H,)
-    conv_kernel: np.ndarray  # (3, H, H)
-    conv_bias: np.ndarray  # (H,)
-    w2: np.ndarray  # (H, C + 1)
-    b2: np.ndarray  # (C + 1,)
+    """The six parameter arrays as reshaped views into one float64 vector ``flat``.
+
+    The arrays lie back to back in ``PARAM_NAMES`` order, row-major, so an
+    in-place write to either shows in the other, and whole-vector code (Adam,
+    gradient sums, finite differences) needs no knowledge of the layout.  The
+    constructor copies the arrays it is given and rejects inconsistent shapes.
+    """
+
+    def __init__(self, w1, b1, conv_kernel, conv_bias, w2, b2):
+        arrays = (w1, b1, conv_kernel, conv_bias, w2, b2)
+        if np.ndim(w1) != 2 or np.ndim(w2) != 2:
+            raise ValidationError(f"parameter shapes: w1 {np.shape(w1)} and w2 {np.shape(w2)} must be matrices")
+        (d, h), c = np.shape(w1), np.shape(w2)[1] - 1
+        for name, arr, shape in zip(PARAM_NAMES, arrays, _param_shapes(d, h, c)):
+            if np.shape(arr) != shape:
+                raise ValidationError(f"parameter {name} has shape {np.shape(arr)}, expected {shape}")
+        self._bind(np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays]), d, h, c)
+
+    def _bind(self, flat: np.ndarray, d: int, h: int, c: int) -> None:
+        self.flat = flat
+        offset = 0
+        for name, shape in zip(PARAM_NAMES, _param_shapes(d, h, c)):
+            size = math.prod(shape)
+            setattr(self, name, flat[offset : offset + size].reshape(shape))
+            offset += size
+
+    def with_flat(self, flat: np.ndarray) -> "NetworkParams":
+        """Parameters of this layout whose arrays are views into ``flat`` (no copy)."""
+        if flat.shape != self.flat.shape or flat.dtype != np.float64:
+            raise ValidationError(f"with_flat: need float64 of shape {self.flat.shape}, got {flat.dtype} {flat.shape}")
+        params = object.__new__(NetworkParams)
+        params._bind(flat, self.feature_dim, self.hidden_dim, self.num_classes)
+        return params
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
     @property
     def feature_dim(self) -> int:
@@ -52,15 +87,7 @@ class NetworkParams:
         return self.w2.shape[1] - 1
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(**{k: v.copy() for k, v in self.as_dict().items()})
-
-
-def zeros_like_params(params: NetworkParams) -> NetworkParams:
-    return NetworkParams(**{k: np.zeros_like(v) for k, v in params.as_dict().items()})
-
-
-# A GradientBundle has the same fields and shapes as NetworkParams.
-GradientBundle = NetworkParams
+        return self.with_flat(self.flat.copy())
 
 
 @dataclass
@@ -144,17 +171,24 @@ def forward(
     return smap, cache
 
 
-def backward(cache: ForwardCache, d_scores: np.ndarray, d_thresholds: np.ndarray) -> GradientBundle:
-    """Exact chain rule back to every parameter array."""
+def backward(
+    cache: ForwardCache,
+    d_scores: np.ndarray,
+    d_thresholds: np.ndarray,
+    out: NetworkParams | None = None,
+) -> NetworkParams:
+    """Exact chain rule back to every parameter array, written into ``out``
+    (overwritten, not added to; allocated when not given) and returned."""
     params = cache.params
     t = cache.features.shape[0]
     c = params.num_classes
     if d_scores.shape != (t, c) or d_thresholds.shape != (t,):
         raise ValidationError("backward: upstream gradient shapes do not match the forward pass")
+    grads = out if out is not None else params.with_flat(np.empty_like(params.flat))
     d_out = np.concatenate([d_scores, d_thresholds[:, None]], axis=1)
 
-    d_w2 = cache.h3.T @ d_out
-    d_b2 = d_out.sum(axis=0)
+    np.matmul(cache.h3.T, d_out, out=grads.w2)
+    np.sum(d_out, axis=0, out=grads.b2)
     d_h3 = d_out @ params.w2.T
 
     if cache.dropout_mask is not None:
@@ -166,17 +200,18 @@ def backward(cache: ForwardCache, d_scores: np.ndarray, d_thresholds: np.ndarray
     # conv backward over the zero-padded sequence
     padded = np.zeros((t + 2, params.hidden_dim))
     padded[1 : t + 1] = cache.h1
-    d_kernel = np.stack([padded[k : k + t].T @ d_pre for k in range(3)])
-    d_conv_bias = d_pre.sum(axis=0)
+    for k in range(3):
+        np.matmul(padded[k : k + t].T, d_pre, out=grads.conv_kernel[k])
+    np.sum(d_pre, axis=0, out=grads.conv_bias)
     d_padded = np.zeros_like(padded)
     for k in range(3):
         d_padded[k : k + t] += d_pre @ params.conv_kernel[k].T
     d_h1 = d_pre + d_padded[1 : t + 1]  # residual path + conv path
 
     d_z1 = d_h1 * (cache.z1 > 0)
-    d_w1 = cache.features.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
-    return GradientBundle(w1=d_w1, b1=d_b1, conv_kernel=d_kernel, conv_bias=d_conv_bias, w2=d_w2, b2=d_b2)
+    np.matmul(cache.features.T, d_z1, out=grads.w1)
+    np.sum(d_z1, axis=0, out=grads.b1)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +273,13 @@ def apply_gate(score_map: ScoreMap, kind: str) -> Gate:
 
 _CKPT_MAGIC = b"TTCK"
 _CKPT_VERSION = 1
-_PARAM_ORDER = ("w1", "b1", "conv_kernel", "conv_bias", "w2", "b2")
 
 
 def save_params(params: NetworkParams, path: str) -> None:
     arrays = params.as_dict()
-    chunks = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(_PARAM_ORDER))]
-    for name in _PARAM_ORDER:
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+    chunks = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
@@ -263,28 +297,35 @@ def load_params(path: str) -> NetworkParams:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
         raise ValidationError(f"{path}: not a parameter checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _CKPT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape).copy()
-        offset += 8 * size
-    missing = set(_PARAM_ORDER) - set(arrays)
-    if missing:
-        raise ValidationError(f"{path}: checkpoint missing arrays {sorted(missing)}")
-    params = NetworkParams(**{k: arrays[k] for k in _PARAM_ORDER})
-    h = params.hidden_dim
-    if params.conv_kernel.shape != (3, h, h) or params.b1.shape != (h,):
-        raise ValidationError(f"{path}: inconsistent parameter shapes")
-    return params
+    try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != _CKPT_VERSION:
+            raise ValidationError(f"{path}: unsupported checkpoint version {version}")
+        offset = 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, offset)
+            offset += 2
+            name = blob[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            if name in arrays:
+                raise ValidationError(f"{path}: array {name!r} appears twice")
+            (ndim,) = struct.unpack_from("<B", blob, offset)
+            offset += 1
+            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
+            offset += 4 * ndim
+            size = math.prod(shape)
+            if offset + 8 * size > len(blob):
+                raise ValidationError(f"{path}: truncated checkpoint: array {name!r} {shape} runs past the end")
+            arrays[name] = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+            offset += 8 * size
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if offset != len(blob):
+        raise ValidationError(f"{path}: {len(blob) - offset} trailing bytes after the last array")
+    if set(arrays) != set(PARAM_NAMES):
+        raise ValidationError(f"{path}: checkpoint holds arrays {sorted(arrays)}, expected {sorted(PARAM_NAMES)}")
+    try:
+        return NetworkParams(**arrays)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ import numpy as np
 from . import network
 from .data import VideoSample, rasterize
 from .errors import ValidationError
-from .network import Gate, GradientBundle, NetworkParams, ScoreMap, zeros_like_params
+from .network import Gate, NetworkParams, ScoreMap
 
 EPS = 1e-8  # stabilizer for gate-sum and norm denominators
 PROB_FLOOR = 1e-30
@@ -119,25 +119,26 @@ def pool_backward(
     score_map: ScoreMap,
     gate: Gate | None,
     aggregator: str,
+    pooled_scores: np.ndarray,
     d_pooled_scores: np.ndarray,
     d_pooled_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the pooled quantities back to (scores, gate, thresholds).
 
-    The gate is treated as an independent input here; chaining through the
-    gate nonlinearity into the score map is the caller's job.
+    ``pooled_scores`` is what :func:`pool_and_classify` returned for the
+    same inputs.  The gate is treated as an independent input here; chaining
+    through the gate nonlinearity into the score map is the caller's job.
     """
-    s, b = score_map.scores, score_map.thresholds
+    s = score_map.scores
     t, c = s.shape
-    d_s = np.zeros_like(s)
-    d_g = np.zeros_like(s)
     if aggregator == "gated":
         g = gate.values
         denom = g.sum(axis=0) + EPS
-        pooled = (g * s).sum(axis=0) / denom
         d_s = d_pooled_scores[None, :] * g / denom[None, :]
-        d_g = d_pooled_scores[None, :] * (s - pooled[None, :]) / denom[None, :]
+        d_g = d_pooled_scores[None, :] * (s - pooled_scores[None, :]) / denom[None, :]
     elif aggregator == "topk_eighth":
+        d_s = np.zeros_like(s)
+        d_g = np.zeros_like(s)
         k = topk_count(t)
         for j in range(c):
             idx = _topk_indices(s[:, j], k)
@@ -289,12 +290,12 @@ def manual_thresholds(scores: np.ndarray) -> np.ndarray:
     return 0.5 * (scores.max(axis=0) + scores.min(axis=0))
 
 
-def _gate_inputs(smap: ScoreMap, rule: str) -> tuple[np.ndarray, bool]:
-    """Gate pre-activation and whether it depends on the threshold column."""
+def _gate_inputs(smap: ScoreMap, rule: str) -> np.ndarray:
+    """Gate pre-activation: scores minus the predicted or manual thresholds."""
     if rule == "predicted":
-        return smap.scores - smap.thresholds[:, None], True
+        return smap.scores - smap.thresholds[:, None]
     if rule == "manual":
-        return smap.scores - manual_thresholds(smap.scores)[None, :], False
+        return smap.scores - manual_thresholds(smap.scores)[None, :]
     raise ValidationError(f"unknown train-time localization rule {rule!r}")
 
 
@@ -317,7 +318,7 @@ def total_loss(
     train_localization: str = "predicted",
     dropout_masks: list[np.ndarray | None] | None = None,
     drop_rate: float = 0.7,
-) -> tuple[LossBreakdown, GradientBundle]:
+) -> tuple[LossBreakdown, NetworkParams]:
     """Weighted sum of the three losses with a full backward pass.
 
     Composes, per clip: network forward, gate, pooling, probabilities; then
@@ -340,7 +341,7 @@ def total_loss(
         smap, cache = network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate)
         gate = gate_grad = None
         if train_localization != "none":
-            x, _ = _gate_inputs(smap, train_localization)
+            x = _gate_inputs(smap, train_localization)
             gate = Gate(values=network.gate_values(x, gating), kind=gating)
             gate_grad = network.gate_input_grad(x, gate.values, gating)
         smaps.append(smap)
@@ -366,15 +367,17 @@ def total_loss(
         loc_value, loc_grads = 0.0, [None] * len(clips)
 
     lam, eta = config.clas_weight, config.loc_weight
-    total = zeros_like_params(params)
+    total = params.with_flat(np.zeros_like(params.flat))
+    clip_grads = params.with_flat(np.empty_like(params.flat))
     for i, (smap, cache) in enumerate(zip(smaps, caches)):
-        t = smap.scores.shape[0]
         d_s = np.zeros_like(smap.scores)
         d_b = np.zeros_like(smap.thresholds)
         d_g = np.zeros_like(smap.scores)
         if lam > 0:
             d_shat, d_bhat = clas_grads[i]
-            ds_pool, dg_pool, db_pool = pool_backward(smap, gates[i], config.aggregator, d_shat, d_bhat)
+            ds_pool, dg_pool, db_pool = pool_backward(
+                smap, gates[i], config.aggregator, probs[i].pooled_scores, d_shat, d_bhat
+            )
             d_s += lam * ds_pool
             d_b += lam * db_pool
             d_g += lam * dg_pool
@@ -389,9 +392,8 @@ def total_loss(
             d_s += d_x
             if train_localization == "predicted":
                 d_b -= d_x.sum(axis=1)
-        bundle = network.backward(cache, d_s, d_b)
-        for name, arr in total.as_dict().items():
-            arr += getattr(bundle, name)
+        network.backward(cache, d_s, d_b, out=clip_grads)
+        total.flat += clip_grads.flat
 
     breakdown = LossBreakdown(
         clas=clas_value,

@@ -17,7 +17,7 @@ import numpy as np
 from . import network
 from .data import VideoSample, crop_clip
 from .errors import NumericalError, ValidationError
-from .network import NetworkParams, zeros_like_params
+from .network import NetworkParams
 from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, total_loss
 
 SUPERVISION_MODES = ("weak", "semi", "full")
@@ -74,8 +74,8 @@ class TrainConfig:
 @dataclass
 class TrainState:
     params: NetworkParams
-    m: NetworkParams
-    v: NetworkParams
+    m: np.ndarray  # Adam moments, laid out like params.flat
+    v: np.ndarray
     step: int
     rng: np.random.Generator
 
@@ -83,7 +83,7 @@ class TrainState:
 def init_state(config: TrainConfig, feature_dim: int, num_classes: int) -> TrainState:
     rng = np.random.default_rng(config.seed)
     params = network.init_params(rng, feature_dim, config.hidden_dim, num_classes)
-    return TrainState(params=params, m=zeros_like_params(params), v=zeros_like_params(params), step=0, rng=rng)
+    return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0, rng=rng)
 
 
 def select_semi_subset(samples: list[VideoSample], k: int) -> list[VideoSample]:
@@ -119,18 +119,14 @@ def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
-    scale_m = 1.0 - b1**t
-    scale_v = 1.0 - b2**t
-    for name, g in grads.as_dict().items():
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / scale_m
-        v_hat = v / scale_v
-        getattr(state.params, name)[...] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    g, m, v = grads.flat, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    state.params.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
 
 def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig) -> LossBreakdown:

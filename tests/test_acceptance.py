@@ -11,7 +11,7 @@ import numpy as np
 from ttcloc import cli
 from ttcloc.evaluator import (
     evaluate,
-    index_from_samples,
+    index_from_videos,
     oracle_evaluate,
 )
 from ttcloc.gradcheck import STRICT_TOLERANCE, run_gradient_checks
@@ -53,7 +53,7 @@ def _dataset(preset: str, seed: int):
     if key not in _DATASETS:
         spec = preset_spec(preset, seed=seed)
         _, samples = generate(spec)
-        _DATASETS[key] = (spec, samples, index_from_samples(samples, spec.num_classes))
+        _DATASETS[key] = (spec, samples, index_from_videos(samples, spec.num_classes))
     return _DATASETS[key]
 
 

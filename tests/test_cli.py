@@ -222,6 +222,21 @@ class TestEmptyManifest:
         assert not os.path.exists(out)
 
 
+class TestCorruptCheckpoint:
+    def test_infer_on_truncated_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        run = str(tmp_path / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "2", "--hidden-dim", "8") == 0
+        ckpt = os.path.join(run, cli.CHECKPOINT_NAME)
+        blob = open(ckpt, "rb").read()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob[:-20])
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", run, "--data", ds, "--out", det) == 1
+        assert "truncated" in capsys.readouterr().err
+        assert not os.path.exists(det)
+
+
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
         assert run_cli("gradcheck") == 0

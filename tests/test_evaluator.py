@@ -7,7 +7,7 @@ from ttcloc.evaluator import (
     EvalReport,
     average_precision,
     evaluate,
-    index_from_manifest,
+    index_from_videos,
     index_from_rows,
     interval_iou,
     match_detections,
@@ -268,7 +268,8 @@ class TestManifestIndex:
         return DatasetManifest(num_classes=2, class_names=("a", "b"), records=records)
 
     def test_index_collects_segments(self):
-        gt = index_from_manifest(self.manifest())
+        manifest = self.manifest()
+        gt = index_from_videos(manifest.records, manifest.num_classes)
         assert gt.by_class[0] == (("v1", 1.0, 3.0),)
         assert gt.by_class[1] == ()
         assert gt.video_ids == {"v1", "v2"}

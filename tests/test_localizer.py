@@ -18,7 +18,7 @@ from ttcloc.localizer import (
     select_classes,
     write_detections,
 )
-from ttcloc.network import init_params, zeros_like_params
+from ttcloc.network import init_params
 from ttcloc.objectives import VideoProbabilities, manual_thresholds, pool_and_classify
 
 
@@ -77,7 +77,8 @@ class TestSelectClasses:
 class TestInferVideo:
     def test_zero_params_yield_nothing(self):
         rng = np.random.default_rng(0)
-        params = zeros_like_params(init_params(rng, 3, 4, 2))
+        params = init_params(rng, 3, 4, 2)
+        params.flat[:] = 0.0
         assert infer_video(params, make_sample(rng)) == []
 
     def test_modes_validated(self):

@@ -1,14 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from ttcloc import network
 from ttcloc.errors import ValidationError
-from ttcloc.gradcheck import (
-    check_gate_gradient,
-    check_network_backward,
-    check_network_backward_with_dropout,
-    flatten_params,
-)
+from ttcloc.gradcheck import check_gate_gradient, check_network_backward
 from ttcloc.network import (
     NetworkParams,
     ScoreMap,
@@ -18,17 +15,65 @@ from ttcloc.network import (
     init_params,
     load_params,
     save_params,
-    zeros_like_params,
 )
+
+
+def write_checkpoint(path, arrays):
+    """A .ttck file holding exactly ``arrays``, whatever their shapes."""
+    chunks = [b"TTCK", struct.pack("<II", 1, len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        chunks += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", arr.ndim)]
+        chunks += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def tiny_params(seed=0, d=2, h=4, c=2):
     return init_params(np.random.default_rng(seed), d, h, c)
 
 
+class TestParamsLayout:
+    def test_arrays_are_views_into_flat(self):
+        params = tiny_params(d=2, h=4, c=2)
+        assert params.flat.size == 2 * 4 + 4 + 3 * 4 * 4 + 4 + 4 * 3 + 3
+        assert all(np.shares_memory(arr, params.flat) for arr in params.as_dict().values())
+        params.flat[:] = 0.0
+        assert not params.w1.any()
+        params.conv_kernel[1] += 1.0
+        assert params.flat.sum() == 16.0
+
+    def test_constructor_copies_into_layout_order(self):
+        arrays = tiny_params().as_dict()
+        params = NetworkParams(**arrays)
+        assert params.flat.tobytes() == np.concatenate([a.ravel() for a in arrays.values()]).tobytes()
+        assert not any(np.shares_memory(params.flat, a) for a in arrays.values())
+
+    def test_with_flat_shares_the_given_buffer(self):
+        params = tiny_params()
+        theta = params.flat.copy()
+        view = params.with_flat(theta)
+        view.b2[:] = 5.0
+        assert theta[-3:].tolist() == [5.0, 5.0, 5.0]
+        assert not params.b2.any()
+        with pytest.raises(ValidationError):
+            params.with_flat(theta[:-1])
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("w2", (5, 3)), ("b2", (4,)), ("conv_kernel", (3, 4, 5)), ("b1", (3,)), ("w1", (8,))],
+    )
+    def test_inconsistent_shapes_rejected(self, name, shape):
+        arrays = tiny_params().as_dict()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValidationError, match="shape"):
+            NetworkParams(**arrays)
+
+
 class TestForward:
     def test_zero_params_give_zero_outputs(self):
-        params = zeros_like_params(tiny_params())
+        params = tiny_params()
+        params.flat[:] = 0.0
         smap, _ = forward(params, np.random.default_rng(1).normal(size=(5, 2)))
         assert not smap.scores.any()
         assert not smap.thresholds.any()
@@ -83,14 +128,14 @@ class TestBackward:
         params = tiny_params()
         _, cache = forward(params, np.random.default_rng(5).normal(size=(4, 2)))
         grads = backward(cache, np.zeros((4, 2)), np.zeros(4))
-        assert not flatten_params(grads).any()
+        assert not grads.flat.any()
 
     def test_matches_finite_differences(self):
         assert check_network_backward(seed=0) < 1e-7
         assert check_network_backward(seed=1, t=5, d=3, h=4, c=3) < 1e-7
 
     def test_matches_finite_differences_with_dropout(self):
-        assert check_network_backward_with_dropout(seed=2) < 1e-7
+        assert check_network_backward(seed=2, t=4, dropout=True) < 1e-7
 
     def test_zero_conv_kernel_reduces_to_fc_backward(self):
         params = tiny_params()
@@ -161,7 +206,7 @@ class TestInit:
     def test_deterministic_given_seed(self):
         a = tiny_params(seed=42)
         b = tiny_params(seed=42)
-        assert flatten_params(a).tobytes() == flatten_params(b).tobytes()
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_biases_zero(self):
         p = tiny_params()
@@ -180,8 +225,9 @@ class TestCheckpoint:
         path = str(tmp_path / "params.bin")
         save_params(params, path)
         loaded = load_params(path)
-        for name, arr in params.as_dict().items():
-            np.testing.assert_array_equal(arr, getattr(loaded, name))
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        write_checkpoint(path, params.as_dict())
+        assert load_params(path).flat.tobytes() == params.flat.tobytes()
 
     def test_byte_identical_across_saves(self, tmp_path):
         params = tiny_params(seed=12)
@@ -189,6 +235,55 @@ class TestCheckpoint:
         save_params(params, p1)
         save_params(params, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = str(tmp_path / "params.bin")
+        save_params(tiny_params(), path)
+        blob = open(path, "rb").read()
+        for cut in (10, 13, 20, len(blob) - 8):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            with pytest.raises(ValidationError, match="truncated"):
+                load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "params.bin")
+        save_params(tiny_params(), path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(ValidationError, match="trailing"):
+            load_params(path)
+
+    def test_head_rows_must_match_hidden_dim(self, tmp_path):
+        arrays = tiny_params(h=4, c=2).as_dict()
+        arrays["w2"] = np.zeros((5, 3))
+        path = str(tmp_path / "params.bin")
+        write_checkpoint(path, arrays)
+        with pytest.raises(ValidationError, match="w2"):
+            load_params(path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        arrays = tiny_params().as_dict()
+        del arrays["conv_bias"]
+        path = str(tmp_path / "params.bin")
+        write_checkpoint(path, arrays)
+        with pytest.raises(ValidationError, match="conv_bias"):
+            load_params(path)
+
+    def test_repeated_array_rejected(self, tmp_path):
+        # a second w1 after the full set must not silently replace the first
+        params = tiny_params()
+        path = str(tmp_path / "params.bin")
+        save_params(params, path)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[8:12] = struct.pack("<I", 7)
+        w1 = params.w1
+        blob += struct.pack("<H", 2) + b"w1" + struct.pack("<BII", 2, *w1.shape) + np.zeros_like(w1).tobytes()
+        with open(path, "wb") as fh:
+            fh.write(bytes(blob))
+        with pytest.raises(ValidationError, match="twice"):
+            load_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.bin")

@@ -4,7 +4,7 @@ import pytest
 from ttcloc import network, objectives
 from ttcloc.data import VideoSample
 from ttcloc.errors import ValidationError
-from ttcloc.gradcheck import flatten_params, numerical_gradient, relative_error, unflatten_params
+from ttcloc.gradcheck import numerical_gradient, relative_error
 from ttcloc.network import Gate, ScoreMap, apply_gate, init_params
 from ttcloc.objectives import (
     LossConfig,
@@ -109,7 +109,8 @@ class TestPooling:
                 vp = pool_and_classify(sm, g, aggregator)
                 return float(d_pooled @ vp.pooled_scores + d_bhat * vp.pooled_threshold)
 
-            d_s, _, d_b = pool_backward(smap, gate, aggregator, d_pooled, d_bhat)
+            pooled = pool_and_classify(smap, gate, aggregator).pooled_scores
+            d_s, _, d_b = pool_backward(smap, gate, aggregator, pooled, d_pooled, d_bhat)
             flat0 = np.concatenate([smap.scores.ravel(), smap.thresholds])
             numeric = numerical_gradient(value, flat0)
             analytic = np.concatenate([d_s.ravel(), d_b])
@@ -126,7 +127,8 @@ class TestPooling:
             vp = pool_and_classify(smap, g, "gated")
             return float(d_pooled @ vp.pooled_scores)
 
-        _, d_g, _ = pool_backward(smap, gate, "gated", d_pooled, 0.0)
+        pooled = pool_and_classify(smap, gate, "gated").pooled_scores
+        _, d_g, _ = pool_backward(smap, gate, "gated", pooled, d_pooled, 0.0)
         numeric = numerical_gradient(value, gate.values.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-8
 
@@ -296,13 +298,12 @@ class TestTotalLoss:
         cfg = LossConfig(clas_weight=0.3, loc_weight=0.0)
 
         def value(theta):
-            p = unflatten_params(theta, params)
-            breakdown, _ = total_loss(p, clips, cfg, gating="sigmoid")
+            breakdown, _ = total_loss(params.with_flat(theta), clips, cfg, gating="sigmoid")
             return breakdown.total
 
         _, grads = total_loss(params, clips, cfg, gating="sigmoid")
-        numeric = numerical_gradient(value, flatten_params(params))
-        assert relative_error(flatten_params(grads), numeric) < 1e-5
+        numeric = numerical_gradient(value, params.flat)
+        assert relative_error(grads.flat, numeric) < 1e-5
 
     def test_localization_term_gradient_matches_fd(self):
         rng = np.random.default_rng(14)
@@ -316,14 +317,13 @@ class TestTotalLoss:
         cfg = LossConfig(clas_weight=0.2, loc_weight=2.0)
 
         def value(theta):
-            p = unflatten_params(theta, params)
-            breakdown, _ = total_loss(p, clips, cfg, gating="sigmoid")
+            breakdown, _ = total_loss(params.with_flat(theta), clips, cfg, gating="sigmoid")
             return breakdown.total
 
         breakdown, grads = total_loss(params, clips, cfg, gating="sigmoid")
         assert breakdown.loc > 0
-        numeric = numerical_gradient(value, flatten_params(params))
-        assert relative_error(flatten_params(grads), numeric) < 1e-5
+        numeric = numerical_gradient(value, params.flat)
+        assert relative_error(grads.flat, numeric) < 1e-5
 
     def test_loc_reported_zero_when_unflagged(self):
         rng = np.random.default_rng(15)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from ttcloc import network
 from ttcloc.data import GroundTruthSegment, VideoSample
 from ttcloc.errors import NumericalError, ValidationError
-from ttcloc.gradcheck import flatten_params
-from ttcloc.network import init_params, zeros_like_params
+from ttcloc.network import init_params
 from ttcloc.objectives import LossConfig
 from ttcloc.trainer import (
     TrainConfig,
     TrainState,
     _adam_update,
+    _sample_batch,
     apply_supervision,
     init_state,
     run_training,
@@ -129,14 +130,14 @@ class TestAdam:
         cfg = tiny_config(learning_rate=1e-3)
         rng = np.random.default_rng(1)
         params = init_params(rng, 2, 4, 2)
-        before = flatten_params(params)
-        state = TrainState(params, zeros_like_params(params), zeros_like_params(params), 0, rng)
+        before = params.flat.copy()
+        state = TrainState(params, np.zeros_like(params.flat), np.zeros_like(params.flat), 0, rng)
         grads = init_params(np.random.default_rng(2), 2, 4, 2)
         for arr in grads.as_dict().values():
             arr += 0.01 * np.sign(arr) + 1e-12  # keep entries away from 0
         _adam_update(state, grads, cfg)
-        delta = flatten_params(state.params) - before
-        g = flatten_params(grads)
+        delta = state.params.flat - before
+        g = grads.flat
         expected = -cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
         np.testing.assert_allclose(delta, expected, rtol=1e-9)
         assert state.step == 1
@@ -145,11 +146,11 @@ class TestAdam:
         cfg = tiny_config()
         rng = np.random.default_rng(3)
         params = init_params(rng, 2, 4, 2)
-        before = flatten_params(params)
-        state = TrainState(params, zeros_like_params(params), zeros_like_params(params), 0, rng)
-        _adam_update(state, zeros_like_params(params), cfg)
-        np.testing.assert_array_equal(flatten_params(state.params), before)
-        assert not flatten_params(state.m).any()
+        before = params.flat.copy()
+        state = TrainState(params, np.zeros_like(params.flat), np.zeros_like(params.flat), 0, rng)
+        _adam_update(state, params.with_flat(np.zeros_like(params.flat)), cfg)
+        np.testing.assert_array_equal(state.params.flat, before)
+        assert not state.m.any()
         assert state.step == 1
 
     def test_update_bound(self):
@@ -157,15 +158,92 @@ class TestAdam:
         cfg = tiny_config(learning_rate=0.05)
         rng = np.random.default_rng(4)
         params = init_params(rng, 2, 4, 2)
-        state = TrainState(params, zeros_like_params(params), zeros_like_params(params), 0, rng)
+        state = TrainState(params, np.zeros_like(params.flat), np.zeros_like(params.flat), 0, rng)
         bound = cfg.learning_rate / (1.0 - cfg.beta1) + 1e-12
         for i in range(20):
             grads = init_params(np.random.default_rng(100 + i), 2, 4, 2)
             for arr in grads.as_dict().values():
                 arr *= 10.0 ** rng.integers(-3, 4)
-            before = flatten_params(state.params)
+            before = state.params.flat.copy()
             _adam_update(state, grads, cfg)
-            assert np.abs(flatten_params(state.params) - before).max() <= bound
+            assert np.abs(state.params.flat - before).max() <= bound
+
+
+def _reference_backward(cache, d_scores, d_thresholds):
+    """One clip's parameter gradients, computed array by array with fresh
+    allocations and np.stack, as before the flat gradient buffer."""
+    params = cache.params
+    t = cache.features.shape[0]
+    d_out = np.concatenate([d_scores, d_thresholds[:, None]], axis=1)
+    d_w2 = cache.h3.T @ d_out
+    d_b2 = d_out.sum(axis=0)
+    d_h3 = d_out @ params.w2.T
+    d_h2 = d_h3 * cache.dropout_mask * cache.dropout_scale if cache.dropout_mask is not None else d_h3
+    d_pre = d_h2 * (cache.pre_act > 0)
+    padded = np.zeros((t + 2, params.hidden_dim))
+    padded[1 : t + 1] = cache.h1
+    d_kernel = np.stack([padded[k : k + t].T @ d_pre for k in range(3)])
+    d_conv_bias = d_pre.sum(axis=0)
+    d_padded = np.zeros_like(padded)
+    for k in range(3):
+        d_padded[k : k + t] += d_pre @ params.conv_kernel[k].T
+    d_h1 = d_pre + d_padded[1 : t + 1]
+    d_z1 = d_h1 * (cache.z1 > 0)
+    d_w1 = cache.features.T @ d_z1
+    d_b1 = d_z1.sum(axis=0)
+    return dict(w1=d_w1, b1=d_b1, conv_kernel=d_kernel, conv_bias=d_conv_bias, w2=d_w2, b2=d_b2)
+
+
+def _reference_adam(params, m, v, grads, t, config):
+    """The per-array Adam loop that ran before the flat parameter buffer."""
+    b1, b2 = config.beta1, config.beta2
+    scale_m = 1.0 - b1**t
+    scale_v = 1.0 - b2**t
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / scale_m
+        v_hat = v[name] / scale_v
+        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+
+
+class TestFlatPathMatchesPerArrayReference:
+    def test_dropout_steps_bit_identical(self, monkeypatch):
+        # Whole-vector Adam and flat gradient sums must reproduce the
+        # per-array code exactly: the arithmetic per element is unchanged.
+        rng = np.random.default_rng(16)
+        cfg = tiny_config(dropout=0.5, supervision="semi", semi_k=2, learning_rate=1e-2)
+        samples = apply_supervision(make_dataset(rng), cfg)
+        state = init_state(cfg, 3, 2)
+        ref_params = {name: arr.copy() for name, arr in state.params.as_dict().items()}
+        ref_m = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
+        ref_v = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
+        clip_grads = []
+        real_backward = network.backward
+
+        def recording_backward(cache, d_scores, d_thresholds, out=None):
+            clip_grads.append(_reference_backward(cache, d_scores, d_thresholds))
+            return real_backward(cache, d_scores, d_thresholds, out=out)
+
+        monkeypatch.setattr(network, "backward", recording_backward)
+        loc_steps = 0
+        for step in range(1, 9):
+            clip_grads.clear()
+            breakdown = train_step(state, _sample_batch(samples, cfg.batch_size, state.rng), cfg)
+            loc_steps += breakdown.loc > 0
+            assert len(clip_grads) == cfg.batch_size
+            total = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
+            for bundle in clip_grads:
+                for name, arr in total.items():
+                    arr += bundle[name]
+            _reference_adam(ref_params, ref_m, ref_v, total, step, cfg)
+            for name, arr in state.params.as_dict().items():
+                assert arr.tobytes() == ref_params[name].tobytes(), (step, name)
+            assert state.m.tobytes() == np.concatenate([a.ravel() for a in ref_m.values()]).tobytes()
+            assert state.v.tobytes() == np.concatenate([a.ravel() for a in ref_v.values()]).tobytes()
+        assert loc_steps > 0
 
 
 class TestTrainStep:
@@ -174,10 +252,10 @@ class TestTrainStep:
         samples = make_dataset(rng)
         cfg = tiny_config()
         state = init_state(cfg, 3, 2)
-        before = flatten_params(state.params)
+        before = state.params.flat.copy()
         breakdown = train_step(state, samples[:4], cfg)
         assert np.isfinite(breakdown.total)
-        assert np.abs(flatten_params(state.params) - before).max() > 0
+        assert np.abs(state.params.flat - before).max() > 0
 
     def test_non_finite_loss_names_batch(self):
         rng = np.random.default_rng(6)
@@ -205,7 +283,7 @@ class TestRunTraining:
         cfg = tiny_config(iterations=6, dropout=0.3)
         s1, log1 = run_training(samples, 2, cfg)
         s2, log2 = run_training(samples, 2, cfg)
-        assert flatten_params(s1.params).tobytes() == flatten_params(s2.params).tobytes()
+        assert s1.params.flat.tobytes() == s2.params.flat.tobytes()
         assert log1 == log2
 
     def test_seed_changes_trajectory(self):
@@ -213,7 +291,7 @@ class TestRunTraining:
         samples = make_dataset(rng)
         s1, _ = run_training(samples, 2, tiny_config(seed=0))
         s2, _ = run_training(samples, 2, tiny_config(seed=1))
-        assert flatten_params(s1.params).tobytes() != flatten_params(s2.params).tobytes()
+        assert s1.params.flat.tobytes() != s2.params.flat.tobytes()
 
     def test_weak_run_has_zero_loc(self):
         rng = np.random.default_rng(10)
@@ -229,7 +307,7 @@ class TestRunTraining:
         cfg_off = tiny_config(supervision="weak", dropout=0.4, loss=LossConfig(clas_weight=0.5, loc_weight=0.0))
         s1, _ = run_training(samples, 2, cfg_on)
         s2, _ = run_training(samples, 2, cfg_off)
-        assert flatten_params(s1.params).tobytes() == flatten_params(s2.params).tobytes()
+        assert s1.params.flat.tobytes() == s2.params.flat.tobytes()
 
     def test_semi_activates_loc(self):
         rng = np.random.default_rng(12)
