@@ -20,8 +20,8 @@ from . import network
 from .data import load_dataset, load_manifest, write_dataset
 from .errors import NumericalError, ValidationError
 from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
-from .localizer import INFERENCE_MODES, infer_dataset, load_detections, write_detections
-from .objectives import AGGREGATORS, LossConfig, REG_FORMS
+from .localizer import infer_dataset, load_detections, write_detections
+from .objectives import AGGREGATORS, LossConfig, REG_FORMS, TRAIN_LOCALIZATION
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig, run_training
 
@@ -424,7 +424,7 @@ def _add_train_parser(sub):
     p.add_argument("--supervision", choices=SUPERVISION_MODES, default=None)
     p.add_argument("--semi-k", dest="semi_k", type=int, default=None)
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--train-localization", dest="train_localization", choices=("predicted", "manual", "none"), default=None)
+    p.add_argument("--train-localization", dest="train_localization", choices=TRAIN_LOCALIZATION, default=None)
     p.add_argument("--clas-weight", dest="clas_weight", type=float, default=None)
     p.add_argument("--loc-weight", dest="loc_weight", type=float, default=None)
     p.add_argument("--background-weight", dest="background_weight", type=float, default=None)
@@ -437,7 +437,7 @@ def _add_infer_parser(sub):
     p = sub.add_parser("infer", help="run inference with a trained checkpoint")
     p.add_argument("--ckpt", required=True, help="checkpoint file or training output directory")
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
-    p.add_argument("--mode", choices=INFERENCE_MODES, default="predicted")
+    p.add_argument("--mode", choices=network.THRESHOLD_RULES, default="predicted")
     p.add_argument("--aggregator", choices=AGGREGATORS, default=None)
     p.add_argument("--gating", choices=network.GATING_KINDS, default=None)
     p.add_argument("--out", required=True, help="output detections (JSON lines)")

@@ -122,6 +122,10 @@ class DatasetManifest:
         if not self.records:
             raise ValidationError("manifest: lists no videos")
         ids = [r.id for r in self.records]
+        for vid in ids:
+            # an id names its feature file, which must stay inside the dataset directory
+            if vid in ("", ".", "..") or "/" in vid or "\\" in vid or "\0" in vid:
+                raise ValidationError(f"manifest: video id {vid!r} is not a plain file name")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"manifest: duplicate video ids {dupes}")

@@ -3,9 +3,9 @@
 ``oracle_evaluate`` (kept deliberately first and independent) re-derives
 every AP as an explicit precision/recall area over score-order prefixes,
 re-matching each prefix from scratch with plain loops.  ``evaluate`` is
-the production path.  Both share only the report container and the
-detection sort rule: descending score, ties by earlier start then lower
-video id.
+the production path.  Both share only the report assembly (mAP from the
+per-class APs) and the detection sort rule: descending score, ties by
+earlier start then lower video id.
 
 AP is non-interpolated: the sum of precision at each true-positive rank
 divided by the number of ground-truth segments.  Classes without any
@@ -94,6 +94,26 @@ def _default_names(gt: GroundTruthIndex, class_names) -> tuple:
     return tuple(class_names)
 
 
+def _report(iou_thresholds, class_names: tuple, cells: list[list[tuple]]) -> EvalReport:
+    """Report from ``cells[i][c] = (ap, (tp, fp, num_gt))`` per threshold i and class c.
+
+    mAP at a threshold averages the classes whose AP is defined.
+    """
+    ap_rows = tuple(tuple(ap for ap, _ in row) for row in cells)
+    maps = []
+    for aps in ap_rows:
+        defined = [a for a in aps if a is not None]
+        maps.append(sum(defined) / len(defined))
+    return EvalReport(
+        iou_thresholds=tuple(iou_thresholds),
+        class_names=class_names,
+        per_class_ap=ap_rows,
+        per_class_counts=tuple(tuple(counts for _, counts in row) for row in cells),
+        map_per_threshold=tuple(maps),
+        average_map=sum(maps) / len(maps),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Oracle (independent reference; used only by tests)
 
@@ -132,17 +152,17 @@ def oracle_evaluate(
                 tp += 1
         return tp
 
-    ap_rows, count_rows, maps = [], [], []
+    cells = []
     for thresh in iou_thresholds:
-        aps, counts = [], []
+        row = []
         for c in range(gt.num_classes):
             gts = gt.by_class[c]
             dets = _sorted_dets(per_class[c])
             num_gt = len(gts)
             full_tp = prefix_tp_count(dets, gts, thresh)
-            counts.append((full_tp, len(dets) - full_tp, num_gt))
+            counts = (full_tp, len(dets) - full_tp, num_gt)
             if num_gt == 0:
-                aps.append(None)
+                row.append((None, counts))
                 continue
             area = 0.0
             prev_recall = 0.0
@@ -152,20 +172,9 @@ def oracle_evaluate(
                 precision = tp_k / k
                 area += (recall - prev_recall) * precision
                 prev_recall = recall
-            aps.append(area)
-        defined = [a for a in aps if a is not None]
-        maps.append(sum(defined) / len(defined))
-        ap_rows.append(tuple(aps))
-        count_rows.append(tuple(counts))
-
-    return EvalReport(
-        iou_thresholds=tuple(iou_thresholds),
-        class_names=names,
-        per_class_ap=tuple(ap_rows),
-        per_class_counts=tuple(count_rows),
-        map_per_threshold=tuple(maps),
-        average_map=sum(maps) / len(maps),
-    )
+            row.append((area, counts))
+        cells.append(row)
+    return _report(iou_thresholds, names, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +267,16 @@ def evaluate(
         per_class[det.class_id].append(det)
     flags_per_class = [match_detections(per_class[c], gt.by_class[c], iou_thresholds) for c in range(gt.num_classes)]
 
-    ap_rows, count_rows, maps = [], [], []
+    cells = []
     for i in range(len(iou_thresholds)):
-        aps, counts = [], []
+        row = []
         for c in range(gt.num_classes):
             flags = flags_per_class[c][i]
             num_gt = len(gt.by_class[c])
             tp = sum(flags)
-            counts.append((tp, len(flags) - tp, num_gt))
-            aps.append(average_precision(flags, num_gt))
-        defined = [a for a in aps if a is not None]
-        maps.append(sum(defined) / len(defined))
-        ap_rows.append(tuple(aps))
-        count_rows.append(tuple(counts))
-
-    return EvalReport(
-        iou_thresholds=tuple(iou_thresholds),
-        class_names=names,
-        per_class_ap=tuple(ap_rows),
-        per_class_counts=tuple(count_rows),
-        map_per_threshold=tuple(maps),
-        average_map=sum(maps) / len(maps),
-    )
+            row.append((average_precision(flags, num_gt), (tp, len(flags) - tp, num_gt)))
+        cells.append(row)
+    return _report(iou_thresholds, names, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Inference: turn a trained network into per-video segment detections.
 
-The default (predicted) mode uses the same gate rule the objective trains,
-binarized at 0.5, which for any of the gate shapes is exactly "score above
-the predicted threshold".  The manual mode reproduces the fixed test-time
-rule it replaces: per class, threshold at the midpoint of the max and min
-snippet scores.
+A segment is a maximal run of snippets whose :func:`network.gate_margins`
+are positive, under the same rule the objective trains with.  The default
+(predicted) mode compares each score with the learned threshold; the
+manual mode reproduces the fixed test-time rule it replaces: per class,
+threshold at the midpoint of the max and min snippet scores.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from . import network
 from .data import VideoSample
 from .errors import ValidationError
 from .network import NetworkParams
-from .objectives import AGGREGATORS, VideoProbabilities, manual_thresholds, pool_and_classify
-
-INFERENCE_MODES = ("predicted", "manual")
+from .objectives import AGGREGATORS, VideoProbabilities, pool_and_classify
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,9 @@ class Detection:
             raise ValidationError(f"detection in {self.video_id!r}: non-finite score")
 
 
-def extract_segments(values: np.ndarray, binarize_at: float = 0.5) -> list[tuple[int, int]]:
-    """Maximal runs of entries strictly above the cut, as inclusive spans."""
-    mask = np.asarray(values) > binarize_at
+def extract_segments(margins: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of strictly positive entries, as inclusive spans."""
+    mask = np.asarray(margins) > 0
     edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -69,29 +67,22 @@ def infer_video(
 ) -> list[Detection]:
     """Full-sequence inference; no cropping, no dropout.
 
-    Detection score is the video-level class probability times the mean
-    sigmoid gate value across the segment, in both modes.
+    Segments are the runs where the ``mode`` margin is positive.  Pooling
+    and the detection score use the predicted margin in both modes: the
+    score is the video-level class probability times the mean sigmoid gate
+    value across the segment.
     """
-    if mode not in INFERENCE_MODES:
-        raise ValidationError(f"mode must be one of {INFERENCE_MODES}, got {mode!r}")
     if aggregator not in AGGREGATORS:
         raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
     smap, _ = network.forward(params, sample.features)
-    s, b = smap.scores, smap.thresholds
-    x = s - b[:, None]
+    margins = network.gate_margins(smap, mode)
+    x = network.gate_margins(smap, "predicted")
     sig_gate = network.gate_values(x, "sigmoid")
-
-    pool_gate = None
-    if aggregator == "gated":
-        pool_gate = network.Gate(values=network.gate_values(x, gating), kind=gating)
+    pool_gate = network.gate_values(x, gating) if aggregator == "gated" else None
     probs = pool_and_classify(smap, pool_gate, aggregator)
     classes = sorted(select_classes(probs))
 
-    if mode == "predicted":
-        columns, cuts = sig_gate, [0.5] * s.shape[1]
-    else:
-        columns, cuts = s, manual_thresholds(s).tolist()
-    runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(columns[:, c], cuts[c])]
+    runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(margins[:, c])]
     if not runs:
         return []
     cls, t0s, t1s = np.array(runs).T

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ValidationError
 
 GATING_KINDS = ("sigmoid", "softsign", "binarize")
+THRESHOLD_RULES = ("predicted", "manual")  # what a score is compared against
 
 
 PARAM_NAMES = ("w1", "b1", "conv_kernel", "conv_bias", "w2", "b2")
@@ -94,12 +95,6 @@ class NetworkParams:
 class ScoreMap:
     scores: np.ndarray  # (T, C)
     thresholds: np.ndarray  # (T,)
-
-
-@dataclass
-class Gate:
-    values: np.ndarray  # (T, C)
-    kind: str
 
 
 @dataclass
@@ -257,9 +252,25 @@ def gate_input_grad(x: np.ndarray, values: np.ndarray, kind: str) -> np.ndarray:
     raise ValidationError(f"unknown gating kind {kind!r}; expected one of {GATING_KINDS}")
 
 
-def apply_gate(score_map: ScoreMap, kind: str) -> Gate:
-    x = score_map.scores - score_map.thresholds[:, None]
-    return Gate(values=gate_values(x, kind), kind=kind)
+def manual_thresholds(scores: np.ndarray) -> np.ndarray:
+    """Per-class midpoint of max and min snippet score; held constant."""
+    return 0.5 * (scores.max(axis=0) + scores.min(axis=0))
+
+
+def gate_margins(score_map: ScoreMap, rule: str) -> np.ndarray:
+    """Scores minus the thresholds that ``rule`` names, shape (T, C).
+
+    ``predicted``: each snippet's learned threshold.  ``manual``: the
+    per-class :func:`manual_thresholds`, which get no gradient.  A snippet
+    belongs to a class's action exactly where its margin is > 0; training
+    feeds the margins to the gate, inference cuts segments at 0.
+    """
+    s = score_map.scores
+    if rule == "predicted":
+        return s - score_map.thresholds[:, None]
+    if rule == "manual":
+        return s - manual_thresholds(s)[None, :]
+    raise ValidationError(f"threshold rule must be one of {THRESHOLD_RULES}, got {rule!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ import numpy as np
 from . import network
 from .data import VideoSample, rasterize
 from .errors import ValidationError
-from .network import Gate, NetworkParams, ScoreMap
+from .network import NetworkParams, ScoreMap
 
 EPS = 1e-8  # stabilizer for gate-sum and norm denominators
 PROB_FLOOR = 1e-30
 
 REG_FORMS = ("inner_product", "l1", "l2", "cosine")
 AGGREGATORS = ("gated", "topk_eighth")
-TRAIN_LOCALIZATION = ("predicted", "manual", "none")
+TRAIN_LOCALIZATION = (*network.THRESHOLD_RULES, "none")  # "none": no gate, no localization loss
 
 
 @dataclass
@@ -90,10 +90,11 @@ def _topk_indices(column: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-column, kind="stable")[:k]
 
 
-def pool_and_classify(score_map: ScoreMap, gate: Gate | None, aggregator: str) -> VideoProbabilities:
+def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: str) -> VideoProbabilities:
     """Video-level class scores and (C+1)-way probabilities.
 
-    ``gated``: per class, gate-weighted average of snippet scores.
+    ``gated``: per class, average of snippet scores weighted by the (T, C)
+    gate values.
     ``topk_eighth``: per class, mean of the ceil(T/8) highest scores; the
     gate is unused.  Either way the pooled threshold is the plain temporal
     mean and joins the softmax as the background logit.
@@ -103,8 +104,7 @@ def pool_and_classify(score_map: ScoreMap, gate: Gate | None, aggregator: str) -
     if aggregator == "gated":
         if gate is None:
             raise ValidationError("gated aggregator requires a gate")
-        g = gate.values
-        pooled = (g * s).sum(axis=0) / (g.sum(axis=0) + EPS)
+        pooled = (gate * s).sum(axis=0) / (gate.sum(axis=0) + EPS)
     elif aggregator == "topk_eighth":
         k = topk_count(t)
         pooled = np.array([s[_topk_indices(s[:, j], k), j].mean() for j in range(c)])
@@ -117,7 +117,7 @@ def pool_and_classify(score_map: ScoreMap, gate: Gate | None, aggregator: str) -
 
 def pool_backward(
     score_map: ScoreMap,
-    gate: Gate | None,
+    gate: np.ndarray | None,
     aggregator: str,
     pooled_scores: np.ndarray,
     d_pooled_scores: np.ndarray,
@@ -132,9 +132,8 @@ def pool_backward(
     s = score_map.scores
     t, c = s.shape
     if aggregator == "gated":
-        g = gate.values
-        denom = g.sum(axis=0) + EPS
-        d_s = d_pooled_scores[None, :] * g / denom[None, :]
+        denom = gate.sum(axis=0) + EPS
+        d_s = d_pooled_scores[None, :] * gate / denom[None, :]
         d_g = d_pooled_scores[None, :] * (s - pooled_scores[None, :]) / denom[None, :]
     elif aggregator == "topk_eighth":
         d_s = np.zeros_like(s)
@@ -256,7 +255,7 @@ def threshold_regularization_loss(
 
 
 def localization_loss(
-    gates: list[Gate],
+    gates: list[np.ndarray | None],
     annotations: list[np.ndarray | None],
     fully_annotated: list[bool],
 ) -> tuple[float, list[np.ndarray | None]]:
@@ -271,7 +270,7 @@ def localization_loss(
         return 0.0, grads
     total = 0.0
     for i in idx:
-        g = gates[i].values
+        g = gates[i]
         a = annotations[i]
         if a is None or a.shape != g.shape:
             raise ValidationError("localization_loss: annotation missing or mis-shaped for a flagged sample")
@@ -283,20 +282,6 @@ def localization_loss(
 
 # ---------------------------------------------------------------------------
 # Combined objective
-
-
-def manual_thresholds(scores: np.ndarray) -> np.ndarray:
-    """Per-class midpoint of max and min snippet score; held constant."""
-    return 0.5 * (scores.max(axis=0) + scores.min(axis=0))
-
-
-def _gate_inputs(smap: ScoreMap, rule: str) -> np.ndarray:
-    """Gate pre-activation: scores minus the predicted or manual thresholds."""
-    if rule == "predicted":
-        return smap.scores - smap.thresholds[:, None]
-    if rule == "manual":
-        return smap.scores - manual_thresholds(smap.scores)[None, :]
-    raise ValidationError(f"unknown train-time localization rule {rule!r}")
 
 
 @dataclass
@@ -341,9 +326,9 @@ def total_loss(
         smap, cache = network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate)
         gate = gate_grad = None
         if train_localization != "none":
-            x = _gate_inputs(smap, train_localization)
-            gate = Gate(values=network.gate_values(x, gating), kind=gating)
-            gate_grad = network.gate_input_grad(x, gate.values, gating)
+            x = network.gate_margins(smap, train_localization)
+            gate = network.gate_values(x, gating)
+            gate_grad = network.gate_input_grad(x, gate, gating)
         smaps.append(smap)
         caches.append(cache)
         gates.append(gate)

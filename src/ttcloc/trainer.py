@@ -147,9 +147,11 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
         dropout_masks=masks,
         drop_rate=config.dropout,
     )
+    ids = [c.id for c in clips]
     if not np.isfinite(breakdown.total):
-        ids = [c.id for c in clips]
         raise NumericalError(f"non-finite loss {breakdown.total!r} at step {state.step + 1}; batch ids {ids}")
+    if not np.isfinite(grads.flat).all():
+        raise NumericalError(f"non-finite gradient at step {state.step + 1}; batch ids {ids}")
     _adam_update(state, grads, config)
     return breakdown
 

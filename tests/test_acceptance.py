@@ -16,7 +16,7 @@ from ttcloc.evaluator import (
 )
 from ttcloc.gradcheck import STRICT_TOLERANCE, run_gradient_checks
 from ttcloc.localizer import infer_dataset
-from ttcloc.network import Gate, ScoreMap, gate_values, init_params
+from ttcloc.network import ScoreMap, gate_values
 from ttcloc.objectives import (
     LossConfig,
     classification_loss,
@@ -146,7 +146,7 @@ def test_criterion_2_invariant_suite(capsys):
             if g0.min() < 0.0 or g0.max() > 1.0:
                 gate_range_bad += 1
 
-        gate = Gate(values=gate_values(s - b[:, None], "sigmoid"), kind="sigmoid")
+        gate = gate_values(s - b[:, None], "sigmoid")
         vp0 = pool_and_classify(smap, gate, "gated")
         vp1 = pool_and_classify(shifted, gate, "gated")
         softmax_worst = max(softmax_worst, abs(float(vp0.probs.sum()) - 1.0))
@@ -158,7 +158,7 @@ def test_criterion_2_invariant_suite(capsys):
         clas_shift_worst = max(clas_shift_worst, abs(l0 - l1))
 
         ann = (rng.uniform(size=(t, c)) < 0.3).astype(np.float64)
-        gate1 = Gate(values=gate_values(shifted.scores - shifted.thresholds[:, None], "sigmoid"), kind="sigmoid")
+        gate1 = gate_values(shifted.scores - shifted.thresholds[:, None], "sigmoid")
         loc0, _ = localization_loss([gate], [ann], [True])
         loc1, _ = localization_loss([gate1], [ann], [True])
         loc_shift_worst = max(loc_shift_worst, abs(loc0 - loc1))
@@ -182,8 +182,8 @@ def test_criterion_2_invariant_suite(capsys):
 
         smap = ScoreMap(scores=s, thresholds=b)
         pmap = ScoreMap(scores=s[:, perm], thresholds=b)
-        gate = Gate(values=gate_values(s - b[:, None], "sigmoid"), kind="sigmoid")
-        pgate = Gate(values=gate.values[:, perm], kind="sigmoid")
+        gate = gate_values(s - b[:, None], "sigmoid")
+        pgate = gate[:, perm]
 
         l0, _ = classification_loss([pool_and_classify(smap, gate, "gated")], [y], 1.0 / c)
         l1, _ = classification_loss([pool_and_classify(pmap, pgate, "gated")], [y[perm]], 1.0 / c)

@@ -1,10 +1,9 @@
 import json
 import os
 
-import numpy as np
 import pytest
 
-from ttcloc import cli
+from ttcloc import cli, trainer
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.gradcheck import ComponentCheck
 
@@ -183,6 +182,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_training", explode)
         assert run_cli("train", "--data", ds, "--out", str(tmp_path / "run")) == 2
 
+    def test_non_finite_gradient_exit(self, tmp_path, monkeypatch, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        finite_total_loss = trainer.total_loss
+
+        def nan_gradient(*a, **k):
+            breakdown, grads = finite_total_loss(*a, **k)
+            grads.flat[:] = float("nan")
+            return breakdown, grads
+
+        monkeypatch.setattr(trainer, "total_loss", nan_gradient)
+        run = str(tmp_path / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "1", "--hidden-dim", "8") == 2
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert not os.path.exists(run)
+
     def test_gradcheck_failure_exit(self, monkeypatch, capsys):
         def fake_checks(seed=0):
             return [ComponentCheck("broken_component", 0.5, True, 0.01)]
@@ -220,6 +234,27 @@ class TestEmptyManifest:
         out = str(tmp_path / "report.json")
         assert run_cli("eval", "--det", det, "--gt", os.path.join(empty, "manifest.json"), "--out", out) == 1
         assert not os.path.exists(out)
+
+
+class TestEscapingVideoId:
+    def test_train_and_infer_fail_cleanly(self, tmp_path, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        run = str(tmp_path / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "2", "--hidden-dim", "8") == 0
+        manifest_path = os.path.join(ds, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        first = manifest["videos"][0]
+        os.replace(os.path.join(ds, first["id"] + ".f32"), str(tmp_path / "evil.f32"))
+        first["id"] = "../evil"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        run2 = str(tmp_path / "run2")
+        assert run_cli("train", "--data", ds, "--out", run2, "--iterations", "2", "--hidden-dim", "8") == 1
+        assert not os.path.exists(run2)
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", run, "--data", ds, "--out", det) == 1
+        assert not os.path.exists(det)
+        assert "'../evil' is not a plain file name" in capsys.readouterr().err
 
 
 class TestCorruptCheckpoint:

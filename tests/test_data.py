@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -199,8 +200,6 @@ class TestOnDiskFormat:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         text = text.replace('"videos": [', '"videos": [', 1)
-        import json
-
         obj = json.loads(text)
         obj["videos"].append(dict(obj["videos"][0]))
         with open(path, "w", encoding="utf-8") as fh:
@@ -215,3 +214,32 @@ class TestOnDiskFormat:
         bad.tofile(str(tmp_path / "ds" / "inf.f32"))
         with pytest.raises(ValidationError, match="inf"):
             load_dataset(path)
+
+
+# ids that would name a feature file outside the dataset directory; "<tmp>"
+# stands for the test's own directory, where an ``evil.f32`` is planted
+ESCAPING_IDS = ["../evil", "<tmp>/evil", "sub/evil", "..", ".", "a\\b", "nul\0"]
+
+
+class TestVideoIdsStayInDirectory:
+    @pytest.mark.parametrize("vid", ESCAPING_IDS)
+    def test_load_rejects(self, tmp_path, vid):
+        feats = np.zeros((2, 2), np.float32)
+        good = VideoSample(id="good", features=feats, labels=frozenset({0}))
+        path = write_dataset([good], 1, ["only"], str(tmp_path / "ds"))
+        feats.tofile(str(tmp_path / "evil.f32"))
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["videos"][0]["id"] = vid.replace("<tmp>", str(tmp_path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("vid", ESCAPING_IDS)
+    def test_write_writes_nothing(self, tmp_path, vid):
+        vid = vid.replace("<tmp>", str(tmp_path))
+        sample = VideoSample(id=vid, features=np.zeros((2, 2), np.float32), labels=frozenset({0}))
+        with pytest.raises(ValidationError, match="not a plain file name"):
+            write_dataset([sample], 1, ["only"], str(tmp_path / "out" / "ds"))
+        assert list(tmp_path.rglob("*")) == []

@@ -18,8 +18,8 @@ from ttcloc.localizer import (
     select_classes,
     write_detections,
 )
-from ttcloc.network import init_params
-from ttcloc.objectives import VideoProbabilities, manual_thresholds, pool_and_classify
+from ttcloc.network import ScoreMap, gate_margins, init_params, manual_thresholds
+from ttcloc.objectives import VideoProbabilities, pool_and_classify
 
 
 def make_sample(rng, t=8, d=3, vid="v0"):
@@ -44,14 +44,19 @@ class TestExtractSegments:
         assert extract_segments(np.array([1.0, 0.0, 1.0])) == [(0, 0), (2, 2)]
 
     def test_strictly_above_cut(self):
-        assert extract_segments(np.full(4, 0.5)) == []
-        assert extract_segments(np.full(4, 0.5 + 1e-12)) == [(0, 3)]
+        assert extract_segments(np.full(4, 0.0)) == []
+        assert extract_segments(np.full(4, -0.0)) == []
+        assert extract_segments(np.full(4, 5e-324)) == [(0, 3)]
 
     def test_run_to_the_edge(self):
-        assert extract_segments(np.array([0.9, 0.9, 0.1, 0.9])) == [(0, 1), (3, 3)]
+        assert extract_segments(np.array([0.4, 0.4, -0.4, 0.4])) == [(0, 1), (3, 3)]
 
     def test_custom_cut(self):
-        assert extract_segments(np.array([1.0, 3.0, 2.5]), binarize_at=2.0) == [(1, 2)]
+        # a cut c is a margin s - c: s - c > 0 exactly where s > c in floats
+        assert extract_segments(np.array([1.0, 3.0, 2.5]) - 2.0) == [(1, 2)]
+        s = np.array([2.0, np.nextafter(2.0, 3.0), np.nextafter(2.0, 1.0), 5e-324, -5e-324, 0.0])
+        for c in (2.0, 0.0, 1e-300):
+            assert extract_segments(s - c) == extract_segments((s > c).astype(float))
 
 
 class TestSelectClasses:
@@ -86,6 +91,17 @@ class TestInferVideo:
         params = init_params(rng, 3, 4, 2)
         with pytest.raises(ValidationError):
             infer_video(params, make_sample(rng), mode="oracle")
+
+    def test_tiny_positive_margin_is_a_segment(self):
+        # sigmoid(1e-300) rounds to exactly 0.5: a cut on the gate would miss this run
+        rng = np.random.default_rng(8)
+        params = init_params(rng, 4, 8, 3)
+        params.w2[...] = 0.0
+        params.b2[:] = [1e-300, -5.0, -5.0, 0.0]
+        sample = make_sample(rng, t=7, d=4)
+        dets = infer_video(params, sample, mode="predicted")
+        assert [(d.class_id, d.start, d.end) for d in dets] == [(0, 0.0, 7.0)]
+        assert dets == reference_infer(params, sample, "predicted")
 
     def test_detections_well_formed(self):
         rng = np.random.default_rng(2)
@@ -127,18 +143,15 @@ class TestInferVideo:
     def test_manual_segments_invariant_to_joint_scaling(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=(9, 3))
-        thr = manual_thresholds(s)
-        runs = [extract_segments(s[:, c], float(thr[c])) for c in range(3)]
+        runs = [extract_segments(m) for m in gate_margins(ScoreMap(s, np.zeros(9)), "manual").T]
         s2 = s * 2.0  # exact in floats
-        thr2 = manual_thresholds(s2)
-        runs2 = [extract_segments(s2[:, c], float(thr2[c])) for c in range(3)]
+        runs2 = [extract_segments(m) for m in gate_margins(ScoreMap(s2, np.zeros(9)), "manual").T]
         assert runs == runs2
 
     def test_manual_constant_column_no_segments(self):
         s = np.full((6, 1), 1.7)
-        thr = manual_thresholds(s)
-        assert thr[0] == 1.7
-        assert extract_segments(s[:, 0], float(thr[0])) == []
+        assert manual_thresholds(s)[0] == 1.7
+        assert extract_segments(gate_margins(ScoreMap(s, np.zeros(6)), "manual")[:, 0]) == []
 
     def test_infer_dataset_concatenates(self):
         rng = np.random.default_rng(5)
@@ -152,18 +165,15 @@ class TestInferVideo:
 
 
 def reference_infer(params, sample, mode):
-    """Detections with one ``.mean()`` per run, as ``infer_video`` scored them before."""
+    """Detections with one ``.mean()`` per run and segments as runs of ``score > threshold``."""
     smap, _ = network.forward(params, sample.features)
-    s = smap.scores
-    sig_gate = network.gate_values(s - smap.thresholds[:, None], "sigmoid")
-    probs = pool_and_classify(smap, network.Gate(values=sig_gate, kind="sigmoid"), "gated")
+    s, b = smap.scores, smap.thresholds
+    sig_gate = network.gate_values(s - b[:, None], "sigmoid")
+    probs = pool_and_classify(smap, sig_gate, "gated")
     dets = []
     for c in sorted(select_classes(probs)):
-        if mode == "predicted":
-            runs = extract_segments(sig_gate[:, c], 0.5)
-        else:
-            runs = extract_segments(s[:, c], float(manual_thresholds(s)[c]))
-        for t0, t1 in runs:
+        cut = b if mode == "predicted" else float(manual_thresholds(s)[c])
+        for t0, t1 in extract_segments((s[:, c] > cut).astype(float)):
             score = float(probs.probs[c] * sig_gate[t0 : t1 + 1, c].mean())
             tau = sample.snippet_duration
             dets.append(Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score))

@@ -9,9 +9,10 @@ from ttcloc.gradcheck import check_gate_gradient, check_network_backward
 from ttcloc.network import (
     NetworkParams,
     ScoreMap,
-    apply_gate,
     backward,
     forward,
+    gate_margins,
+    gate_values,
     init_params,
     load_params,
     save_params,
@@ -162,12 +163,13 @@ class TestGating:
     def test_gate_is_half_at_equal_scores(self):
         smap = ScoreMap(scores=np.full((3, 2), 1.7), thresholds=np.full(3, 1.7))
         for kind in ("sigmoid", "softsign"):
-            np.testing.assert_allclose(apply_gate(smap, kind).values, 0.5)
+            np.testing.assert_allclose(gate_values(gate_margins(smap, "predicted"), kind), 0.5)
 
     def test_sigmoid_at_unit_margin(self):
         # 1 / (1 + e^-1), evaluated to full double precision
         smap = ScoreMap(scores=np.array([[1.0]]), thresholds=np.array([0.0]))
-        np.testing.assert_allclose(apply_gate(smap, "sigmoid").values, 0.7310585786300049, rtol=0, atol=1e-15)
+        gate = gate_values(gate_margins(smap, "predicted"), "sigmoid")
+        np.testing.assert_allclose(gate, 0.7310585786300049, rtol=0, atol=1e-15)
 
     def test_binarize_forward_and_surrogate(self):
         x = np.array([-0.3, 0.0, 0.2])
@@ -193,13 +195,21 @@ class TestGating:
         s = rng.normal(size=(6, 3))
         b = rng.normal(size=6)
         for kind in ("sigmoid", "softsign", "binarize"):
-            base = apply_gate(ScoreMap(s, b), kind).values
-            shifted = apply_gate(ScoreMap(s + 2.5, b + 2.5), kind).values
+            base = gate_values(gate_margins(ScoreMap(s, b), "predicted"), kind)
+            shifted = gate_values(gate_margins(ScoreMap(s + 2.5, b + 2.5), "predicted"), kind)
             np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             network.gate_values(np.zeros(2), "tanh")
+
+    def test_margins_by_rule(self):
+        smap = ScoreMap(scores=np.array([[1.0, 4.0], [3.0, 0.0]]), thresholds=np.array([2.0, -1.0]))
+        np.testing.assert_array_equal(gate_margins(smap, "predicted"), [[-1.0, 2.0], [4.0, 1.0]])
+        # manual thresholds: per-class midpoints 2.0 and 2.0
+        np.testing.assert_array_equal(gate_margins(smap, "manual"), [[-1.0, 2.0], [1.0, -2.0]])
+        with pytest.raises(ValidationError):
+            gate_margins(smap, "none")
 
 
 class TestInit:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ttcloc import network, objectives
 from ttcloc.data import VideoSample
 from ttcloc.errors import ValidationError
 from ttcloc.gradcheck import numerical_gradient, relative_error
-from ttcloc.network import Gate, ScoreMap, apply_gate, init_params
+from ttcloc.network import ScoreMap, gate_margins, gate_values, init_params
 from ttcloc.objectives import (
     LossConfig,
     VideoProbabilities,
@@ -60,18 +59,18 @@ class TestPooling:
     def test_constant_gate_reduces_to_mean(self):
         rng = np.random.default_rng(0)
         smap = random_scoremap(rng, t=6, c=2)
-        gate = Gate(values=np.full((6, 2), 0.37), kind="sigmoid")
+        gate = np.full((6, 2), 0.37)
         vp = pool_and_classify(smap, gate, "gated")
         np.testing.assert_allclose(vp.pooled_scores, smap.scores.mean(axis=0), rtol=1e-7)
 
     def test_zero_scores_give_uniform_probs(self):
         smap = ScoreMap(scores=np.zeros((4, 3)), thresholds=np.zeros(4))
-        vp = pool_and_classify(smap, apply_gate(smap, "sigmoid"), "gated")
+        vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
         np.testing.assert_allclose(vp.probs, 1.0 / 4.0)
 
     def test_binary_gate_selects_snippets(self):
         smap = ScoreMap(scores=np.array([[2.0], [0.0]]), thresholds=np.zeros(2))
-        gate = Gate(values=np.array([[1.0], [0.0]]), kind="binarize")
+        gate = np.array([[1.0], [0.0]])
         vp = pool_and_classify(smap, gate, "gated")
         np.testing.assert_allclose(vp.pooled_scores, [2.0], rtol=1e-7)
 
@@ -79,7 +78,7 @@ class TestPooling:
         rng = np.random.default_rng(1)
         for _ in range(50):
             smap = random_scoremap(rng, t=int(rng.integers(1, 9)), c=int(rng.integers(1, 5)), scale=5.0)
-            vp = pool_and_classify(smap, apply_gate(smap, "sigmoid"), "gated")
+            vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
             assert abs(vp.probs.sum() - 1.0) <= 1e-12
             assert np.all(vp.probs > 0)
 
@@ -97,7 +96,7 @@ class TestPooling:
         rng = np.random.default_rng(2)
         for aggregator in ("gated", "topk_eighth"):
             smap = random_scoremap(rng, t=5, c=3)
-            gate = apply_gate(smap, "sigmoid")
+            gate = gate_values(gate_margins(smap, "predicted"), "sigmoid")
             d_pooled = rng.normal(size=3)
             d_bhat = float(rng.normal())
 
@@ -105,8 +104,7 @@ class TestPooling:
                 s = flat[:15].reshape(5, 3)
                 b = flat[15:]
                 sm = ScoreMap(s, b)
-                g = Gate(values=gate.values, kind="sigmoid")  # gate held fixed
-                vp = pool_and_classify(sm, g, aggregator)
+                vp = pool_and_classify(sm, gate, aggregator)  # gate held fixed
                 return float(d_pooled @ vp.pooled_scores + d_bhat * vp.pooled_threshold)
 
             pooled = pool_and_classify(smap, gate, aggregator).pooled_scores
@@ -119,17 +117,17 @@ class TestPooling:
     def test_pool_backward_gate_direction_matches_fd(self):
         rng = np.random.default_rng(3)
         smap = random_scoremap(rng, t=4, c=2)
-        gate = apply_gate(smap, "sigmoid")
+        gate = gate_values(gate_margins(smap, "predicted"), "sigmoid")
         d_pooled = rng.normal(size=2)
 
         def value(flat):
-            g = Gate(values=flat.reshape(4, 2), kind="sigmoid")
+            g = flat.reshape(4, 2)
             vp = pool_and_classify(smap, g, "gated")
             return float(d_pooled @ vp.pooled_scores)
 
         pooled = pool_and_classify(smap, gate, "gated").pooled_scores
         _, d_g, _ = pool_backward(smap, gate, "gated", pooled, d_pooled, 0.0)
-        numeric = numerical_gradient(value, gate.values.ravel())
+        numeric = numerical_gradient(value, gate.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-8
 
 
@@ -150,7 +148,7 @@ class TestClassificationLoss:
         for _ in range(100):
             c = int(rng.integers(1, 5))
             smap = random_scoremap(rng, t=4, c=c, scale=3.0)
-            vp = pool_and_classify(smap, apply_gate(smap, "sigmoid"), "gated")
+            vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
             y = label_vector({int(rng.integers(0, c))}, c)
             loss, _ = classification_loss([vp], [y], background_weight=1.0 / c)
             assert loss >= 0
@@ -235,19 +233,19 @@ class TestThresholdRegularization:
 class TestLocalizationLoss:
     def test_exact_match_is_zero(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        gate = Gate(values=a.copy(), kind="binarize")
+        gate = a.copy()
         loss, grads = localization_loss([gate], [a], [True])
         assert loss == 0.0
         assert not grads[0].any()
 
     def test_half_gate_on_binary_annotation(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        gate = Gate(values=np.full((2, 2), 0.5), kind="sigmoid")
+        gate = np.full((2, 2), 0.5)
         loss, _ = localization_loss([gate], [a], [True])
         np.testing.assert_allclose(loss, 0.5)
 
     def test_no_flagged_samples(self):
-        gate = Gate(values=np.full((2, 2), 0.5), kind="sigmoid")
+        gate = np.full((2, 2), 0.5)
         loss, grads = localization_loss([gate], [None], [False])
         assert loss == 0.0
         assert grads == [None]
@@ -255,7 +253,7 @@ class TestLocalizationLoss:
     def test_range_bounded_by_one(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            g = Gate(values=rng.uniform(size=(3, 2)), kind="sigmoid")
+            g = rng.uniform(size=(3, 2))
             a = (rng.uniform(size=(3, 2)) > 0.5).astype(float)
             loss, _ = localization_loss([g], [a], [True])
             assert 0.0 <= loss <= 1.0
@@ -266,10 +264,10 @@ class TestLocalizationLoss:
         g0 = rng.uniform(0.05, 0.95, size=(4, 2))
 
         def value(flat):
-            loss, _ = localization_loss([Gate(values=flat.reshape(4, 2), kind="sigmoid")], [a], [True])
+            loss, _ = localization_loss([flat.reshape(4, 2)], [a], [True])
             return loss
 
-        _, (d_g,) = localization_loss([Gate(values=g0, kind="sigmoid")], [a], [True])
+        _, (d_g,) = localization_loss([g0], [a], [True])
         numeric = numerical_gradient(value, g0.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-6
 
@@ -355,10 +353,12 @@ class TestInvariances:
             shifted = self.shifted(smap, delta)
             for kind in ("sigmoid", "softsign", "binarize"):
                 np.testing.assert_allclose(
-                    apply_gate(shifted, kind).values, apply_gate(smap, kind).values, atol=1e-9
+                    gate_values(gate_margins(shifted, "predicted"), kind),
+                    gate_values(gate_margins(smap, "predicted"), kind),
+                    atol=1e-9,
                 )
-            vp0 = pool_and_classify(smap, apply_gate(smap, "sigmoid"), "gated")
-            vp1 = pool_and_classify(shifted, apply_gate(shifted, "sigmoid"), "gated")
+            vp0 = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
+            vp1 = pool_and_classify(shifted, gate_values(gate_margins(shifted, "predicted"), "sigmoid"), "gated")
             np.testing.assert_allclose(vp1.probs, vp0.probs, atol=1e-9)
 
     def test_clas_and_loc_shift_invariant_reg_not(self):
@@ -371,7 +371,7 @@ class TestInvariances:
             y = label_vector({0}, 2)
 
             def clas(sm):
-                vp = pool_and_classify(sm, apply_gate(sm, "sigmoid"), "gated")
+                vp = pool_and_classify(sm, gate_values(gate_margins(sm, "predicted"), "sigmoid"), "gated")
                 return classification_loss([vp], [y], background_weight=0.5)[0]
 
             np.testing.assert_allclose(clas(shifted), clas(smap), atol=1e-9)
@@ -379,7 +379,7 @@ class TestInvariances:
             a = (rng.uniform(size=(6, 2)) > 0.5).astype(float)
 
             def loc(sm):
-                return localization_loss([apply_gate(sm, "sigmoid")], [a], [True])[0]
+                return localization_loss([gate_values(gate_margins(sm, "predicted"), "sigmoid")], [a], [True])[0]
 
             np.testing.assert_allclose(loc(shifted), loc(smap), atol=1e-9)
 
@@ -402,8 +402,8 @@ class TestInvariances:
             y_p = y[perm]
             a_p = a[:, perm]
 
-            vp = pool_and_classify(smap, apply_gate(smap, "sigmoid"), "gated")
-            vp_p = pool_and_classify(smap_p, apply_gate(smap_p, "sigmoid"), "gated")
+            vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
+            vp_p = pool_and_classify(smap_p, gate_values(gate_margins(smap_p, "predicted"), "sigmoid"), "gated")
             l0 = classification_loss([vp], [y], 0.3)[0]
             l1 = classification_loss([vp_p], [y_p], 0.3)[0]
             np.testing.assert_allclose(l1, l0, rtol=1e-10)
@@ -413,6 +413,6 @@ class TestInvariances:
                 r1 = threshold_regularization_loss([smap_p], [y_p], form)[0]
                 np.testing.assert_allclose(r1, r0, rtol=1e-10)
 
-            g0 = localization_loss([apply_gate(smap, "sigmoid")], [a], [True])[0]
-            g1 = localization_loss([apply_gate(smap_p, "sigmoid")], [a_p], [True])[0]
+            g0 = localization_loss([gate_values(gate_margins(smap, "predicted"), "sigmoid")], [a], [True])[0]
+            g1 = localization_loss([gate_values(gate_margins(smap_p, "predicted"), "sigmoid")], [a_p], [True])[0]
             np.testing.assert_allclose(g1, g0, rtol=1e-10)

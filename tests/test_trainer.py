@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttcloc import network
+from ttcloc import network, trainer
 from ttcloc.data import GroundTruthSegment, VideoSample
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.network import init_params
@@ -266,6 +266,25 @@ class TestTrainStep:
             arr += np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="v0_0"):
             train_step(state, samples[:2], cfg)
+
+    def test_non_finite_gradient_leaves_state_untouched(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        samples = make_dataset(rng)
+        cfg = tiny_config()
+        state = init_state(cfg, 3, 2)
+        finite_total_loss = trainer.total_loss
+
+        def nan_gradient(*args, **kwargs):
+            breakdown, grads = finite_total_loss(*args, **kwargs)
+            grads.flat[3] = np.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(trainer, "total_loss", nan_gradient)
+        before = [state.params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()]
+        with pytest.raises(NumericalError, match="non-finite gradient at step 1; batch ids.*v0_0"):
+            train_step(state, samples[:2], cfg)
+        assert [state.params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
+        assert state.step == 0
 
     def test_crops_long_videos(self):
         rng = np.random.default_rng(7)
