@@ -79,7 +79,6 @@ def _validate_inputs(detections: list[Detection], gt: GroundTruthIndex, iou_thre
     if gt.total_segments() == 0:
         raise ValidationError("ground truth contains no segments; mAP is undefined")
     for det in detections:
-        det.validate()
         if det.video_id not in gt.video_ids:
             raise ValidationError(f"detection references unknown video {det.video_id!r}")
         if not 0 <= det.class_id < gt.num_classes:
@@ -191,9 +190,7 @@ def interval_iou(a: tuple, b: tuple) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def match_detections(
-    dets: list[Detection], gts, iou_thresh: float | Sequence[float]
-) -> list[bool] | list[list[bool]]:
+def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) -> list[list[bool]]:
     """TP/FP flags in score order under the one-detection-per-GT rule.
 
     ``gts`` is a sequence of (video_id, start, end) for a single class.
@@ -201,15 +198,12 @@ def match_detections(
     highest-IoU unmatched ground truth of its own video, if any reaches
     the threshold; of equal IoUs the earliest ground truth wins.
 
-    ``iou_thresh`` is one threshold, giving one flag list, or a sequence
-    of thresholds, giving one flag list per threshold.  The detections are
-    sorted and their IoUs computed once for all thresholds.
+    Returns one flag list per threshold in ``thresholds``.  The detections
+    are sorted and their IoUs computed once for all thresholds.
     """
     by_video: dict = {}
     for j, (vid, gs, ge) in enumerate(gts):
         by_video.setdefault(vid, []).append((j, gs, ge))
-    single = isinstance(iou_thresh, (int, float))
-    thresholds = (iou_thresh,) if single else tuple(iou_thresh)
     # (rank in score order, [(iou, j), ...]) for each detection that reaches
     # the lowest threshold with some ground truth of its video; candidates
     # highest IoU first, ties in ground-truth order (the sort is stable)
@@ -235,8 +229,7 @@ def match_detections(
                     break
         return flags
 
-    per_threshold = [flags_at(t) for t in thresholds]
-    return per_threshold[0] if single else per_threshold
+    return [flags_at(t) for t in thresholds]
 
 
 def average_precision(flags: list[bool], num_gt: int) -> float | None:

@@ -20,18 +20,21 @@ from . import network
 from .data import VideoSample
 from .errors import ValidationError
 from .network import NetworkParams
-from .objectives import AGGREGATORS, VideoProbabilities, pool_and_classify
+from .objectives import VideoProbabilities, pool_and_classify
+from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
 class Detection:
+    """One scored segment; construction rejects a non-finite or empty one."""
+
     video_id: str
     class_id: int
     start: float  # seconds
     end: float
     score: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValidationError(f"detection in {self.video_id!r}: non-finite start {self.start} or end {self.end}")
         if not self.start < self.end:
@@ -61,28 +64,28 @@ def select_classes(probs: VideoProbabilities) -> set[int]:
 def infer_video(
     params: NetworkParams,
     sample: VideoSample,
+    config: TrainConfig,
     mode: str = "predicted",
-    aggregator: str = "gated",
-    gating: str = "sigmoid",
 ) -> list[Detection]:
     """Full-sequence inference; no cropping, no dropout.
 
-    Segments are the runs where the ``mode`` margin is positive.  Pooling
-    and the detection score use the predicted margin in both modes: the
-    score is the video-level class probability times the mean sigmoid gate
-    value across the segment.
+    Pooling, and so class selection, follows the ``config`` the parameters
+    were trained with: its aggregator, and for ``gated`` its gating kind on
+    the ``config.train_localization`` margin.  Segments are the runs where
+    the ``mode`` margin is positive.  The detection score is the video-level
+    class probability times the mean sigmoid gate on the predicted margin
+    across the segment, whatever the checkpoint was trained with.
     """
-    if aggregator not in AGGREGATORS:
-        raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {aggregator!r}")
     smap, _ = network.forward(params, sample.features)
-    margins = network.gate_margins(smap, mode)
-    x = network.gate_margins(smap, "predicted")
-    sig_gate = network.gate_values(x, "sigmoid")
-    pool_gate = network.gate_values(x, gating) if aggregator == "gated" else None
-    probs = pool_and_classify(smap, pool_gate, aggregator)
+    gated = config.loss.aggregator == "gated"
+    rules = (mode, "predicted", config.train_localization) if gated else (mode, "predicted")
+    margins = {rule: network.gate_margins(smap, rule) for rule in dict.fromkeys(rules)}
+    sig_gate = network.gate_values(margins["predicted"], "sigmoid")
+    pool_gate = network.gate_values(margins[config.train_localization], config.gating) if gated else None
+    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator)
     classes = sorted(select_classes(probs))
 
-    runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(margins[:, c])]
+    runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(margins[mode][:, c])]
     if not runs:
         return []
     cls, t0s, t1s = np.array(runs).T
@@ -113,13 +116,12 @@ def run_means(values: np.ndarray, cls: np.ndarray, t0s: np.ndarray, t1s: np.ndar
 def infer_dataset(
     params: NetworkParams,
     samples: list[VideoSample],
+    config: TrainConfig,
     mode: str = "predicted",
-    aggregator: str = "gated",
-    gating: str = "sigmoid",
 ) -> list[Detection]:
     out: list[Detection] = []
     for sample in samples:
-        out.extend(infer_video(params, sample, mode, aggregator, gating))
+        out.extend(infer_video(params, sample, config, mode))
     return out
 
 
@@ -128,13 +130,12 @@ def detections_to_jsonl(detections: list[Detection], class_names: tuple[str, ...
 
     Each distinct video id and class name is encoded once.  Times and
     scores are written as floats with ``repr``, which for the finite values
-    that ``Detection.validate`` admits is exactly what ``json.dumps`` writes.
+    that a ``Detection`` admits is exactly what ``json.dumps`` writes.
     """
     names = [json.dumps(name) for name in class_names]
     ids: dict = {}
     lines = []
     for det in detections:
-        det.validate()
         if not 0 <= det.class_id < len(class_names):
             raise ValidationError(f"detection class {det.class_id} outside the {len(class_names)}-class space")
         vid = ids.get(det.video_id)
@@ -175,7 +176,6 @@ def load_detections(path: str) -> list[Detection]:
                     float(obj["end_s"]),
                     float(obj["score"]),
                 )
-                det.validate()
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc
             detections.append(det)

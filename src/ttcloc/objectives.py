@@ -44,7 +44,7 @@ class LossConfig:
     def validate(self) -> None:
         if not 0.0 <= self.clas_weight <= 1.0:
             raise ValidationError(f"clas_weight must be in [0, 1], got {self.clas_weight}")
-        if self.loc_weight < 0:
+        if not self.loc_weight >= 0:
             raise ValidationError(f"loc_weight must be >= 0, got {self.loc_weight}")
         if self.background_weight is not None and not self.background_weight > 0:
             raise ValidationError(f"background_weight must be positive, got {self.background_weight}")

@@ -56,7 +56,7 @@ class SynthSpec:
         ):
             if lo < 1 or hi < lo:
                 raise ValidationError(f"{what} range [{lo}, {hi}] must satisfy 1 <= min <= max")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not self.prototype_scale > 0:
             raise ValidationError(f"prototype_scale must be > 0, got {self.prototype_scale}")
@@ -66,6 +66,8 @@ class SynthSpec:
             )
         if not 0.0 <= self.annotated_fraction <= 1.0:
             raise ValidationError(f"annotated_fraction must be in [0, 1], got {self.annotated_fraction}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 PRESETS: dict[str, SynthSpec] = {

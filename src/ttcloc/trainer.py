@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValidationError("batch_size/max_clip_len must be >= 1 and iterations >= 0")
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.gating not in network.GATING_KINDS:
@@ -69,6 +71,8 @@ class TrainConfig:
                 f"train_localization must be one of {TRAIN_LOCALIZATION}, got {self.train_localization!r}"
             )
         self.loss.validate()
+        if self.train_localization == "none" and self.loss.aggregator == "gated":
+            raise ValidationError("train_localization='none' requires the topk_eighth aggregator")
 
 
 @dataclass

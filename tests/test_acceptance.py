@@ -85,9 +85,9 @@ def _medium_cell_map(
             loss=LossConfig(aggregator=aggregator),
         )
         state, _ = run_training(samples, spec.num_classes, config)
-        _CELL_MAPS[train_key] = state
-    state = _CELL_MAPS[train_key]
-    dets = infer_dataset(state.params, samples, mode=test_mode, aggregator=aggregator)
+        _CELL_MAPS[train_key] = state, config
+    state, config = _CELL_MAPS[train_key]
+    dets = infer_dataset(state.params, samples, config, test_mode)
     return evaluate(dets, gt, MEDIUM_IOUS).average_map
 
 
@@ -284,7 +284,7 @@ def test_criterion_4_easy_weak_training(capsys):
             seed=seed,
         )
         state, _ = run_training(samples, spec.num_classes, config)
-        dets = infer_dataset(state.params, samples, mode="predicted")
+        dets = infer_dataset(state.params, samples, config, "predicted")
         maps.append(evaluate(dets, gt, (0.5,)).map_per_threshold[0])
     elapsed = time.perf_counter() - start
     mean_map = float(np.mean(maps))

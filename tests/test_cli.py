@@ -1,5 +1,9 @@
 import json
 import os
+import resource
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -53,10 +57,40 @@ class TestParseIouSpec:
     def test_range_endpoint_robust_to_float_steps(self):
         assert cli.parse_iou_spec("0.1:0.3:0.1") == (0.1, 0.2, 0.3)
 
-    @pytest.mark.parametrize("bad", ["", "a", "0.3:0.7", "0.7:0.3:0.1", "0.3:0.7:0"])
+    @pytest.mark.parametrize("bad", ["", "a", "0.3:0.7", "0.7:0.3:0.1", "0.3:0.7:0", "nan", "0.5,inf", "-inf", "0:1000:1"])
     def test_bad_specs(self, bad):
         with pytest.raises(ValidationError):
             cli.parse_iou_spec(bad)
+
+    def test_range_size_limit(self):
+        assert len(cli.parse_iou_spec(f"1:{cli.IOU_MAX_THRESHOLDS}:1")) == cli.IOU_MAX_THRESHOLDS
+
+    def test_unbounded_ranges_are_rejected_without_hanging(self):
+        # run in a child with a memory cap and a timeout, so a parser that
+        # loops forever fails this test instead of hanging the suite
+        specs = ["0.1:inf:0.1", "0.1:nan:0.1", "0:1:1e-12", "1e300:1e300:1"]
+        code = (
+            "import sys\n"
+            "from ttcloc.cli import parse_iou_spec\n"
+            "from ttcloc.errors import ValidationError\n"
+            "for spec in sys.argv[1:]:\n"
+            "    try:\n"
+            "        parse_iou_spec(spec)\n"
+            "        print('accepted')\n"
+            "    except ValidationError:\n"
+            "        print('rejected')\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        result = subprocess.run(
+            [sys.executable, "-c", code, *specs], env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60
+        )
+        assert result.stdout.split() == ["rejected"] * len(specs), result.stderr[-500:]
 
 
 class TestConfigBuilding:
@@ -90,6 +124,65 @@ class TestConfigBuilding:
         assert spec.prototype_scale == 2.0
         assert spec.feature_dim == 4
         assert spec.seed == 9
+
+    @pytest.mark.parametrize(
+        "file_cfg",
+        [
+            {"loss": 5},
+            {"loss": None},
+            {"loss": []},
+            {"hidden_dim": "x"},
+            {"learning_rate": None},
+            {"loss": {"clas_weight": "0.2"}},
+            {"iterations": 2.5},
+            {"iterations": 2.0},
+            {"semi_k": True},
+            {"gating": []},
+            {"seed": None},
+        ],
+    )
+    def test_wrong_typed_train_value_rejected(self, file_cfg):
+        with pytest.raises(ValidationError, match="must be"):
+            cli.build_train_config(file_cfg, {}, {})
+
+    def test_int_for_float_and_null_where_default_is_none(self):
+        config = cli.build_train_config({"learning_rate": 1, "loss": {"background_weight": None, "loc_weight": 2}}, {}, {})
+        assert (config.learning_rate, config.loss.background_weight, config.loss.loc_weight) == (1, None, 2)
+
+    @pytest.mark.parametrize(
+        "file_cfg", [{"num_classes": "x"}, {"num_classes": 3.0}, {"seed": True}, {"noise_scale": None}, {"feature_dim": [4]}]
+    )
+    def test_wrong_typed_synth_value_rejected(self, file_cfg):
+        with pytest.raises(ValidationError, match="must be"):
+            cli.build_synth_spec(None, file_cfg, {})
+
+    def test_untrained_gate_needs_topk_pooling(self):
+        with pytest.raises(ValidationError, match="topk_eighth"):
+            cli.build_train_config({"train_localization": "none"}, {}, {})
+        config = cli.build_train_config({"train_localization": "none", "loss": {"aggregator": "topk_eighth"}}, {}, {})
+        assert config.train_localization == "none"
+
+    @pytest.mark.parametrize(
+        "ablate_cfg",
+        [
+            {"seeds": "2"},
+            {"seeds": 1.5},
+            {"iterations": None},
+            {"hidden_dim": True},
+            {"videos_per_class": "8"},
+            {"iou": 0.5},
+            {"lambda_sweep": 1},
+            {"preset": 3},
+        ],
+    )
+    def test_wrong_typed_ablate_value_fails_cleanly(self, ablate_cfg, tmp_path, capsys):
+        cfg = tmp_path / "ablate.json"
+        cfg.write_text(json.dumps(ablate_cfg))
+        # the flags keep a run that wrongly accepts the file short; they do not mask its check
+        small = ["--seeds", "1", "--iterations", "1", "--hidden-dim", "4", "--videos-per-class", "1"]
+        assert run_cli("ablate", "--config", str(cfg), *small, "--out", str(tmp_path / "out")) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestPipeline:
@@ -166,6 +259,14 @@ class TestExitCodes:
 
     def test_invalid_synth_field(self, tmp_path):
         assert run_cli("synth", "--num-classes", "1", "--out", str(tmp_path / "ds")) == 1
+
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        assert run_cli("synth", "--seed", "-1", "--out", str(tmp_path / "ds2")) == 1
+        assert run_cli("train", "--data", ds, "--seed", "-1", "--out", str(tmp_path / "run")) == 1
+        assert run_cli("gradcheck", "--seed", "-1") == 1
+        assert capsys.readouterr().err.count("seed must be >= 0") == 3
+        assert not os.path.exists(tmp_path / "ds2") and not os.path.exists(tmp_path / "run")
 
     def test_unknown_config_key_exit(self, tmp_path):
         cfg = tmp_path / "train.json"
@@ -270,6 +371,82 @@ class TestCorruptCheckpoint:
         assert run_cli("infer", "--ckpt", run, "--data", ds, "--out", det) == 1
         assert "truncated" in capsys.readouterr().err
         assert not os.path.exists(det)
+
+
+class TestInferFollowsTrainingConfig:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        ds = make_dataset(str(root / "ds"))
+        run = str(root / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "2", "--hidden-dim", "8") == 0
+        return ds, run
+
+    def infer_with_sidecar(self, trained, tmp_path, edit):
+        ds, run = trained
+        copy = str(tmp_path / "run")
+        shutil.copytree(run, copy)
+        sidecar = os.path.join(copy, cli.TRAIN_CONFIG_NAME)
+        config = json.loads(open(sidecar).read())
+        edit(config)
+        with open(sidecar, "w") as fh:
+            json.dump(config, fh)
+        det = str(tmp_path / "det.jsonl")
+        code = run_cli("infer", "--ckpt", copy, "--data", ds, "--out", det)
+        assert os.path.exists(det) == (code == 0)
+        return code
+
+    def test_unchanged_sidecar_works(self, trained, tmp_path):
+        assert self.infer_with_sidecar(trained, tmp_path, lambda cfg: None) == 0
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: cfg.update(loss=5), "'loss' must be an object"),
+            (lambda cfg: cfg.update(gating=[]), "gating must be str"),
+            (lambda cfg: cfg.update(warmup=10), "unknown keys ['warmup']"),
+            (lambda cfg: cfg.update(train_localization="none"), "requires the topk_eighth aggregator"),
+            (lambda cfg: cfg["loss"].update(aggregator="max"), "aggregator must be one of"),
+            (lambda cfg: cfg.update(hidden_dim=16), "hidden_dim 16"),
+            (lambda cfg: cfg.clear() or cfg.update(x=1), "unknown keys ['x']"),
+        ],
+        ids=["loss-number", "gating-list", "unknown-key", "none-with-gated", "unknown-aggregator", "hidden-dim", "only-unknown"],
+    )
+    def test_bad_sidecar_fails_cleanly(self, trained, tmp_path, capsys, edit, message):
+        assert self.infer_with_sidecar(trained, tmp_path, edit) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_missing_sidecar_fails_cleanly(self, trained, tmp_path, capsys):
+        ds, run = trained
+        copy = str(tmp_path / "run")
+        shutil.copytree(run, copy)
+        os.remove(os.path.join(copy, cli.TRAIN_CONFIG_NAME))
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", os.path.join(copy, cli.CHECKPOINT_NAME), "--data", ds, "--out", det) == 1
+        err = capsys.readouterr().err
+        assert cli.TRAIN_CONFIG_NAME in err and "Traceback" not in err
+        assert not os.path.exists(det)
+
+    def test_sidecar_round_trip(self, tmp_path, monkeypatch):
+        ds = make_dataset(str(tmp_path / "ds"))
+        trained_with = []
+        real_run_training = cli.run_training
+
+        def recording(samples, num_classes, config):
+            trained_with.append(config)
+            return real_run_training(samples, num_classes, config)
+
+        monkeypatch.setattr(cli, "run_training", recording)
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"beta1": 0.8, "dropout": 0, "loss": {"background_weight": 1, "loc_weight": 0.5}}))
+        run = str(tmp_path / "run")
+        flags = ["--train-localization", "manual", "--gating", "softsign", "--reg-form", "l1", "--supervision", "semi"]
+        flags += ["--semi-k", "1", "--iterations", "2", "--hidden-dim", "8", "--clas-weight", "0.4"]
+        assert run_cli("train", "--data", ds, "--config", str(cfg), "--out", run, *flags) == 0
+        sidecar = json.loads(open(os.path.join(run, cli.TRAIN_CONFIG_NAME)).read())
+        assert cli.build_train_config(sidecar, {}, {}) == trained_with[0]
+        assert trained_with[0].train_localization == "manual" and trained_with[0].loss.background_weight == 1
 
 
 class TestGradcheckCommand:

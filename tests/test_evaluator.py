@@ -51,35 +51,35 @@ class TestMatchDetections:
     GT = [("v1", 0.0, 10.0)]
 
     def test_perfect_cover_is_tp(self):
-        assert match_detections([det(start=0.0, end=10.0)], self.GT, 0.5) == [True]
+        assert match_detections([det(start=0.0, end=10.0)], self.GT, (0.5,))[0] == [True]
 
     def test_duplicate_credits_once(self):
         dets = [det(start=0.0, end=10.0, score=0.9), det(start=0.5, end=10.0, score=0.4)]
-        assert match_detections(dets, self.GT, 0.5) == [True, False]
+        assert match_detections(dets, self.GT, (0.5,))[0] == [True, False]
 
     def test_low_iou_is_fp(self):
-        assert match_detections([det(start=0.0, end=4.0)], self.GT, 0.5) == [False]
+        assert match_detections([det(start=0.0, end=4.0)], self.GT, (0.5,))[0] == [False]
 
     def test_iou_exactly_at_threshold_counts(self):
         # IoU 0.5 at threshold 0.5: the >= convention keeps it
-        assert match_detections([det(start=0.0, end=5.0)], self.GT, 0.5) == [True]
+        assert match_detections([det(start=0.0, end=5.0)], self.GT, (0.5,))[0] == [True]
 
     def test_claims_highest_iou_gt(self):
         gts = [("v1", 0.0, 10.0), ("v1", 8.0, 18.0)]
         dets = [det(start=7.0, end=18.0, score=0.9), det(start=0.0, end=10.0, score=0.5)]
-        flags = match_detections(dets, gts, 0.3)
+        flags = match_detections(dets, gts, (0.3,))[0]
         assert flags == [True, True]  # first takes the second GT, second takes the first
 
     def test_wrong_video_never_matches(self):
-        assert match_detections([det(vid="v2", start=0.0, end=10.0)], self.GT, 0.5) == [False]
+        assert match_detections([det(vid="v2", start=0.0, end=10.0)], self.GT, (0.5,))[0] == [False]
 
     def test_tie_break_earlier_start_then_video(self):
         gts = [("v1", 0.0, 10.0)]
         d1 = det(vid="v1", start=5.0, end=15.0, score=0.5)
         d2 = det(vid="v1", start=0.0, end=10.0, score=0.5)
         # same score: earlier start goes first and wins the GT
-        assert match_detections([d1, d2], gts, 0.5) == [True, False]
-        flags = match_detections([d2, d1], gts, 0.5)
+        assert match_detections([d1, d2], gts, (0.5,))[0] == [True, False]
+        flags = match_detections([d2, d1], gts, (0.5,))[0]
         assert flags == [True, False]
 
 
@@ -379,5 +379,5 @@ class TestAllThresholdsAtOnce:
             gt, dets = large_instance(rng, num_classes=1)
             gts = gt.by_class[0]
             per_threshold = match_detections(dets, gts, self.THRESHOLDS)
-            assert per_threshold == [match_detections(dets, gts, t) for t in self.THRESHOLDS]
+            assert per_threshold == [match_detections(dets, gts, (t,))[0] for t in self.THRESHOLDS]
             assert per_threshold == [reference_match(dets, gts, t) for t in self.THRESHOLDS]

@@ -19,7 +19,10 @@ from ttcloc.localizer import (
     write_detections,
 )
 from ttcloc.network import ScoreMap, gate_margins, init_params, manual_thresholds
-from ttcloc.objectives import VideoProbabilities, pool_and_classify
+from ttcloc.objectives import LossConfig, VideoProbabilities, pool_and_classify
+from ttcloc.trainer import TrainConfig
+
+CONFIG = TrainConfig()  # predicted-rule training, gated sigmoid pooling
 
 
 def make_sample(rng, t=8, d=3, vid="v0"):
@@ -84,13 +87,13 @@ class TestInferVideo:
         rng = np.random.default_rng(0)
         params = init_params(rng, 3, 4, 2)
         params.flat[:] = 0.0
-        assert infer_video(params, make_sample(rng)) == []
+        assert infer_video(params, make_sample(rng), CONFIG) == []
 
     def test_modes_validated(self):
         rng = np.random.default_rng(1)
         params = init_params(rng, 3, 4, 2)
         with pytest.raises(ValidationError):
-            infer_video(params, make_sample(rng), mode="oracle")
+            infer_video(params, make_sample(rng), CONFIG, mode="oracle")
 
     def test_tiny_positive_margin_is_a_segment(self):
         # sigmoid(1e-300) rounds to exactly 0.5: a cut on the gate would miss this run
@@ -99,7 +102,7 @@ class TestInferVideo:
         params.w2[...] = 0.0
         params.b2[:] = [1e-300, -5.0, -5.0, 0.0]
         sample = make_sample(rng, t=7, d=4)
-        dets = infer_video(params, sample, mode="predicted")
+        dets = infer_video(params, sample, CONFIG, mode="predicted")
         assert [(d.class_id, d.start, d.end) for d in dets] == [(0, 0.0, 7.0)]
         assert dets == reference_infer(params, sample, "predicted")
 
@@ -112,7 +115,7 @@ class TestInferVideo:
         for i in range(20):
             sample = make_sample(rng, t=12, vid=f"v{i}")
             for mode in ("predicted", "manual"):
-                dets = infer_video(params, sample, mode=mode)
+                dets = infer_video(params, sample, CONFIG, mode=mode)
                 found += len(dets)
                 by_class = {}
                 for d in dets:
@@ -131,10 +134,10 @@ class TestInferVideo:
         for arr in params.as_dict().values():
             arr *= 2.0
         sample = make_sample(rng, t=10)
-        base = infer_video(params, sample)
+        base = infer_video(params, sample, CONFIG)
         shifted_params = params.copy()
         shifted_params.b2 += 1.3  # shifts every score column and the threshold
-        shifted = infer_video(shifted_params, sample)
+        shifted = infer_video(shifted_params, sample, CONFIG)
         assert len(base) == len(shifted)
         for a, b in zip(base, shifted):
             assert (a.video_id, a.class_id, a.start, a.end) == (b.video_id, b.class_id, b.start, b.end)
@@ -159,17 +162,22 @@ class TestInferVideo:
         for arr in params.as_dict().values():
             arr *= 3.0
         samples = [make_sample(rng, vid=f"v{i}") for i in range(4)]
-        all_dets = infer_dataset(params, samples)
-        per_video = [infer_video(params, s) for s in samples]
+        all_dets = infer_dataset(params, samples, CONFIG)
+        per_video = [infer_video(params, s, CONFIG) for s in samples]
         assert all_dets == [d for group in per_video for d in group]
 
 
-def reference_infer(params, sample, mode):
-    """Detections with one ``.mean()`` per run and segments as runs of ``score > threshold``."""
+def reference_infer(params, sample, mode, config=CONFIG):
+    """Detections with one ``.mean()`` per run, segments as runs of ``score > threshold``,
+    and pooling by the rule ``config`` trained with."""
     smap, _ = network.forward(params, sample.features)
     s, b = smap.scores, smap.thresholds
     sig_gate = network.gate_values(s - b[:, None], "sigmoid")
-    probs = pool_and_classify(smap, sig_gate, "gated")
+    pool_gate = None
+    if config.loss.aggregator == "gated":
+        pool_cut = b[:, None] if config.train_localization == "predicted" else manual_thresholds(s)[None, :]
+        pool_gate = network.gate_values(s - pool_cut, config.gating)
+    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator)
     dets = []
     for c in sorted(select_classes(probs)):
         cut = b if mode == "predicted" else float(manual_thresholds(s)[c])
@@ -178,6 +186,51 @@ def reference_infer(params, sample, mode):
             tau = sample.snippet_duration
             dets.append(Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score))
     return dets
+
+
+MANUAL = TrainConfig(train_localization="manual")
+
+
+class TestPoolingFollowsTraining:
+    def scaled(self, seed, t=12):
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, 3, 8, 4)
+        for arr in params.as_dict().values():
+            arr *= 3.0
+        return params, make_sample(rng, t=t)
+
+    def test_manual_checkpoint_pools_with_manual_gate(self):
+        params, sample = self.scaled(0)
+        smap, _ = network.forward(params, sample.features)
+
+        def selected(rule):
+            gate = network.gate_values(gate_margins(smap, rule), "sigmoid")
+            return select_classes(pool_and_classify(smap, gate, "gated"))
+
+        assert selected("predicted") == {0} and selected("manual") == {3}
+        for mode in network.THRESHOLD_RULES:
+            assert {d.class_id for d in infer_video(params, sample, MANUAL, mode)} <= {3}
+            assert {d.class_id for d in infer_video(params, sample, CONFIG, mode)} <= {0}
+            assert infer_video(params, sample, MANUAL, mode) == reference_infer(params, sample, mode, MANUAL)
+        assert {d.class_id for d in infer_video(params, sample, MANUAL)} == {3}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MANUAL,
+            TrainConfig(train_localization="manual", gating="softsign"),
+            TrainConfig(train_localization="manual", gating="binarize"),
+            TrainConfig(gating="softsign"),
+            TrainConfig(gating="binarize"),
+            TrainConfig(loss=LossConfig(aggregator="topk_eighth")),
+            TrainConfig(train_localization="none", loss=LossConfig(aggregator="topk_eighth")),
+        ],
+    )
+    def test_every_trained_rule_matches_reference(self, config):
+        for seed in range(10):
+            params, sample = self.scaled(seed, t=20)
+            for mode in network.THRESHOLD_RULES:
+                assert infer_video(params, sample, config, mode) == reference_infer(params, sample, mode, config)
 
 
 class TestRunScores:
@@ -210,7 +263,7 @@ class TestRunScores:
                 labels=frozenset({0}),
                 snippet_duration=0.64,
             )
-            dets = infer_video(params, sample, mode=mode)
+            dets = infer_video(params, sample, CONFIG, mode=mode)
             assert dets == reference_infer(params, sample, mode)
             longest = max([longest] + [round((d.end - d.start) / 0.64) for d in dets])
         assert longest > 128
@@ -253,17 +306,14 @@ class TestDetectionIO:
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValidationError):
-            Detection("v1", 0, 2.0, 2.0, 0.5).validate()
+            Detection("v1", 0, 2.0, 2.0, 0.5)
 
     @pytest.mark.parametrize(
         "start, end", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)]
     )
-    def test_non_finite_interval_rejected(self, start, end, tmp_path):
-        bad = Detection("v1", 0, start, end, 0.5)
+    def test_non_finite_interval_rejected(self, start, end):
         with pytest.raises(ValidationError):
-            bad.validate()
-        with pytest.raises(ValidationError):
-            write_detections([bad], ("alpha",), str(tmp_path / "det.jsonl"))
+            Detection("v1", 0, start, end, 0.5)
 
     def test_infinite_end_in_file_names_location(self, tmp_path):
         path = tmp_path / "det.jsonl"
@@ -326,7 +376,7 @@ class TestEndToEnd:
     def test_recovers_planted_segments_on_clean_data(self):
         from ttcloc.objectives import LossConfig
         from ttcloc.synth import SynthSpec, generate
-        from ttcloc.trainer import TrainConfig, run_training
+        from ttcloc.trainer import run_training
 
         spec = SynthSpec(
             num_classes=2,
@@ -357,7 +407,7 @@ class TestEndToEnd:
         matched = 0
         total = 0
         for sample in samples:
-            dets = infer_video(state.params, sample)
+            dets = infer_video(state.params, sample, cfg)
             for seg in sample.segments:
                 total += 1
                 for d in dets:

@@ -43,6 +43,8 @@ class TestSpecValidation:
             ("amplitude_min", 0.0),
             ("amplitude_max", 0.5),  # below amplitude_min
             ("annotated_fraction", 1.5),
+            ("noise_scale", float("nan")),
+            ("seed", -1),
         ],
     )
     def test_bad_field_rejected(self, field, value):

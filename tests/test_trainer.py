@@ -66,6 +66,7 @@ class TestConfigValidation:
             ("semi_k", -1),
             ("strategy", "alternate"),
             ("train_localization", "oracle"),
+            ("seed", -1),
         ],
     )
     def test_bad_field(self, field, value):
@@ -73,6 +74,10 @@ class TestConfigValidation:
 
         with pytest.raises(ValidationError):
             replace(TrainConfig(), **{field: value}).validate()
+
+    def test_nan_loc_weight_rejected(self):
+        with pytest.raises(ValidationError, match="loc_weight"):
+            TrainConfig(loss=LossConfig(loc_weight=float("nan"))).validate()
 
 
 class TestSemiSubset:
