@@ -201,14 +201,48 @@ def _segment_to_json(seg: GroundTruthSegment) -> dict:
     return {"class_id": seg.class_id, "start": seg.start, "end": seg.end}
 
 
-def _segment_from_json(obj: dict, video_id: str) -> GroundTruthSegment:
+# JSON kinds of manifest values, checked exactly: a bool is never an
+# integer, an integer is a number, and null is none of them
+_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,), "a list": (list,), "a bool": (bool,)}
+
+
+def _typed(obj: dict, key: str, kind: str, context: str):
+    value = obj[key]
+    if type(value) not in _KINDS[kind]:
+        raise ValidationError(f"{context}: {key} must be {kind}, got {value!r}")
+    return value
+
+
+def _real(obj: dict, key: str, context: str) -> float:
+    value = _typed(obj, key, "a number", context)
     try:
-        return GroundTruthSegment(int(obj["class_id"]), float(obj["start"]), float(obj["end"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"video {video_id!r}: malformed segment entry {obj!r}") from exc
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValidationError(f"{context}: {key} {value} is out of range") from exc
+
+
+def _list_of(obj: dict, key: str, kind: str, context: str) -> list:
+    values = _typed(obj, key, "a list", context)
+    for value in values:
+        if type(value) not in _KINDS[kind]:
+            raise ValidationError(f"{context}: {key} entries must be {kind}, got {value!r}")
+    return values
+
+
+def _segment_from_json(obj: dict, video_id: str) -> GroundTruthSegment:
+    context = f"video {video_id!r}: segment"
+    if type(obj) is not dict:
+        raise ValidationError(f"{context} must be an object, got {obj!r}")
+    try:
+        class_id = _typed(obj, "class_id", "an integer", context)
+        return GroundTruthSegment(class_id, _real(obj, "start", context), _real(obj, "end", context))
+    except KeyError as exc:
+        raise ValidationError(f"{context} lacks key {exc}: {obj!r}") from exc
 
 
 def _record_from_json(obj: dict) -> VideoRecord:
+    if type(obj) is not dict:
+        raise ValidationError(f"manifest: video entry must be an object, got {obj!r}")
     vid = obj.get("id")
     if not isinstance(vid, str) or not vid:
         raise ValidationError(f"manifest: video entry without a valid id: {obj!r}")
@@ -220,36 +254,44 @@ def _record_from_json(obj: dict) -> VideoRecord:
     missing = required - set(obj)
     if missing:
         raise ValidationError(f"video {vid!r}: missing manifest keys {sorted(missing)}")
+    context = f"video {vid!r}"
     segments = None
     if obj.get("segments") is not None:
-        segments = tuple(_segment_from_json(s, vid) for s in obj["segments"])
+        segments = tuple(_segment_from_json(s, vid) for s in _typed(obj, "segments", "a list", context))
     return VideoRecord(
         id=vid,
-        num_snippets=int(obj["num_snippets"]),
-        feature_dim=int(obj["feature_dim"]),
-        labels=tuple(int(c) for c in obj["labels"]),
-        snippet_duration=float(obj["snippet_duration"]),
+        num_snippets=_typed(obj, "num_snippets", "an integer", context),
+        feature_dim=_typed(obj, "feature_dim", "an integer", context),
+        labels=tuple(_list_of(obj, "labels", "an integer", context)),
+        snippet_duration=_real(obj, "snippet_duration", context),
         segments=segments,
-        fully_annotated=bool(obj.get("fully_annotated", False)),
+        fully_annotated=_typed(obj, "fully_annotated", "a bool", context) if "fully_annotated" in obj else False,
     )
 
 
 def load_manifest(manifest_path: str) -> DatasetManifest:
-    """Parse and validate ``manifest.json`` (features are not touched)."""
+    """Parse and validate ``manifest.json`` (features are not touched).
+
+    JSON types are checked, not converted: counts and class ids are
+    integers, times and durations numbers, ``fully_annotated`` a bool.
+    """
     if not os.path.isfile(manifest_path):
         raise ValidationError(f"manifest not found: {manifest_path}")
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ValidationError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
+    context = f"manifest {manifest_path}"
+    if type(obj) is not dict:
+        raise ValidationError(f"{context}: must hold a JSON object")
     for key in ("num_classes", "class_names", "videos"):
         if key not in obj:
-            raise ValidationError(f"manifest {manifest_path}: missing key {key!r}")
+            raise ValidationError(f"{context}: missing key {key!r}")
     manifest = DatasetManifest(
-        num_classes=int(obj["num_classes"]),
-        class_names=tuple(str(n) for n in obj["class_names"]),
-        records=tuple(_record_from_json(v) for v in obj["videos"]),
+        num_classes=_typed(obj, "num_classes", "an integer", context),
+        class_names=tuple(_list_of(obj, "class_names", "a string", context)),
+        records=tuple(_record_from_json(v) for v in _typed(obj, "videos", "a list", context)),
         directory=os.path.dirname(os.path.abspath(manifest_path)),
     )
     manifest.validate()

@@ -3,9 +3,11 @@
 ``oracle_evaluate`` (kept deliberately first and independent) re-derives
 every AP as an explicit precision/recall area over score-order prefixes,
 re-matching each prefix from scratch with plain loops.  ``evaluate`` is
-the production path.  Both share only the report assembly (mAP from the
-per-class APs) and the detection sort rule: descending score, ties by
-earlier start then lower video id.
+the production path: it ranks each class's detections with one stable
+``np.lexsort`` and computes IoUs as one array per video.  The two share
+only the report assembly (mAP from the per-class APs).  Each implements
+the same rank order on its own: descending score, ties by earlier start,
+then by lower video id, then by input order.
 
 AP is non-interpolated: the sum of precision at each true-positive rank
 divided by the number of ground-truth segments.  Classes without any
@@ -17,7 +19,8 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+
+import numpy as np
 
 from .errors import ValidationError
 from .localizer import Detection
@@ -180,70 +183,100 @@ def oracle_evaluate(
 # Production evaluator
 
 
-def interval_iou(a: tuple, b: tuple) -> float:
-    """Intersection over union of two [start, end) intervals."""
+def interval_iou(a: tuple, b: tuple):
+    """Intersection over union of [start, end) intervals.
+
+    Each bound may be a float or an array, and the bounds broadcast, so one
+    call gives a whole (detections, ground truths) block.  Every element
+    takes the float operations of the scalar formula, in its order:
+    ``inter = max(0, min(a1, b1) - max(a0, b0))`` over
+    ``(a1 - a0) + (b1 - b0) - inter``, and 0 where that union is not positive.
+    Float bounds give a float64 scalar.
+    """
     (a0, a1), (b0, b1) = a, b
-    if not (a0 < a1 and b0 < b1):
+    if not (np.all(np.less(a0, a1)) and np.all(np.less(b0, b1))):
         raise ValidationError(f"degenerate interval: {a} vs {b}")
-    inter = max(0.0, min(a1, b1) - max(a0, b0))
-    union = (a1 - a0) + (b1 - b0) - inter
-    return inter / union if union > 0 else 0.0
+    inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
+    union = (np.subtract(a1, a0) + np.subtract(b1, b0)) - inter
+    return np.divide(inter, union, out=np.zeros(np.shape(union)), where=union > 0)[()]
 
 
-def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) -> list[list[bool]]:
-    """TP/FP flags in score order under the one-detection-per-GT rule.
+def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) -> list[np.ndarray]:
+    """TP/FP flags in rank order under the one-detection-per-GT rule.
 
     ``gts`` is a sequence of (video_id, start, end) for a single class.
-    Each detection, visited in descending score order, claims the
-    highest-IoU unmatched ground truth of its own video, if any reaches
-    the threshold; of equal IoUs the earliest ground truth wins.
+    Detections are ranked by descending score, ties by earlier start, then
+    by lower video id in Python string order, then by input order.  Each
+    detection, in rank order, claims the highest-IoU unmatched ground truth
+    of its own video, if any reaches the threshold; of equal IoUs the
+    earliest ground truth wins.
 
-    Returns one flag list per threshold in ``thresholds``.  The detections
-    are sorted and their IoUs computed once for all thresholds.
+    Returns one boolean array per threshold in ``thresholds``, indexed by
+    rank.  The detections are ranked and their IoUs computed once, one
+    (detections, ground truths) block per video; only detections whose
+    best IoU reaches the lowest threshold enter the greedy claim loop.
     """
-    by_video: dict = {}
-    for j, (vid, gs, ge) in enumerate(gts):
-        by_video.setdefault(vid, []).append((j, gs, ge))
-    # (rank in score order, [(iou, j), ...]) for each detection that reaches
-    # the lowest threshold with some ground truth of its video; candidates
-    # highest IoU first, ties in ground-truth order (the sort is stable)
-    ranked = _sorted_dets(dets)
-    lowest = min(thresholds, default=0.0)
-    candidates = []
-    for rank, det in enumerate(ranked):
-        row = [(interval_iou((det.start, det.end), (gs, ge)), j) for j, gs, ge in by_video.get(det.video_id, ())]
-        row.sort(key=itemgetter(0), reverse=True)
-        if row and row[0][0] >= lowest:
-            candidates.append((rank, row))
-
-    def flags_at(thresh: float) -> list[bool]:
-        used = set()
-        flags = [False] * len(ranked)
-        for rank, row in candidates:
-            for iou, j in row:
-                if iou < thresh:
-                    break
-                if j not in used:
-                    used.add(j)
-                    flags[rank] = True
-                    break
+    flags = [np.zeros(len(dets), dtype=bool) for _ in thresholds]
+    if not dets or not gts:
         return flags
+    vids, _, starts, ends, scores = zip(*dets)
+    video_rank = {vid: r for r, vid in enumerate(sorted(set(vids)))}
+    starts = np.array(starts, dtype=np.float64)
+    ends = np.array(ends, dtype=np.float64)
+    ranked_video = np.array([video_rank[v] for v in vids])
+    order = np.lexsort((ranked_video, starts, -np.array(scores, dtype=np.float64)))  # stable, last key first
+    starts, ends, ranked_video = starts[order], ends[order], ranked_video[order]
+    # ranks grouped by video, ascending within each video
+    by_video_rank = np.argsort(ranked_video, kind="stable")
+    bounds = np.searchsorted(ranked_video[by_video_rank], np.arange(len(video_rank) + 1))
 
-    return [flags_at(t) for t in thresholds]
+    gts_by_video: dict = {}
+    for vid, gs, ge in gts:
+        gts_by_video.setdefault(vid, []).append((gs, ge))
+    lowest = min(thresholds, default=0.0)
+    tp_ranks: list[list[int]] = [[] for _ in thresholds]
+    for vid, spans in gts_by_video.items():
+        r = video_rank.get(vid)
+        if r is None:
+            continue
+        ranks = by_video_rank[bounds[r] : bounds[r + 1]]
+        gs, ge = np.array(spans, dtype=np.float64).T
+        iou = interval_iou((starts[ranks, None], ends[ranks, None]), (gs, ge))
+        hit = iou.max(axis=1) >= lowest
+        # per candidate: its ground truths by IoU, highest first, ties in
+        # ground-truth order (the sort is stable)
+        by_iou = np.argsort(-iou[hit], axis=1, kind="stable")
+        rows = list(zip(ranks[hit].tolist(), np.take_along_axis(iou[hit], by_iou, axis=1).tolist(), by_iou.tolist()))
+        # a detection claims only ground truths of its own video, so each
+        # video's greedy pass is independent of the others
+        for thresh, claimed in zip(thresholds, tp_ranks):
+            used = set()
+            for rank, ious, js in rows:
+                for iou_j, j in zip(ious, js):
+                    if iou_j < thresh:
+                        break
+                    if j not in used:
+                        used.add(j)
+                        claimed.append(rank)
+                        break
+    for f, claimed in zip(flags, tp_ranks):
+        f[claimed] = True
+    return flags
 
 
-def average_precision(flags: list[bool], num_gt: int) -> float | None:
-    """Non-interpolated AP from score-ordered TP/FP flags."""
+def average_precision(flags: Sequence[bool] | np.ndarray, num_gt: int) -> float | None:
+    """Non-interpolated AP from rank-ordered TP/FP flags.
+
+    ``tp / rank`` is added in rank order over the true positives alone,
+    which is the order a loop over every flag adds it in.
+    """
     if num_gt < 0:
         raise ValidationError("num_gt must be >= 0")
     if num_gt == 0:
         return None
-    tp = 0
     total = 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            tp += 1
-            total += tp / rank
+    for tp, rank in enumerate(np.flatnonzero(flags).tolist(), start=1):
+        total += tp / (rank + 1)
     return total / num_gt
 
 
@@ -266,7 +299,7 @@ def evaluate(
         for c in range(gt.num_classes):
             flags = flags_per_class[c][i]
             num_gt = len(gt.by_class[c])
-            tp = sum(flags)
+            tp = int(np.count_nonzero(flags))
             row.append((average_precision(flags, num_gt), (tp, len(flags) - tp, num_gt)))
         cells.append(row)
     return _report(iou_thresholds, names, cells)

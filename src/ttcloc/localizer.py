@@ -10,9 +10,9 @@ threshold at the midpoint of the max and min snippet scores.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,23 +24,36 @@ from .objectives import VideoProbabilities, pool_and_classify
 from .trainer import TrainConfig
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One scored segment; construction rejects a non-finite or empty one."""
-
+class _DetectionFields(NamedTuple):
     video_id: str
     class_id: int
     start: float  # seconds
     end: float
     score: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValidationError(f"detection in {self.video_id!r}: non-finite start {self.start} or end {self.end}")
-        if not self.start < self.end:
-            raise ValidationError(f"detection in {self.video_id!r}: start {self.start} must precede end {self.end}")
-        if not math.isfinite(self.score):
-            raise ValidationError(f"detection in {self.video_id!r}: non-finite score")
+
+class Detection(_DetectionFields):
+    """One scored segment, an immutable tuple; construction rejects a non-finite or empty one.
+
+    Every way to build one validates: the constructor, ``_make`` and
+    ``_replace`` (which calls ``_make``), and unpickling (which calls the
+    constructor).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, video_id: str, class_id: int, start: float, end: float, score: float):
+        if not (isfinite(start) and isfinite(end)):
+            raise ValidationError(f"detection in {video_id!r}: non-finite start {start} or end {end}")
+        if not start < end:
+            raise ValidationError(f"detection in {video_id!r}: start {start} must precede end {end}")
+        if not isfinite(score):
+            raise ValidationError(f"detection in {video_id!r}: non-finite score")
+        return tuple.__new__(cls, (video_id, class_id, start, end, score))
+
+    @classmethod
+    def _make(cls, iterable) -> Detection:
+        return cls(*iterable)
 
 
 def extract_segments(margins: np.ndarray) -> list[tuple[int, int]]:
@@ -91,7 +104,9 @@ def infer_video(
     cls, t0s, t1s = np.array(runs).T
     scores = (probs.probs[cls] * run_means(sig_gate, cls, t0s, t1s)).tolist()
     tau = sample.snippet_duration
-    return [Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score) for (c, t0, t1), score in zip(runs, scores)]
+    # a snippet index converts to float64 exactly, so each time is the float t * tau
+    columns = zip(cls.tolist(), (t0s * tau).tolist(), ((t1s + 1) * tau).tolist(), scores)
+    return [Detection(sample.id, c, start, end, score) for c, start, end, score in columns]
 
 
 def run_means(values: np.ndarray, cls: np.ndarray, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
@@ -135,15 +150,15 @@ def detections_to_jsonl(detections: list[Detection], class_names: tuple[str, ...
     names = [json.dumps(name) for name in class_names]
     ids: dict = {}
     lines = []
-    for det in detections:
-        if not 0 <= det.class_id < len(class_names):
-            raise ValidationError(f"detection class {det.class_id} outside the {len(class_names)}-class space")
-        vid = ids.get(det.video_id)
+    for video_id, class_id, start, end, score in detections:
+        if not 0 <= class_id < len(class_names):
+            raise ValidationError(f"detection class {class_id} outside the {len(class_names)}-class space")
+        vid = ids.get(video_id)
         if vid is None:
-            vid = ids[det.video_id] = json.dumps(det.video_id)
+            vid = ids[video_id] = json.dumps(video_id)
         lines.append(
-            f'{{"class_id": {int(det.class_id)}, "class_name": {names[det.class_id]}, "end_s": {float(det.end)!r}, '
-            f'"score": {float(det.score)!r}, "start_s": {float(det.start)!r}, "video_id": {vid}}}\n'
+            f'{{"class_id": {int(class_id)}, "class_name": {names[class_id]}, "end_s": {float(end)!r}, '
+            f'"score": {float(score)!r}, "start_s": {float(start)!r}, "video_id": {vid}}}\n'
         )
     return "".join(lines)
 
@@ -156,27 +171,41 @@ def write_detections(detections: list[Detection], class_names: tuple[str, ...], 
     os.replace(tmp, path)
 
 
+_NUMBER = (int, float)  # JSON numbers; bool, a subclass of int, is not one
+
+
 def load_detections(path: str) -> list[Detection]:
-    """Parse and validate a detection file; errors name ``path:lineno``."""
+    """Parse and validate a detection file, one record per line; errors name ``path:lineno``.
+
+    JSON types are checked, not converted: ``video_id`` is a string,
+    ``class_id`` an integer, and ``start_s``, ``end_s`` and ``score`` are
+    numbers; a bool is neither.  Bytes that are not UTF-8 are an error of
+    their line.
+    """
     decode = json.JSONDecoder().raw_decode
     detections = []
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 are read as lone surrogates and rejected per line below
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode(errors="surrogateescape").decode()
                 obj, end = decode(line)
                 if end != len(line):
                     raise ValueError(f"extra data at character {end}")
-                det = Detection(
-                    str(obj["video_id"]),
-                    int(obj["class_id"]),
-                    float(obj["start_s"]),
-                    float(obj["end_s"]),
-                    float(obj["score"]),
-                )
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                if type(obj) is not dict:
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                vid, c, start, stop, score = obj["video_id"], obj["class_id"], obj["start_s"], obj["end_s"], obj["score"]
+                if type(vid) is not str:
+                    raise TypeError(f"video_id must be a string, got {vid!r}")
+                if type(c) is not int:
+                    raise TypeError(f"class_id must be an integer, got {c!r}")
+                if not (type(start) in _NUMBER and type(stop) in _NUMBER and type(score) in _NUMBER):
+                    raise TypeError(f"start_s, end_s and score must be numbers, got {start!r}, {stop!r}, {score!r}")
+                detections.append(Detection(vid, c, start, stop, score))
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc
-            detections.append(det)
     return detections

@@ -82,6 +82,12 @@ class TrainState:
     v: np.ndarray
     step: int
     rng: np.random.Generator
+    # two vectors shaped like m that the Adam update works in, so it
+    # allocates nothing parameter-sized
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_state(config: TrainConfig, feature_dim: int, num_classes: int) -> TrainState:
@@ -124,13 +130,20 @@ def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -
     t = state.step
     b1, b2 = config.beta1, config.beta2
     g, m, v = grads.flat, state.m, state.v
+    a, b = state.scratch
+    # in place, in the operation order of
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
+    #   flat -= (lr * m_hat) / (sqrt(v_hat) + eps)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=a)
     v *= b2
-    v += (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    state.params.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    np.multiply(g, 1.0 - b2, out=a)
+    v += np.multiply(a, g, out=a)
+    m_hat = np.divide(m, 1.0 - b1**t, out=a)
+    v_hat = np.divide(v, 1.0 - b2**t, out=b)
+    denom = np.add(np.sqrt(v_hat, out=b), config.adam_eps, out=b)
+    step = np.multiply(m_hat, config.learning_rate, out=a)
+    state.params.flat -= np.divide(step, denom, out=a)
 
 
 def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig) -> LossBreakdown:

@@ -337,6 +337,50 @@ class TestEmptyManifest:
         assert not os.path.exists(out)
 
 
+class TestBadInputFiles:
+    """A wrong-typed or undecodable manifest or detection file exits 1 without a traceback."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_classes": "x"},
+            {"videos": 5},
+            {"labels": 5},
+            {"labels": [1.7]},
+            {"snippet_duration": None},
+            {"fully_annotated": "no"},
+            {"num_snippets": "x"},
+        ],
+    )
+    def test_train_on_wrong_typed_manifest(self, tmp_path, capsys, change):
+        ds = make_dataset(str(tmp_path / "ds"))
+        manifest_path = os.path.join(ds, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        for key, value in change.items():
+            (manifest if key in manifest else manifest["videos"][0])[key] = value
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        run = str(tmp_path / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "1", "--hidden-dim", "8") == 1
+        assert "must be" in capsys.readouterr().err
+        assert not os.path.exists(run)
+
+    def test_train_on_undecodable_manifest(self, tmp_path):
+        ds = make_dataset(str(tmp_path / "ds"))
+        with open(os.path.join(ds, "manifest.json"), "wb") as fh:
+            fh.write(b"\xff")
+        assert run_cli("train", "--data", ds, "--out", str(tmp_path / "run"), "--iterations", "1") == 1
+
+    def test_eval_on_undecodable_detections(self, tmp_path, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        det = tmp_path / "det.jsonl"
+        det.write_bytes(b"\xff\n")
+        out = str(tmp_path / "report.json")
+        assert run_cli("eval", "--det", str(det), "--gt", os.path.join(ds, "manifest.json"), "--out", out) == 1
+        assert "det.jsonl:1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestEscapingVideoId:
     def test_train_and_infer_fail_cleanly(self, tmp_path, capsys):
         ds = make_dataset(str(tmp_path / "ds"))

@@ -243,3 +243,72 @@ class TestVideoIdsStayInDirectory:
         with pytest.raises(ValidationError, match="not a plain file name"):
             write_dataset([sample], 1, ["only"], str(tmp_path / "out" / "ds"))
         assert list(tmp_path.rglob("*")) == []
+
+
+# (key path, value): each makes a wrong-typed manifest
+WRONG_TYPES = [
+    (("num_classes",), "x"),
+    (("num_classes",), True),
+    (("num_classes",), 1.0),
+    (("class_names",), "only"),
+    (("class_names",), [1]),
+    (("videos",), 5),
+    (("videos", 0), 5),
+    (("videos", 0, "num_snippets"), "x"),
+    (("videos", 0, "feature_dim"), 2.0),
+    (("videos", 0, "labels"), 5),
+    (("videos", 0, "labels"), [1.7]),
+    (("videos", 0, "labels"), [True]),
+    (("videos", 0, "snippet_duration"), None),
+    (("videos", 0, "snippet_duration"), "0.64"),
+    (("videos", 0, "snippet_duration"), 10**400),
+    (("videos", 0, "fully_annotated"), "no"),
+    (("videos", 0, "fully_annotated"), 1),
+    (("videos", 0, "segments"), 5),
+    (("videos", 0, "segments"), [5]),
+    (("videos", 0, "segments"), [{"class_id": 0, "start": "0", "end": 1.0}]),
+    (("videos", 0, "segments"), [{"class_id": 0.0, "start": 0.0, "end": 1.0}]),
+    (("videos", 0, "segments"), [{"class_id": 0, "start": 0.0}]),
+]
+
+
+class TestManifestTypes:
+    """JSON types are checked, not converted, and only ValidationError escapes."""
+
+    def write(self, tmp_path, key_path=None, value=None):
+        s = VideoSample(id="one", features=np.zeros((4, 2), np.float32), labels=frozenset({0}), segments=())
+        path = write_dataset([s], 1, ["only"], str(tmp_path / "ds"))
+        if key_path is not None:
+            obj = json.loads(open(path, encoding="utf-8").read())
+            *parents, key = key_path
+            target = obj
+            for p in parents:
+                target = target[p]
+            target[key] = value
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        return path
+
+    @pytest.mark.parametrize("key_path, value", WRONG_TYPES, ids=[f"{'.'.join(map(str, k))}={v!r:.20}" for k, v in WRONG_TYPES])
+    def test_wrong_type_rejected(self, tmp_path, key_path, value):
+        path = self.write(tmp_path, key_path, value)
+        with pytest.raises(ValidationError, match="must be|lacks|out of range"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("blob", [b"\xff", b'{"num_classes": 1, "class_names": ["\xff"], "videos": []}', b"[]", b"5", b"[" * 100000])
+    def test_bad_bytes_rejected(self, tmp_path, blob):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(blob)
+        with pytest.raises(ValidationError):
+            load_manifest(str(path))
+
+    def test_integer_duration_and_times_load_as_floats(self, tmp_path):
+        path = self.write(tmp_path, ("videos", 0, "snippet_duration"), 1)
+        obj = json.loads(open(path, encoding="utf-8").read())
+        obj["videos"][0]["segments"] = [{"class_id": 0, "start": 0, "end": 2}]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        (record,) = load_manifest(path).records
+        assert type(record.snippet_duration) is float and record.snippet_duration == 1.0
+        assert record.segments == (GroundTruthSegment(0, 0.0, 2.0),)
+        assert type(record.segments[0].start) is float

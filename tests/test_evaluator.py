@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ttcloc.data import DatasetManifest, GroundTruthSegment, VideoRecord
 from ttcloc.errors import ValidationError
 from ttcloc.evaluator import (
+    ORACLE_MAX_DETECTIONS,
     EvalReport,
     average_precision,
     evaluate,
@@ -51,35 +54,35 @@ class TestMatchDetections:
     GT = [("v1", 0.0, 10.0)]
 
     def test_perfect_cover_is_tp(self):
-        assert match_detections([det(start=0.0, end=10.0)], self.GT, (0.5,))[0] == [True]
+        assert match_detections([det(start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [True]
 
     def test_duplicate_credits_once(self):
         dets = [det(start=0.0, end=10.0, score=0.9), det(start=0.5, end=10.0, score=0.4)]
-        assert match_detections(dets, self.GT, (0.5,))[0] == [True, False]
+        assert match_detections(dets, self.GT, (0.5,))[0].tolist() == [True, False]
 
     def test_low_iou_is_fp(self):
-        assert match_detections([det(start=0.0, end=4.0)], self.GT, (0.5,))[0] == [False]
+        assert match_detections([det(start=0.0, end=4.0)], self.GT, (0.5,))[0].tolist() == [False]
 
     def test_iou_exactly_at_threshold_counts(self):
         # IoU 0.5 at threshold 0.5: the >= convention keeps it
-        assert match_detections([det(start=0.0, end=5.0)], self.GT, (0.5,))[0] == [True]
+        assert match_detections([det(start=0.0, end=5.0)], self.GT, (0.5,))[0].tolist() == [True]
 
     def test_claims_highest_iou_gt(self):
         gts = [("v1", 0.0, 10.0), ("v1", 8.0, 18.0)]
         dets = [det(start=7.0, end=18.0, score=0.9), det(start=0.0, end=10.0, score=0.5)]
-        flags = match_detections(dets, gts, (0.3,))[0]
+        flags = match_detections(dets, gts, (0.3,))[0].tolist()
         assert flags == [True, True]  # first takes the second GT, second takes the first
 
     def test_wrong_video_never_matches(self):
-        assert match_detections([det(vid="v2", start=0.0, end=10.0)], self.GT, (0.5,))[0] == [False]
+        assert match_detections([det(vid="v2", start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [False]
 
     def test_tie_break_earlier_start_then_video(self):
         gts = [("v1", 0.0, 10.0)]
         d1 = det(vid="v1", start=5.0, end=15.0, score=0.5)
         d2 = det(vid="v1", start=0.0, end=10.0, score=0.5)
         # same score: earlier start goes first and wins the GT
-        assert match_detections([d1, d2], gts, (0.5,))[0] == [True, False]
-        flags = match_detections([d2, d1], gts, (0.5,))[0]
+        assert match_detections([d1, d2], gts, (0.5,))[0].tolist() == [True, False]
+        flags = match_detections([d2, d1], gts, (0.5,))[0].tolist()
         assert flags == [True, False]
 
 
@@ -314,7 +317,7 @@ def reference_match(dets, gts, iou_thresh):
         for j, gs, ge in by_video.get(d.video_id, ()):
             if j in used:
                 continue
-            iou = interval_iou((d.start, d.end), (gs, ge))
+            iou = scalar_iou((d.start, d.end), (gs, ge))
             if iou >= iou_thresh and iou > best_iou:
                 best_iou = iou
                 best_j = j
@@ -378,6 +381,171 @@ class TestAllThresholdsAtOnce:
         for _ in range(20):
             gt, dets = large_instance(rng, num_classes=1)
             gts = gt.by_class[0]
-            per_threshold = match_detections(dets, gts, self.THRESHOLDS)
-            assert per_threshold == [match_detections(dets, gts, (t,))[0] for t in self.THRESHOLDS]
+            per_threshold = [f.tolist() for f in match_detections(dets, gts, self.THRESHOLDS)]
+            assert per_threshold == [match_detections(dets, gts, (t,))[0].tolist() for t in self.THRESHOLDS]
             assert per_threshold == [reference_match(dets, gts, t) for t in self.THRESHOLDS]
+
+
+def scalar_iou(a, b):
+    """The scalar IoU, as plain Python float operations."""
+    (a0, a1), (b0, b1) = a, b
+    inter = max(0.0, min(a1, b1) - max(a0, b0))
+    union = (a1 - a0) + (b1 - b0) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def per_record_match(dets, gts, thresholds):
+    """The per-record matcher ``evaluate`` used before the columnar one.
+
+    It sorts records by a Python key and computes one IoU at a time.
+    """
+    by_video = {}
+    for j, (vid, gs, ge) in enumerate(gts):
+        by_video.setdefault(vid, []).append((j, gs, ge))
+    ranked = sorted(dets, key=lambda d: (-d.score, d.start, d.video_id))
+    lowest = min(thresholds, default=0.0)
+    candidates = []
+    for rank, d in enumerate(ranked):
+        row = [(scalar_iou((d.start, d.end), (gs, ge)), j) for j, gs, ge in by_video.get(d.video_id, ())]
+        row.sort(key=lambda pair: pair[0], reverse=True)
+        if row and row[0][0] >= lowest:
+            candidates.append((rank, row))
+
+    def flags_at(thresh):
+        used = set()
+        flags = [False] * len(ranked)
+        for rank, row in candidates:
+            for iou, j in row:
+                if iou < thresh:
+                    break
+                if j not in used:
+                    used.add(j)
+                    flags[rank] = True
+                    break
+        return flags
+
+    return [flags_at(t) for t in thresholds]
+
+
+def per_flag_ap(flags, num_gt):
+    """AP as a loop over every flag, the order the columnar sum must keep."""
+    if num_gt == 0:
+        return None
+    tp = 0
+    total = 0.0
+    for rank, flag in enumerate(flags, start=1):
+        if flag:
+            tp += 1
+            total += tp / rank
+    return total / num_gt
+
+
+def tied_instance(rng, num_dets, num_gts, num_classes=3):
+    """Detections on a quarter-second grid with few distinct scores, so scores,
+    starts, video ids and IoUs all tie; ids sort differently as strings and
+    as numbers ("v10" < "v2")."""
+    videos = [f"v{i}" for i in range(12)] + ["V", "v", "vé"]
+
+    def interval():
+        start = 0.25 * int(rng.integers(-4, 200))
+        return start, start + 0.25 * int(rng.integers(1, 24))
+
+    rows = [(str(rng.choice(videos)), int(rng.integers(0, num_classes)), *interval()) for _ in range(num_gts)]
+    scores = [0.0, -0.0, 0.25, 0.5, 0.5 + 1e-16, 0.9, 1.0]
+    dets = [
+        Detection(
+            str(rng.choice(videos)),
+            int(rng.integers(0, num_classes)),
+            *interval(),
+            float(rng.choice(scores)) if rng.uniform() < 0.8 else float(rng.uniform()),
+        )
+        for _ in range(num_dets)
+    ]
+    return gt_index(rows, num_classes, videos), dets
+
+
+class TestColumnarMatcherEqualsPerRecordLoop:
+    THRESHOLDS = (0.1, 0.2, 0.25, 1 / 3, 0.5, 0.6, 0.75, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flags_and_ap_exactly_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        gt, dets = tied_instance(rng, num_dets=12000, num_gts=600)
+        for c in range(gt.num_classes):
+            class_dets = [d for d in dets if d.class_id == c]
+            gts = gt.by_class[c]
+            columnar = match_detections(class_dets, gts, self.THRESHOLDS)
+            reference = per_record_match(class_dets, gts, self.THRESHOLDS)
+            assert [f.tolist() for f in columnar] == reference
+            assert any(any(f) for f in reference)
+            for flags, ref in zip(columnar, reference):
+                assert average_precision(flags, len(gts)) == per_flag_ap(ref, len(gts))
+
+    def test_input_order_breaks_full_ties(self):
+        # identical keys keep input order; the first copy claims the ground truth
+        gts = [("v1", 0.0, 10.0)]
+        twins = [det(start=0.0, end=10.0, score=0.5), det(start=0.0, end=8.0, score=0.5)]
+        assert match_detections(twins, gts, (0.5,))[0].tolist() == [True, False]
+        assert match_detections(twins[::-1], gts, (0.5,))[0].tolist() == [True, False]
+        assert per_record_match(twins[::-1], gts, (0.5,)) == [[True, False]]
+
+    def test_video_ids_rank_in_string_order(self):
+        gts = [("v10", 0.0, 10.0), ("v2", 0.0, 10.0)]
+        dets = [det(vid="v2", start=0.0, end=10.0, score=0.5), det(vid="v10", start=0.0, end=1.0, score=0.5)]
+        # "v10" < "v2": the v10 miss ranks first
+        assert match_detections(dets, gts, (0.5,))[0].tolist() == [False, True]
+        assert per_record_match(dets, gts, (0.5,)) == [[False, True]]
+
+    def test_empty_inputs(self):
+        assert [f.tolist() for f in match_detections([], [("v1", 0.0, 1.0)], (0.3, 0.5))] == [[], []]
+        assert [f.tolist() for f in match_detections([det()], [], (0.5,))] == [[False]]
+
+
+class TestArrayIoU:
+    def test_block_equals_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        grid = np.concatenate([0.25 * rng.integers(-8, 40, size=300), rng.uniform(-2, 10, size=300), [0.0, -0.0, 1e-300]])
+        a0 = rng.choice(grid, size=400)
+        a1 = a0 + rng.choice([0.25, 0.5, 1.0, 1e-9, 3.7, 1e6], size=400)
+        b0 = rng.choice(grid, size=60)
+        b1 = b0 + rng.choice([0.25, 0.5, 2.0, 1e-12, 5.3], size=60)
+        block = interval_iou((a0[:, None], a1[:, None]), (b0, b1))
+        assert block.shape == (400, 60)
+        expected = np.array([[scalar_iou((x0, x1), (y0, y1)) for y0, y1 in zip(b0.tolist(), b1.tolist())] for x0, x1 in zip(a0.tolist(), a1.tolist())])
+        assert block.tobytes() == expected.tobytes()
+        assert (block > 0).any() and (block == 1.0).any() and (block == 0.0).any()
+
+    def test_scalar_call_is_a_float(self):
+        iou = interval_iou((0.0, 10.0), (5.0, 15.0))
+        assert np.ndim(iou) == 0 and float(iou) == scalar_iou((0.0, 10.0), (5.0, 15.0))
+
+    def test_degenerate_entry_in_block_rejected(self):
+        with pytest.raises(ValidationError):
+            interval_iou((np.array([[0.0], [2.0]]), np.array([[1.0], [2.0]])), (np.array([0.0]), np.array([1.0])))
+
+
+TIES = settings(derandomize=True, database=None, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+grid_times = st.integers(0, 12).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def tied_instances(draw):
+    """Up to 10 detections per class on a half-second grid with three scores."""
+    num_classes = draw(st.integers(1, 3))
+    videos = ("a", "B", "a0", "b")
+    span = st.tuples(st.sampled_from(videos), grid_times, st.integers(1, 6).map(lambda k: 0.5 * k))
+    rows = [(v, draw(st.integers(0, num_classes - 1)), s, s + n) for v, s, n in draw(st.lists(span, min_size=1, max_size=6))]
+    dets = []
+    for c in range(num_classes):
+        for v, s, n in draw(st.lists(span, max_size=ORACLE_MAX_DETECTIONS)):
+            dets.append(Detection(v, c, s, s + n, draw(st.sampled_from([0.2, 0.5, 0.9]))))
+    dets = draw(st.permutations(dets))
+    thresholds = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]), min_size=1))))
+    return gt_index(rows, num_classes, videos), dets, thresholds
+
+
+@TIES
+@given(tied_instances())
+def test_evaluate_equals_oracle_on_tied_instances(instance):
+    gt, dets, thresholds = instance
+    assert_reports_equal(evaluate(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))

@@ -1,4 +1,5 @@
-"""Property tests: arbitrary config values, IoU specs and sidecar bytes fail only with ValidationError.
+"""Property tests: arbitrary config values, IoU specs, sidecar bytes, manifests
+and detection files fail only with ValidationError.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same bounded set of examples.
@@ -14,7 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ttcloc import cli, network
+from ttcloc.data import load_manifest
 from ttcloc.errors import ValidationError
+from ttcloc.localizer import Detection, load_detections
 from ttcloc.objectives import AGGREGATORS, REG_FORMS, TRAIN_LOCALIZATION, LossConfig
 from ttcloc.synth import PRESETS, SynthSpec
 from ttcloc.trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig
@@ -154,3 +157,138 @@ def test_infer_on_arbitrary_sidecar(trained, blob):
             fh.write(original)
         if os.path.exists(det):
             os.remove(det)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("files"))
+
+
+def write_bytes(directory: str, name: str, blob: bytes) -> str:
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return path
+
+
+DET_KEYS = ("video_id", "class_id", "start_s", "end_s", "score")
+det_values = json_values | st.sampled_from(["v1", "v00_000", 0, 1, 0.0, 0.5, 1.0, 10**400, "NaN"])
+det_records = st.dictionaries(st.sampled_from(DET_KEYS) | st.text(max_size=4), det_values, max_size=6) | st.fixed_dictionaries(
+    {k: det_values for k in DET_KEYS}
+)
+det_lines = det_records.map(json.dumps) | st.text(max_size=20) | st.sampled_from(["", "  ", "[" * 5000, "NaN", "{}"])
+
+
+def spliced(lines, sep, junk, at):
+    """Lines joined by ``sep``, with the bytes ``junk`` inserted at offset ``at``."""
+    blob = sep.join(line.encode() for line in lines)
+    return blob[:at] + junk + blob[at:]
+
+
+det_files = st.binary(max_size=120) | st.builds(
+    spliced,
+    st.lists(det_lines, max_size=4),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    st.binary(max_size=3),
+    st.integers(0, 400),
+)
+
+
+@FUZZ
+@given(det_files)
+@example(b"\xff\n")
+@example(b'{"video_id": "v1", "class_id": true, "start_s": 0, "end_s": 1, "score": 0.5}')
+@example(b"[" * 100000)
+def test_load_detections_on_arbitrary_bytes(scratch, blob):
+    try:
+        detections = load_detections(write_bytes(scratch, "det.jsonl", blob))
+    except ValidationError:
+        return
+    for det in detections:
+        assert type(det) is Detection and type(det.video_id) is str and type(det.class_id) is int
+        assert all(type(x) in (int, float) and math.isfinite(x) for x in (det.start, det.end, det.score))
+
+
+BASE_MANIFEST = {
+    "num_classes": 2,
+    "class_names": ["a", "b"],
+    "videos": [
+        {
+            "id": "v1",
+            "num_snippets": 4,
+            "feature_dim": 2,
+            "labels": [0],
+            "snippet_duration": 0.64,
+            "fully_annotated": True,
+            "segments": [{"class_id": 0, "start": 0.0, "end": 1.0}],
+        }
+    ],
+}
+
+
+def key_paths(obj, prefix=()):
+    """Every key path into a JSON value, the empty path included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from key_paths(value, prefix + (key,))
+
+
+def mutated(path_and_value) -> bytes:
+    path, value = path_and_value
+    obj = json.loads(json.dumps(BASE_MANIFEST))
+    if not path:
+        return json.dumps(value).encode()
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(obj).encode()
+
+
+manifest_files = st.binary(max_size=120) | st.tuples(
+    st.sampled_from(list(key_paths(BASE_MANIFEST))), json_values | st.sampled_from([10**400, -1, 0, 2.5])
+).map(mutated)
+
+
+@FUZZ
+@given(manifest_files)
+@example(b"\xff")
+@example(b'{"num_classes": "x", "class_names": [], "videos": []}')
+def test_load_manifest_on_arbitrary_bytes(scratch, blob):
+    try:
+        manifest = load_manifest(write_bytes(scratch, "manifest.json", blob))
+    except ValidationError:
+        return
+    assert type(manifest.num_classes) is int and all(type(n) is str for n in manifest.class_names)
+    for record in manifest.records:
+        assert type(record.num_snippets) is int and type(record.snippet_duration) is float
+        assert all(type(c) is int for c in record.labels) and type(record.fully_annotated) is bool
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval_fuzz")
+    return make_dataset(str(root / "ds")), str(root)
+
+
+@settings(FUZZ, max_examples=100)
+@given(det=det_files | st.sampled_from([b""]), manifest=st.none() | manifest_files)
+@example(det=b"\xff\n", manifest=None)
+@example(det=b'{"video_id": "v00_000", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}\n', manifest=None)
+@example(det=b'{"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}\n', manifest=b"\xff")
+def test_eval_on_arbitrary_bytes(dataset, det, manifest):
+    """``ttcloc eval`` exits 0 or 1, and 1 whenever the detection file is invalid."""
+    ds, root = dataset
+    gt = os.path.join(ds, "manifest.json") if manifest is None else write_bytes(root, "manifest.json", manifest)
+    det_path = write_bytes(root, "det.jsonl", det)
+    out = os.path.join(root, "report.json")
+    if os.path.exists(out):
+        os.remove(out)
+    code = run_cli("eval", "--det", det_path, "--gt", gt, "--out", out)
+    assert code in (0, 1)
+    assert os.path.exists(out) == (code == 0)
+    try:
+        load_detections(det_path)
+    except ValidationError:
+        assert code == 1

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -370,6 +372,106 @@ class TestDetectionIO:
             {"class_id": 1, "class_name": "beta", "end_s": 1.5, "score": 0.25, "start_s": 0.5, "video_id": "v1"},
             sort_keys=True,
         ) + "\n"
+
+
+GOOD_RECORD = {"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}
+
+
+class TestDetectionFileTypes:
+    """JSON types are checked, not converted; errors name ``path:lineno``."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"class_id": 3.7},
+            {"video_id": 12},
+            {"class_id": True},
+            {"class_id": "1"},
+            {"class_id": None},
+            {"end_s": "2"},
+            {"start_s": None},
+            {"start_s": False},
+            {"score": True},
+            {"score": [0.5]},
+            {"start_s": 10**400, "end_s": 10**401},
+        ],
+    )
+    def test_wrong_type_rejected(self, tmp_path, change):
+        path = tmp_path / "det.jsonl"
+        path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps({**GOOD_RECORD, **change}) + "\n")
+        with pytest.raises(ValidationError, match="det.jsonl:2"):
+            load_detections(str(path))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "5", "null", "[" * 100000])
+    def test_non_object_rejected(self, tmp_path, line):
+        path = tmp_path / "det.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match="det.jsonl:1"):
+            load_detections(str(path))
+
+    def test_integers_accepted_for_times_and_score(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        path.write_text(json.dumps({**GOOD_RECORD, "start_s": 0, "end_s": 2, "score": 1}) + "\n")
+        assert load_detections(str(path)) == [Detection("v1", 0, 0.0, 2.0, 1.0)]
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xb2\x80", b"\xc3"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, bad):
+        path = tmp_path / "det.jsonl"
+        good = json.dumps(GOOD_RECORD).encode()
+        path.write_bytes(good + b"\n" + good.replace(b'"v1"', b'"v' + bad + b'"') + b"\n")
+        with pytest.raises(ValidationError, match="det.jsonl:2"):
+            load_detections(str(path))
+
+    def test_non_ascii_utf8_accepted(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        path.write_bytes(json.dumps({**GOOD_RECORD, "video_id": "vid\u00e9o \u52d5"}, ensure_ascii=False).encode() + b"\n")
+        assert load_detections(str(path))[0].video_id == "vid\u00e9o \u52d5"
+
+
+class TestDetectionRecord:
+    def test_is_an_immutable_tuple(self):
+        d = Detection("v1", 2, 0.5, 1.5, 0.25)
+        assert isinstance(d, tuple) and tuple(d) == ("v1", 2, 0.5, 1.5, 0.25)
+        assert Detection._fields == ("video_id", "class_id", "start", "end", "score")
+        assert (d.video_id, d.class_id, d.start, d.end, d.score) == tuple(d)
+        with pytest.raises(AttributeError):
+            d.start = 0.0
+        with pytest.raises(AttributeError):
+            d.extra = 1
+        assert not hasattr(d, "__dict__")
+
+    def test_keyword_construction(self):
+        assert Detection(video_id="v1", class_id=0, start=0.0, end=1.0, score=0.5) == Detection("v1", 0, 0.0, 1.0, 0.5)
+
+    def test_equality_and_hashing(self):
+        a, b = Detection("v1", 0, 0.0, 1.0, 0.5), Detection("v1", 0, 0.0, 1.0, 0.5)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Detection("v1", 0, 0.0, 1.0, 0.75)
+        assert a != Detection("v2", 0, 0.0, 1.0, 0.5)
+
+    BAD = [("v1", 0, 2.0, 2.0, 0.5), ("v1", 0, 0.0, math.inf, 0.5), ("v1", 0, 0.0, 1.0, math.nan)]
+
+    @pytest.mark.parametrize("fields", BAD)
+    def test_every_construction_path_validates(self, fields):
+        good = Detection("v1", 0, 0.0, 1.0, 0.5)
+        with pytest.raises(ValidationError):
+            Detection(*fields)
+        with pytest.raises(ValidationError):
+            Detection._make(fields)
+        with pytest.raises(ValidationError):
+            good._replace(**dict(zip(Detection._fields, fields)))
+        forged = tuple.__new__(Detection, fields)  # bypasses __new__; reloading validates
+        with pytest.raises(ValidationError):
+            pickle.loads(pickle.dumps(forged))
+        with pytest.raises(ValidationError):
+            copy.copy(forged)
+
+    def test_valid_paths_round_trip(self):
+        d = Detection("v1", 0, 0.0, 1.0, 0.5)
+        assert Detection._make(tuple(d)) == d
+        assert d._replace(score=0.75) == Detection("v1", 0, 0.0, 1.0, 0.75)
+        assert pickle.loads(pickle.dumps(d)) == d and type(pickle.loads(pickle.dumps(d))) is Detection
+        assert copy.deepcopy(d) == d
 
 
 class TestEndToEnd:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,21 @@ class TestAdam:
             before = state.params.flat.copy()
             _adam_update(state, grads, cfg)
             assert np.abs(state.params.flat - before).max() <= bound
+
+    def test_update_allocates_no_parameter_sized_buffer(self):
+        # NumPy reports its array buffers to tracemalloc
+        rng = np.random.default_rng(5)
+        params = init_params(rng, 32, 128, 4)
+        state = TrainState(params, np.zeros_like(params.flat), np.zeros_like(params.flat), 0, rng)
+        grads = params.with_flat(rng.normal(size=params.flat.size))
+        _adam_update(state, grads, tiny_config())
+        tracemalloc.start()
+        try:
+            _adam_update(state, grads, tiny_config())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 8
 
 
 def _reference_backward(cache, d_scores, d_thresholds):
