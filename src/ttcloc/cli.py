@@ -257,55 +257,20 @@ def cmd_gradcheck(args) -> int:
 # Ablation grid
 
 
-def _ablate_rows(lambda_sweep: bool) -> list[dict]:
-    """One experiment description per grid row (before seeding)."""
-    rows = []
-
-    def row(group, **kw):
-        base = {
-            "group": group,
-            "train_localization": "predicted",
-            "test_mode": "predicted",
-            "gating": "sigmoid",
-            "reg_form": "inner_product",
-            "strategy": "joint",
-            "aggregator": "gated",
-            "supervision": "weak",
-            "semi_k": 0,
-            "clas_weight": 0.2,
-        }
-        base.update(kw)
-        rows.append(base)
-
+def _ablate_rows(lambda_sweep: bool) -> list[tuple[str, str, dict]]:
+    """(group, test mode, config fields that differ from the defaults) per grid row."""
+    semi = {"supervision": "semi", "semi_k": 1}
     # threshold strategy grid: the four trained variants x both test rules
-    for train_loc, supervision, semi_k in (
-        ("none", "weak", 0),
-        ("predicted", "weak", 0),
-        ("manual", "semi", 1),
-        ("predicted", "semi", 1),
-    ):
-        aggregator = "topk_eighth" if train_loc == "none" else "gated"
-        for test_mode in ("manual", "predicted"):
-            row(
-                "threshold_strategy",
-                train_localization=train_loc,
-                test_mode=test_mode,
-                supervision=supervision,
-                semi_k=semi_k,
-                aggregator=aggregator,
-            )
-    for gating in ("sigmoid", "softsign", "binarize"):
-        row("gating", gating=gating)
-    for reg_form in REG_FORMS:
-        row("regularizer", reg_form=reg_form)
-    for strategy in STRATEGIES:
-        row("training_strategy", strategy=strategy, supervision="semi", semi_k=1)
+    trained = ({"train_localization": "none", "aggregator": "topk_eighth"}, {}, {"train_localization": "manual", **semi}, semi)
+    rows = [("threshold_strategy", mode, fields) for fields in trained for mode in ("manual", "predicted")]
+    rows += [("gating", "predicted", {"gating": gating}) for gating in ("sigmoid", "softsign", "binarize")]
+    rows += [("regularizer", "predicted", {"reg_form": reg_form}) for reg_form in REG_FORMS]
+    rows += [("training_strategy", "predicted", {"strategy": strategy, **semi}) for strategy in STRATEGIES]
     for aggregator in AGGREGATORS:
         train_loc = "none" if aggregator == "topk_eighth" else "predicted"
-        row("aggregator", aggregator=aggregator, train_localization=train_loc)
+        rows.append(("aggregator", "predicted", {"aggregator": aggregator, "train_localization": train_loc}))
     if lambda_sweep:
-        for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-            row("lambda_sweep", clas_weight=lam)
+        rows += [("lambda_sweep", "predicted", {"clas_weight": lam}) for lam in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
     return rows
 
 
@@ -326,25 +291,15 @@ ABLATE_COLUMNS = (
 )
 
 
-def _run_ablate_cell(samples, num_classes, spec_row: dict, seed: int, train_base: TrainConfig, thresholds):
-    loss = dataclasses.replace(
-        train_base.loss,
-        reg_form=spec_row["reg_form"],
-        aggregator=spec_row["aggregator"],
-        clas_weight=spec_row["clas_weight"],
-    )
-    config = dataclasses.replace(
-        train_base,
-        loss=loss,
-        gating=spec_row["gating"],
-        supervision=spec_row["supervision"],
-        semi_k=spec_row["semi_k"],
-        strategy=spec_row["strategy"],
-        train_localization=spec_row["train_localization"],
-        seed=seed,
-    )
+def _ablate_config(base: TrainConfig, overrides: dict, seed: int) -> TrainConfig:
+    loss = {k: v for k, v in overrides.items() if k in _FIELD_TYPES[LossConfig]}
+    train = {k: v for k, v in overrides.items() if k not in loss}
+    return dataclasses.replace(base, loss=dataclasses.replace(base.loss, **loss), seed=seed, **train)
+
+
+def _run_ablate_cell(samples, num_classes, config: TrainConfig, test_mode: str, thresholds):
     state, _ = run_training(samples, num_classes, config)
-    detections = infer_dataset(state.params, samples, config, spec_row["test_mode"])
+    detections = infer_dataset(state.params, samples, config, test_mode)
     gt = index_from_videos(samples, num_classes)
     report = evaluate(detections, gt, thresholds)
     at_half = report.map_per_threshold[thresholds.index(0.5)] if 0.5 in thresholds else float("nan")
@@ -352,7 +307,6 @@ def _run_ablate_cell(samples, num_classes, spec_row: dict, seed: int, train_base
 
 
 ABLATE_DEFAULTS = {
-    "name": "",
     "preset": "medium",
     "seeds": 3,
     "iterations": 400,
@@ -361,11 +315,12 @@ ABLATE_DEFAULTS = {
     "iou": "0.3:0.7:0.1",
     "lambda_sweep": False,
 }
+_ABLATE_TYPES = {key: type(value) for key, value in ABLATE_DEFAULTS.items()}
 
 
 def cmd_ablate(args) -> int:
     file_cfg = _load_json_config(args.config) if args.config else {}
-    _check_config(file_cfg, {k: type(v) for k, v in ABLATE_DEFAULTS.items()}, "ablate config")
+    _check_config(file_cfg, _ABLATE_TYPES, "ablate config")
     cfg = {**ABLATE_DEFAULTS, **file_cfg, **_overrides_from_args(args, ABLATE_DEFAULTS)}
     seeds = list(range(cfg["seeds"]))
     thresholds = parse_iou_spec(cfg["iou"])
@@ -378,19 +333,19 @@ def cmd_ablate(args) -> int:
         max_clip_len=64,
         dropout=0.1,
         learning_rate=2e-3,
-        loss=LossConfig(),
     )
 
     rows = _ablate_rows(cfg["lambda_sweep"])
     lines = [",".join(ABLATE_COLUMNS)]
     started = time.perf_counter()
-    for spec_row in rows:
+    for group, test_mode, overrides in rows:
         for seed in seeds:
-            at_half, avg = _run_ablate_cell(samples, spec.num_classes, spec_row, seed, train_base, thresholds)
-            cells = [str(spec_row[c]) for c in ABLATE_COLUMNS[:10]]
-            cells += [str(seed), f"{at_half:.6f}", f"{avg:.6f}"]
-            lines.append(",".join(cells))
-            print(f"{spec_row['group']:20s} seed {seed}: mAP@0.5 {at_half:.3f}, avg {avg:.3f}", file=sys.stderr)
+            config = _ablate_config(train_base, overrides, seed)
+            at_half, avg = _run_ablate_cell(samples, spec.num_classes, config, test_mode, thresholds)
+            # each cell shows the values it ran with, read back from its config
+            values = {**vars(config), **vars(config.loss), "group": group, "test_mode": test_mode}
+            lines.append(",".join([str(values[c]) for c in ABLATE_COLUMNS[:11]] + [f"{at_half:.6f}", f"{avg:.6f}"]))
+            print(f"{group:20s} seed {seed}: mAP@0.5 {at_half:.3f}, avg {avg:.3f}", file=sys.stderr)
     elapsed = time.perf_counter() - started
 
     os.makedirs(args.out, exist_ok=True)
@@ -404,15 +359,35 @@ def cmd_ablate(args) -> int:
 # Parser
 
 
+# choices of the string fields: the tuples their validate methods check
+_CHOICES = {
+    "gating": network.GATING_KINDS,
+    "supervision": SUPERVISION_MODES,
+    "strategy": STRATEGIES,
+    "train_localization": TRAIN_LOCALIZATION,
+    "reg_form": REG_FORMS,
+    "aggregator": AGGREGATORS,
+    "preset": sorted(PRESETS),
+}
+
+
+def _add_field_flags(parser, types: dict) -> None:
+    """One ``--field-name`` flag per field of a plain type, defaulting to None (unset)."""
+    for name, kind in types.items():
+        kind = next((k for k in typing.get_args(kind) if k is not type(None)), kind)  # float | None -> float
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None)
+        elif kind in (int, float, str):
+            parser.add_argument(flag, type=kind, choices=_CHOICES.get(name), default=None)
+
+
 def _add_synth_parser(sub):
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
+    p.add_argument("--preset", choices=_CHOICES["preset"], help="named parameter preset")
     p.add_argument("--spec", help="JSON file with generator fields")
     p.add_argument("--out", required=True, help="output dataset directory")
-    for f in dataclasses.fields(SynthSpec):
-        flag = "--" + f.name.replace("_", "-")
-        kind = int if f.type in (int, "int") else float
-        p.add_argument(flag, type=kind, default=None)
+    _add_field_flags(p, _FIELD_TYPES[SynthSpec])
     p.set_defaults(func=cmd_synth)
 
 
@@ -421,23 +396,7 @@ def _add_train_parser(sub):
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--config", help="JSON train config")
     p.add_argument("--out", required=True, help="output directory for checkpoint and logs")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--max-clip-len", dest="max_clip_len", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--gating", choices=network.GATING_KINDS, default=None)
-    p.add_argument("--supervision", choices=SUPERVISION_MODES, default=None)
-    p.add_argument("--semi-k", dest="semi_k", type=int, default=None)
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--train-localization", dest="train_localization", choices=TRAIN_LOCALIZATION, default=None)
-    p.add_argument("--clas-weight", dest="clas_weight", type=float, default=None)
-    p.add_argument("--loc-weight", dest="loc_weight", type=float, default=None)
-    p.add_argument("--background-weight", dest="background_weight", type=float, default=None)
-    p.add_argument("--reg-form", dest="reg_form", choices=REG_FORMS, default=None)
-    p.add_argument("--aggregator", choices=AGGREGATORS, default=None)
+    _add_field_flags(p, {**_FIELD_TYPES[TrainConfig], **_FIELD_TYPES[LossConfig]})
     p.set_defaults(func=cmd_train)
 
 
@@ -468,14 +427,8 @@ def _add_gradcheck_parser(sub):
 def _add_ablate_parser(sub):
     p = sub.add_parser("ablate", help="run the ablation grids on a synthetic preset")
     p.add_argument("--config", help="JSON ablate config")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds (0..n-1)")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--videos-per-class", dest="videos_per_class", type=int, default=None)
-    p.add_argument("--iou", default=None)
-    p.add_argument("--lambda-sweep", dest="lambda_sweep", action="store_true", default=None)
     p.add_argument("--out", required=True, help="output directory")
+    _add_field_flags(p, _ABLATE_TYPES)
     p.set_defaults(func=cmd_ablate)
 
 

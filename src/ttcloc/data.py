@@ -73,27 +73,25 @@ class VideoSample:
     def duration(self) -> float:
         return self.num_snippets * self.snippet_duration
 
+    @property
+    def record(self) -> VideoRecord:
+        """This video's manifest entry."""
+        return VideoRecord(
+            id=self.id,
+            num_snippets=self.num_snippets,
+            feature_dim=self.feature_dim,
+            labels=tuple(sorted(self.labels)),
+            snippet_duration=self.snippet_duration,
+            segments=self.segments,
+            fully_annotated=self.fully_annotated,
+        )
+
     def validate(self, num_classes: int | None = None) -> None:
-        if self.features.ndim != 2 or self.num_snippets < 1 or self.feature_dim < 1:
-            raise ValidationError(f"video {self.id!r}: features must be a nonempty T x D matrix")
+        if self.features.ndim != 2:
+            raise ValidationError(f"video {self.id!r}: features must be a T x D matrix")
         if not np.all(np.isfinite(self.features)):
             raise ValidationError(f"video {self.id!r}: non-finite feature values")
-        if not self.labels:
-            raise ValidationError(f"video {self.id!r}: label set is empty")
-        for c in self.labels:
-            if c < 0 or (num_classes is not None and c >= num_classes):
-                raise ValidationError(f"video {self.id!r}: label {c} out of range")
-        if not (self.snippet_duration > 0 and math.isfinite(self.snippet_duration)):
-            raise ValidationError(f"video {self.id!r}: snippet_duration must be a positive real")
-        if self.segments is not None:
-            for seg in self.segments:
-                seg.validate(num_classes)
-                if seg.class_id not in self.labels:
-                    raise ValidationError(
-                        f"video {self.id!r}: segment class {seg.class_id} not in labels {sorted(self.labels)}"
-                    )
-        if self.fully_annotated and self.segments is None:
-            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
+        self.record.validate(num_classes)
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,30 @@ class VideoRecord:
     snippet_duration: float
     segments: tuple[GroundTruthSegment, ...] | None
     fully_annotated: bool
+
+    def validate(self, num_classes: int | None = None) -> None:
+        if self.num_snippets < 1 or self.feature_dim < 1:
+            shape = (self.num_snippets, self.feature_dim)
+            raise ValidationError(f"video {self.id!r}: num_snippets and feature_dim must be >= 1, got {shape}")
+        if not self.labels:
+            raise ValidationError(f"video {self.id!r}: label set is empty")
+        for c in self.labels:
+            if c < 0 or (num_classes is not None and c >= num_classes):
+                raise ValidationError(f"video {self.id!r}: label {c} out of range")
+        if not (self.snippet_duration > 0 and math.isfinite(self.snippet_duration)):
+            raise ValidationError(f"video {self.id!r}: snippet_duration must be a positive real")
+        if self.segments is not None:
+            for seg in self.segments:
+                try:
+                    seg.validate(num_classes)
+                except ValidationError as exc:
+                    raise ValidationError(f"video {self.id!r}: {exc}") from None
+                if seg.class_id not in self.labels:
+                    raise ValidationError(
+                        f"video {self.id!r}: segment class {seg.class_id} not in labels {sorted(self.labels)}"
+                    )
+        if self.fully_annotated and self.segments is None:
+            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,8 @@ class DatasetManifest:
         dims = {r.feature_dim for r in self.records}
         if len(dims) > 1:
             raise ValidationError(f"manifest: videos disagree on feature dim: {sorted(dims)}")
+        for record in self.records:
+            record.validate(self.num_classes)
 
 
 def rasterize(
@@ -343,18 +367,7 @@ def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
 def manifest_from_samples(
     samples: list[VideoSample], num_classes: int, class_names: list[str] | tuple[str, ...]
 ) -> DatasetManifest:
-    records = tuple(
-        VideoRecord(
-            id=s.id,
-            num_snippets=s.num_snippets,
-            feature_dim=s.feature_dim,
-            labels=tuple(sorted(s.labels)),
-            snippet_duration=s.snippet_duration,
-            segments=s.segments,
-            fully_annotated=s.fully_annotated,
-        )
-        for s in samples
-    )
+    records = tuple(s.record for s in samples)
     manifest = DatasetManifest(num_classes=num_classes, class_names=tuple(class_names), records=records)
     manifest.validate()
     return manifest

@@ -8,6 +8,7 @@ intentionally not the true derivative of the step function.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -131,7 +132,9 @@ def check_total_loss(
 ) -> float:
     """FD check of the combined objective for one configuration.  Under
     ``train_localization="none"`` the clip ``with_localization`` flags must
-    change nothing: the localization loss stays inactive."""
+    change nothing: the localization loss stays inactive.  Under ``"manual"``
+    the thresholds are a stop-gradient, so each clip's are held at their
+    values at the checked point while the differences run."""
     from .objectives import LossConfig, total_loss
 
     params, clips = _fd_instance(seed, flagged=with_localization)
@@ -148,8 +151,17 @@ def check_total_loss(
         )
         return breakdown.total
 
-    _, grads = total_loss(params, clips, config, gating=gating, train_localization=train_localization)
-    numeric = numerical_gradient(objective, params.flat)
+    manual_thresholds = network.manual_thresholds
+    if train_localization == "manual":
+        # total_loss asks for one clip's thresholds at a time, in clip order
+        held = [manual_thresholds(network.forward(params, clip.features)[0].scores) for clip in clips]
+        calls = itertools.cycle(held)
+        network.manual_thresholds = lambda scores: next(calls)
+    try:
+        _, grads = total_loss(params, clips, config, gating=gating, train_localization=train_localization)
+        numeric = numerical_gradient(objective, params.flat)
+    finally:
+        network.manual_thresholds = manual_thresholds
     return relative_error(grads.flat, numeric)
 
 
@@ -176,18 +188,18 @@ def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
         err = check_gate_gradient(kind, seed)
         checks.append(ComponentCheck(f"gate_{kind}", err, kind != "binarize", time.perf_counter() - start))
 
-    for gating in ("sigmoid", "softsign"):
-        for aggregator in ("gated", "topk_eighth"):
-            for reg_form in REG_FORMS:
-                for with_loc in (False, True):
-                    start = time.perf_counter()
-                    err = check_total_loss(gating, aggregator, reg_form, with_loc, seed)
-                    name = f"loss_{gating}_{aggregator}_{reg_form}_{'loc' if with_loc else 'noloc'}"
-                    checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
+    for rule in ("predicted", "manual"):
+        prefix = "" if rule == "predicted" else f"{rule}_"
+        for gating in ("sigmoid", "softsign"):
+            for aggregator in ("gated", "topk_eighth"):
+                for reg_form in REG_FORMS:
+                    for with_loc in (False, True):
+                        start = time.perf_counter()
+                        err = check_total_loss(gating, aggregator, reg_form, with_loc, seed, train_localization=rule)
+                        name = f"loss_{prefix}{gating}_{aggregator}_{reg_form}_{'loc' if with_loc else 'noloc'}"
+                        checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
 
-    # "none" computes no gate, so the gating kind is irrelevant.  "manual"
-    # is not checked: its thresholds are a stop-gradient, which plain finite
-    # differences do not hold constant.
+    # "none" computes no gate, so the gating kind is irrelevant
     for reg_form in REG_FORMS:
         for with_loc in (False, True):
             start = time.perf_counter()

@@ -330,7 +330,7 @@ def load_params(path: str) -> NetworkParams:
                 raise ValidationError(f"{path}: truncated checkpoint: array {name!r} {shape} runs past the end")
             arrays[name] = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
             offset += 8 * size
-    except (struct.error, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:  # ValueError: a bad name encoding or more dimensions than NumPy allows
         raise ValidationError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
     if offset != len(blob):
         raise ValidationError(f"{path}: {len(blob) - offset} trailing bytes after the last array")

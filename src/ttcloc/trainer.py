@@ -151,10 +151,7 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
     clips = [crop_clip(s, config.max_clip_len, state.rng) for s in batch]
     masks = None
     if config.dropout > 0:
-        masks = [
-            (state.rng.uniform(size=(c.num_snippets, config.hidden_dim)) >= config.dropout).astype(np.float64)
-            for c in clips
-        ]
+        masks = [state.rng.uniform(size=(c.num_snippets, config.hidden_dim)) >= config.dropout for c in clips]
     breakdown, grads = total_loss(
         state.params,
         clips,

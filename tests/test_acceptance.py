@@ -98,7 +98,8 @@ def test_criterion_1_gradient_suite(capsys):
 
     names = {c.name for c in checks}
     expected = {
-        f"loss_{gating}_{agg}_{reg}_{loc}"
+        f"loss_{rule}{gating}_{agg}_{reg}_{loc}"
+        for rule in ("", "manual_")
         for gating in ("sigmoid", "softsign")
         for agg in ("gated", "topk_eighth")
         for reg in ("inner_product", "l1", "l2", "cosine")

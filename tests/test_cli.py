@@ -1,15 +1,23 @@
+import argparse
+import dataclasses
+import importlib.util
 import json
 import os
 import resource
 import shutil
 import subprocess
 import sys
+import typing
+from pathlib import Path
 
 import pytest
 
-from ttcloc import cli, trainer
+from ttcloc import cli, network, trainer
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.gradcheck import ComponentCheck
+from ttcloc.objectives import AGGREGATORS, REG_FORMS, TRAIN_LOCALIZATION, LossConfig
+from ttcloc.synth import PRESETS, SynthSpec
+from ttcloc.trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig
 
 
 def run_cli(*argv):
@@ -565,3 +573,174 @@ class TestAblateCommand:
         lines = open(tmp_path / "s" / "ablation.csv").read().strip().split("\n")
         assert len(lines) == 1 + 20 + 9
         assert sum(1 for line in lines if line.startswith("lambda_sweep")) == 9
+
+
+def subcommand_parser(command: str) -> argparse.ArgumentParser:
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+def hints(cls) -> dict:
+    return {name: kind for name, kind in typing.get_type_hints(cls).items() if name != "loss"}
+
+
+# every config field of each subcommand, with its type
+FIELDS = {
+    "synth": hints(SynthSpec),
+    "train": {**hints(TrainConfig), **hints(LossConfig)},
+    "ablate": {"preset": str, "seeds": int, "iterations": int, "hidden_dim": int, "videos_per_class": int, "iou": str, "lambda_sweep": bool},
+}
+# the flags that are not config fields: files, and the preset synth starts from
+OTHER_FLAGS = {"synth": {"preset", "spec", "out"}, "train": {"data", "config", "out"}, "ablate": {"config", "out"}}
+# the choices of each string field: the tuples its validate checks
+CHOICES = {
+    "gating": network.GATING_KINDS,
+    "supervision": SUPERVISION_MODES,
+    "strategy": STRATEGIES,
+    "train_localization": TRAIN_LOCALIZATION,
+    "reg_form": REG_FORMS,
+    "aggregator": AGGREGATORS,
+    "preset": tuple(sorted(PRESETS)),
+}
+
+
+def edited(config: TrainConfig, name: str, value) -> TrainConfig:
+    if name in hints(LossConfig):
+        return dataclasses.replace(config, loss=dataclasses.replace(config.loss, **{name: value}))
+    return dataclasses.replace(config, **{name: value})
+
+
+class StopBeforeTraining(Exception):
+    pass
+
+
+def resolved_train_config(monkeypatch, *argv) -> TrainConfig:
+    """The config that ``train`` with ``argv`` would train with; nothing is trained."""
+    seen = []
+
+    def stop(samples, num_classes, config):
+        seen.append(config)
+        raise StopBeforeTraining
+
+    monkeypatch.setattr(cli, "run_training", stop)
+    with pytest.raises(StopBeforeTraining):
+        run_cli("train", *argv)
+    return seen[0]
+
+
+class TestFieldFlags:
+    """Each config field has exactly one flag of its type, and no flag sets anything else."""
+
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    def test_one_flag_per_field(self, command):
+        actions = [a for a in subcommand_parser(command)._actions if a.dest != "help"]
+        assert sorted(a.dest for a in actions) == sorted({*FIELDS[command], *OTHER_FLAGS[command]})
+        for action in actions:
+            if action.dest in OTHER_FLAGS[command]:
+                continue
+            kind = FIELDS[command][action.dest]
+            kind = next((k for k in typing.get_args(kind) if k is not type(None)), kind)
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+            assert action.default is None
+            if kind is bool:
+                assert isinstance(action, argparse._StoreTrueAction)
+            else:
+                assert action.type is kind
+            assert (tuple(action.choices) if action.choices else None) == CHOICES.get(action.dest)
+
+    @pytest.mark.parametrize("name", [n for n in CHOICES if n != "preset"])
+    def test_choices_are_what_validate_checks(self, name):
+        config = TrainConfig(loss=LossConfig(aggregator="topk_eighth"))  # the one aggregator every rule accepts
+        for value in CHOICES[name]:
+            edited(config, name, value).validate()
+        with pytest.raises(ValidationError, match=name):
+            edited(config, name, "bogus").validate()
+
+    def test_adam_fields_are_flags(self, tmp_path, monkeypatch):
+        ds = make_dataset(str(tmp_path / "ds"))
+        flags = ["--beta1", "0.8", "--beta2", "0.99", "--adam-eps", "1e-6"]
+        config = resolved_train_config(monkeypatch, "--data", ds, "--out", str(tmp_path / "run"), *flags)
+        assert (config.beta1, config.beta2, config.adam_eps) == (0.8, 0.99, 1e-6)
+
+    def test_ablate_rejects_name(self, tmp_path, capsys):
+        cfg = tmp_path / "ablate.json"
+        cfg.write_text(json.dumps({"name": "x"}))
+        assert run_cli("ablate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert "unknown keys ['name']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run_cli("ablate", "--name", "x", "--out", str(tmp_path / "out"))
+        assert info.value.code == 1
+        assert not os.path.exists(tmp_path / "out")
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+SIDECAR_DEFAULTS = {
+    "adam_eps": 1e-08,
+    "batch_size": 10,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "dropout": 0.7,
+    "gating": "sigmoid",
+    "hidden_dim": 2048,
+    "iterations": 2000,
+    "learning_rate": 0.0001,
+    "loss": {"aggregator": "gated", "background_weight": None, "clas_weight": 0.2, "loc_weight": 3.0, "reg_form": "inner_product"},
+    "max_clip_len": 320,
+    "seed": 0,
+    "semi_k": 0,
+    "strategy": "joint",
+    "supervision": "weak",
+    "train_localization": "predicted",
+}
+SEMI = {"supervision": "semi", "semi_k": 1}
+# train_config.json that each benchmark workload's train flags write at seed 0
+WORKLOAD_SIDECARS = {
+    "accept-medium": {**SIDECAR_DEFAULTS, **SEMI, "hidden_dim": 128, "max_clip_len": 64, "learning_rate": 0.001, "iterations": 300},
+    "long-videos": {**SIDECAR_DEFAULTS, **SEMI, "hidden_dim": 64, "max_clip_len": 64, "learning_rate": 0.001, "iterations": 150},
+    "paper-scale": {**SIDECAR_DEFAULTS, **SEMI, "iterations": 4},
+}
+
+
+class TestWorkloadArgv:
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_SIDECARS))
+    def test_train_flags_resolve_to_the_same_config(self, name, tmp_path, monkeypatch):
+        wl = load_workloads()[name]
+        ds = make_dataset(str(tmp_path / "ds"))
+        argv = ["--data", ds, "--out", str(tmp_path / "run"), "--iterations", str(wl.iterations), "--seed", "0", *wl.train]
+        written = json.dumps(dataclasses.asdict(resolved_train_config(monkeypatch, *argv)), indent=2, sort_keys=True)
+        assert written == json.dumps(WORKLOAD_SIDECARS[name], indent=2, sort_keys=True)
+
+
+# (key, value) set on the first video: each a well-typed manifest with an impossible value
+BAD_MANIFEST_VALUES = [
+    ("labels", [99]),
+    ("labels", []),
+    ("snippet_duration", -1),
+    ("num_snippets", -3),
+    ("segments", [{"class_id": 0, "start": 5.0, "end": 1.0}]),
+]
+
+
+class TestBadManifestValues:
+    @pytest.mark.parametrize("key, value", BAD_MANIFEST_VALUES, ids=[f"{k}={v}" for k, v in BAD_MANIFEST_VALUES])
+    def test_eval_fails_cleanly(self, tmp_path, capsys, key, value):
+        ds = make_dataset(str(tmp_path / "ds"))
+        manifest_path = os.path.join(ds, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        manifest["videos"][0][key] = value
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        det = tmp_path / "det.jsonl"
+        det.write_text("")
+        out = str(tmp_path / "report.json")
+        assert run_cli("eval", "--det", str(det), "--gt", manifest_path, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error: video 'v00_000'" in err and "Traceback" not in err
+        assert not os.path.exists(out)

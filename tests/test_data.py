@@ -6,6 +6,7 @@ import pytest
 
 from ttcloc.data import (
     GroundTruthSegment,
+    VideoRecord,
     VideoSample,
     crop_clip,
     load_dataset,
@@ -312,3 +313,50 @@ class TestManifestTypes:
         assert type(record.snippet_duration) is float and record.snippet_duration == 1.0
         assert record.segments == (GroundTruthSegment(0, 0.0, 2.0),)
         assert type(record.segments[0].start) is float
+
+
+# (key path, value): each makes a well-typed manifest whose values are impossible
+BAD_VALUES = [
+    (("videos", 0, "labels"), [99]),
+    (("videos", 0, "labels"), []),
+    (("videos", 0, "labels"), [-1]),
+    (("videos", 0, "snippet_duration"), -1),
+    (("videos", 0, "snippet_duration"), 0),
+    (("videos", 0, "num_snippets"), -3),
+    (("videos", 0, "num_snippets"), 0),
+    (("videos", 0, "feature_dim"), 0),
+    (("videos", 0, "segments"), [{"class_id": 0, "start": 5.0, "end": 1.0}]),
+    (("videos", 0, "segments"), [{"class_id": 0, "start": -1.0, "end": 1.0}]),
+    (("videos", 0, "segments"), [{"class_id": 3, "start": 0.0, "end": 1.0}]),
+    (("videos", 0, "segments"), None),
+]
+
+
+class TestManifestValues:
+    """A manifest's values are checked when it loads, before any feature file is read."""
+
+    write = TestManifestTypes.write
+
+    @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=[f"{'.'.join(map(str, k))}={v!r:.30}" for k, v in BAD_VALUES])
+    def test_impossible_value_rejected(self, tmp_path, key_path, value):
+        path = self.write(tmp_path, key_path, value)
+        if value is None:  # segments null while flagged fully annotated
+            obj = json.loads(open(path, encoding="utf-8").read())
+            obj["videos"][0]["fully_annotated"] = True
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        os.remove(tmp_path / "ds" / "one.f32")
+        with pytest.raises(ValidationError, match="video 'one'"):
+            load_manifest(path)
+
+    def test_record_of_a_sample_is_its_manifest_entry(self, tmp_path):
+        seg = GroundTruthSegment(2, 0.5, 1.5)
+        sample = make_sample("v7", t=3, d=5, labels=(2, 0), tau=0.5, segments=(seg,), flagged=True)
+        assert sample.record == VideoRecord("v7", 3, 5, (0, 2), 0.5, (seg,), True)
+        path = write_dataset([sample], 3, ["a", "b", "c"], str(tmp_path / "ds"))
+        assert load_manifest(path).records == (sample.record,)
+
+    def test_record_validate_needs_a_snippet_and_a_dimension(self):
+        for t, d in ((0, 2), (2, 0)):
+            with pytest.raises(ValidationError, match="must be >= 1"):
+                VideoRecord("v", t, d, (0,), 1.0, None, False).validate(1)

@@ -1,14 +1,18 @@
-"""Property tests: arbitrary config values, IoU specs, sidecar bytes, manifests
-and detection files fail only with ValidationError.
+"""Property tests: arbitrary config values, IoU specs, sidecar bytes, manifests,
+detection files and checkpoints fail only with ValidationError, and arbitrary
+command lines only exit 0 or 1.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same bounded set of examples.
 """
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,6 +22,7 @@ from ttcloc import cli, network
 from ttcloc.data import load_manifest
 from ttcloc.errors import ValidationError
 from ttcloc.localizer import Detection, load_detections
+from ttcloc.network import NetworkParams, init_params, load_params, save_params
 from ttcloc.objectives import AGGREGATORS, REG_FORMS, TRAIN_LOCALIZATION, LossConfig
 from ttcloc.synth import PRESETS, SynthSpec
 from ttcloc.trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig
@@ -292,3 +297,63 @@ def test_eval_on_arbitrary_bytes(dataset, det, manifest):
         load_detections(det_path)
     except ValidationError:
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(scratch):
+    path = os.path.join(scratch, "valid.ttck")
+    save_params(init_params(np.random.default_rng(0), 2, 3, 2), path)
+    return open(path, "rb").read()
+
+
+def edited(blob: bytes, cut: int, changes: list[tuple[int, int]]) -> bytes:
+    """``blob`` cut to ``cut`` bytes, then with each ``(offset, byte)`` written in."""
+    out = bytearray(blob[:cut])
+    for offset, byte in changes:
+        if offset < len(out):
+            out[offset] = byte
+    return bytes(out)
+
+
+@FUZZ
+@given(
+    blob=st.binary(max_size=200) | st.builds(lambda tail: b"TTCK" + tail, st.binary(max_size=200)),
+    cut=st.integers(0, 600),  # the valid checkpoint holds 506 bytes
+    changes=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 255)), max_size=3),
+    from_valid=st.booleans(),
+)
+@example(blob=b"", cut=600, changes=[], from_valid=True)
+@example(blob=b"", cut=12, changes=[], from_valid=True)
+@example(blob=b"", cut=600, changes=[(12, 0)], from_valid=True)
+def test_load_params_on_arbitrary_bytes(scratch, checkpoint_bytes, blob, cut, changes, from_valid):
+    source = checkpoint_bytes if from_valid else blob
+    path = write_bytes(scratch, "fuzz.ttck", edited(source, cut, changes))
+    try:
+        params = load_params(path)
+    except ValidationError:
+        return
+    assert type(params) is NetworkParams and params.flat.dtype == np.float64
+
+
+def parser_tokens():
+    """Every flag and subcommand name of the real parser, and values for them."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    tokens = set(sub.choices)
+    for p in (parser, *sub.choices.values()):
+        for action in p._actions:
+            tokens.update(action.option_strings)
+            tokens.update(action.choices or ())
+    return sorted(tokens) + ["0", "1", "-1", "0.5", "1e-3", "nan", "x", "out", "--", "-", "=", "--seed=2"]
+
+
+@settings(FUZZ, max_examples=500)
+@given(st.lists(st.sampled_from(parser_tokens()) | st.text(max_size=8), max_size=10))
+@example(["train", "--beta1", "0.5", "--adam-eps"])
+@example(["ablate", "--name", "x", "--out", "o"])
+@example(["synth", "-h"])
+def test_parse_args_on_token_lists(tokens):
+    try:
+        cli.build_parser().parse_args(tokens)
+    except SystemExit as exc:
+        assert exc.code in (0, 1)

@@ -138,6 +138,18 @@ class TestBackward:
     def test_matches_finite_differences_with_dropout(self):
         assert check_network_backward(seed=2, t=4, dropout=True) < 1e-7
 
+    def test_boolean_mask_gives_the_bytes_of_a_float_mask(self):
+        rng = np.random.default_rng(9)
+        params = init_params(rng, 3, 6, 2)
+        x = rng.normal(size=(7, 3))
+        mask = rng.uniform(size=(7, 6)) >= 0.5
+        d_s, d_b = rng.normal(size=(7, 2)), rng.normal(size=7)  # signed, so a dropped unit gets -0.0
+        outputs = []
+        for m in (mask, mask.astype(np.float64)):
+            smap, cache = forward(params, x, dropout_mask=m, drop_rate=0.5)
+            outputs.append((smap.scores.tobytes(), smap.thresholds.tobytes(), backward(cache, d_s, d_b).flat.tobytes()))
+        assert outputs[0] == outputs[1]
+
     def test_zero_conv_kernel_reduces_to_fc_backward(self):
         params = tiny_params()
         params.conv_kernel[:] = 0.0
@@ -293,6 +305,13 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             fh.write(bytes(blob))
         with pytest.raises(ValidationError, match="twice"):
+            load_params(path)
+
+    def test_more_dimensions_than_numpy_allows_rejected(self, tmp_path):
+        # an empty array of 65 dimensions passes the size check, but NumPy cannot shape it
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"TTCK" + struct.pack("<IIH", 1, 1, 2) + b"w1" + struct.pack("<B65I", 65, *[0] * 65))
+        with pytest.raises(ValidationError, match="corrupt"):
             load_params(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 from ttcloc.data import VideoSample
 from ttcloc.errors import ValidationError
-from ttcloc.gradcheck import numerical_gradient, relative_error
+from ttcloc import gradcheck, network, objectives
+from ttcloc.gradcheck import check_total_loss, numerical_gradient, relative_error
 from ttcloc.network import ScoreMap, gate_margins, gate_values, init_params
 from ttcloc.objectives import (
     LossConfig,
@@ -416,3 +417,44 @@ class TestInvariances:
             g0 = localization_loss([gate_values(gate_margins(smap, "predicted"), "sigmoid")], [a], [True])[0]
             g1 = localization_loss([gate_values(gate_margins(smap_p, "predicted"), "sigmoid")], [a_p], [True])[0]
             np.testing.assert_allclose(g1, g0, rtol=1e-10)
+
+
+class TestManualGradcheck:
+    """The manual rule's thresholds are a stop-gradient; the check holds them at theta0."""
+
+    @pytest.mark.parametrize("gating", ["sigmoid", "softsign"])
+    @pytest.mark.parametrize("aggregator", ["gated", "topk_eighth"])
+    @pytest.mark.parametrize("reg_form", ["inner_product", "l1", "l2", "cosine"])
+    @pytest.mark.parametrize("with_loc", [False, True])
+    def test_matches_finite_differences(self, gating, aggregator, reg_form, with_loc):
+        real = network.manual_thresholds
+        assert check_total_loss(gating, aggregator, reg_form, with_loc, train_localization="manual") < 1e-8
+        assert network.manual_thresholds is real
+
+    def test_plain_differences_disagree(self):
+        # without holding the thresholds, finite differences see the midpoint
+        # move with theta, which the stop-gradient ignores
+        params, clips = gradcheck._fd_instance(0, flagged=True)
+        config = LossConfig(clas_weight=0.3, loc_weight=2.0)
+
+        def objective(theta):
+            return total_loss(params.with_flat(theta), clips, config, "sigmoid", "manual")[0].total
+
+        _, grads = total_loss(params, clips, config, "sigmoid", "manual")
+        assert relative_error(grads.flat, numerical_gradient(objective, params.flat)) > 1e-3
+
+    def test_wrong_gate_gradient_is_caught(self, monkeypatch):
+        real = network.gate_input_grad
+        monkeypatch.setattr(network, "gate_input_grad", lambda x, v, kind: 1.1 * real(x, v, kind))
+        assert check_total_loss("sigmoid", "gated", "l2", True, train_localization="manual") > 1e-5
+
+    def test_thresholds_restored_after_a_failure(self, monkeypatch):
+        real = network.manual_thresholds
+
+        def failing(*args, **kwargs):
+            raise ValidationError("boom")
+
+        monkeypatch.setattr(objectives, "total_loss", failing)
+        with pytest.raises(ValidationError, match="boom"):
+            check_total_loss("sigmoid", "gated", "l2", True, train_localization="manual")
+        assert network.manual_thresholds is real

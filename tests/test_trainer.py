@@ -308,6 +308,23 @@ class TestTrainStep:
         assert [state.params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()] == before
         assert state.step == 0
 
+    def test_dropout_masks_are_boolean(self, monkeypatch):
+        # a bool mask takes an eighth of the memory of a float64 one, and the same bytes come out
+        rng = np.random.default_rng(8)
+        samples = make_dataset(rng)
+        cfg = tiny_config(dropout=0.5)
+        state = init_state(cfg, 3, 2)
+        seen = []
+        real_total_loss = trainer.total_loss
+
+        def recording(*args, **kwargs):
+            seen.extend(kwargs["dropout_masks"])
+            return real_total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "total_loss", recording)
+        train_step(state, samples[:3], cfg)
+        assert [(m.dtype, m.shape) for m in seen] == [(np.bool_, (12, 8))] * 3
+
     def test_crops_long_videos(self):
         rng = np.random.default_rng(7)
         samples = make_dataset(rng, t=40)
