@@ -322,6 +322,8 @@ def cmd_ablate(args) -> int:
     file_cfg = _load_json_config(args.config) if args.config else {}
     _check_config(file_cfg, _ABLATE_TYPES, "ablate config")
     cfg = {**ABLATE_DEFAULTS, **file_cfg, **_overrides_from_args(args, ABLATE_DEFAULTS)}
+    if cfg["seeds"] < 1:
+        raise ValidationError(f"ablate: seeds must be >= 1, got {cfg['seeds']}")
     seeds = list(range(cfg["seeds"]))
     thresholds = parse_iou_spec(cfg["iou"])
 

@@ -87,11 +87,14 @@ class VideoSample:
         )
 
     def validate(self, num_classes: int | None = None) -> None:
+        self.validate_features()
+        self.record.validate(num_classes)
+
+    def validate_features(self) -> None:
         if self.features.ndim != 2:
             raise ValidationError(f"video {self.id!r}: features must be a T x D matrix")
         if not np.all(np.isfinite(self.features)):
             raise ValidationError(f"video {self.id!r}: non-finite feature values")
-        self.record.validate(num_classes)
 
 
 @dataclass(frozen=True)
@@ -367,6 +370,7 @@ def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
 def manifest_from_samples(
     samples: list[VideoSample], num_classes: int, class_names: list[str] | tuple[str, ...]
 ) -> DatasetManifest:
+    """The validated manifest of ``samples``."""
     records = tuple(s.record for s in samples)
     manifest = DatasetManifest(num_classes=num_classes, class_names=tuple(class_names), records=records)
     manifest.validate()
@@ -403,10 +407,11 @@ def write_dataset(
     """Write manifest + feature files into ``out_dir``; returns manifest path.
 
     Files are staged under a temporary name and renamed into place so a
-    failed write never leaves a partial dataset behind.
+    failed write never leaves a partial dataset behind.  Every sample is
+    validated, its metadata once, through the manifest.
     """
     for s in samples:
-        s.validate(num_classes)
+        s.validate_features()
     manifest = manifest_from_samples(samples, num_classes, class_names)
     os.makedirs(out_dir, exist_ok=True)
     staged = []

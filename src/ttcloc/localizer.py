@@ -20,7 +20,7 @@ from . import network
 from .data import VideoSample
 from .errors import ValidationError
 from .network import NetworkParams
-from .objectives import VideoProbabilities, pool_and_classify
+from .objectives import pool_and_classify
 from .trainer import TrainConfig
 
 
@@ -65,12 +65,13 @@ def extract_segments(margins: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def select_classes(probs: VideoProbabilities) -> set[int]:
+def select_classes(probs: np.ndarray) -> set[int]:
     """Classes whose probability strictly exceeds the action-class mean.
 
-    The background probability is excluded from the average.
+    ``probs`` is one video's (C + 1) probabilities; the background
+    probability (last) is excluded from the average.
     """
-    p = probs.probs[:-1]
+    p = probs[:-1]
     return set(np.flatnonzero(p > p.mean()).tolist())
 
 
@@ -95,14 +96,14 @@ def infer_video(
     margins = {rule: network.gate_margins(smap, rule) for rule in dict.fromkeys(rules)}
     sig_gate = network.gate_values(margins["predicted"], "sigmoid")
     pool_gate = network.gate_values(margins[config.train_localization], config.gating) if gated else None
-    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator)
+    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator).probs[0]
     classes = sorted(select_classes(probs))
 
     runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(margins[mode][:, c])]
     if not runs:
         return []
     cls, t0s, t1s = np.array(runs).T
-    scores = (probs.probs[cls] * run_means(sig_gate, cls, t0s, t1s)).tolist()
+    scores = (probs[cls] * run_means(sig_gate, cls, t0s, t1s)).tolist()
     tau = sample.snippet_duration
     # a snippet index converts to float64 exactly, so each time is the float t * tau
     columns = zip(cls.tolist(), (t0s * tau).tolist(), ((t1s + 1) * tau).tolist(), scores)

@@ -93,15 +93,27 @@ class NetworkParams:
 
 @dataclass
 class ScoreMap:
+    """Per-snippet scores and thresholds; the rows may hold several clips
+    back to back, laid out by a sequence of clip lengths (see :func:`clip_spans`)."""
+
     scores: np.ndarray  # (T, C)
     thresholds: np.ndarray  # (T,)
+
+
+def clip_spans(lengths) -> list[tuple[int, int]]:
+    """Row ranges ``[start, stop)`` of clips of the given lengths laid back to back."""
+    spans, start = [], 0
+    for n in lengths:
+        spans.append((start, start + n))
+        start += n
+    return spans
 
 
 @dataclass
 class ForwardCache:
     features: np.ndarray
     z1: np.ndarray
-    h1: np.ndarray
+    h1_padded: np.ndarray  # (T + 2, H): relu(z1) between two zero rows
     pre_act: np.ndarray  # h1 + conv3(h1), before the second relu
     h2: np.ndarray
     h3: np.ndarray
@@ -130,12 +142,14 @@ def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num
     )
 
 
-def _conv3(h1: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Temporal width-3 convolution with zero padding at both ends."""
-    t = h1.shape[0]
-    padded = np.zeros((t + 2, h1.shape[1]))
-    padded[1 : t + 1] = h1
-    return padded[0:t] @ kernel[0] + padded[1 : t + 1] @ kernel[1] + padded[2 : t + 2] @ kernel[2] + bias
+def _conv3(padded: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Temporal width-3 convolution of the (T + 2, H) zero-padded input, shape (T, H)."""
+    t = padded.shape[0] - 2
+    out = padded[0:t] @ kernel[0]
+    out += padded[1 : t + 1] @ kernel[1]
+    out += padded[2 : t + 2] @ kernel[2]
+    out += bias
+    return out
 
 
 def forward(
@@ -147,22 +161,28 @@ def forward(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.feature_dim:
         raise ValidationError(f"forward: features must be (T, {params.feature_dim}), got {x.shape}")
-    z1 = x @ params.w1 + params.b1
-    h1 = np.maximum(z1, 0.0)
-    pre_act = h1 + _conv3(h1, params.conv_kernel, params.conv_bias)
+    t = x.shape[0]
+    z1 = x @ params.w1
+    z1 += params.b1
+    padded = np.zeros((t + 2, params.hidden_dim))
+    h1 = np.maximum(z1, 0.0, out=padded[1 : t + 1])
+    pre_act = _conv3(padded, params.conv_kernel, params.conv_bias)
+    pre_act += h1
     h2 = np.maximum(pre_act, 0.0)
     if dropout_mask is not None:
         if dropout_mask.shape != h2.shape:
             raise ValidationError(f"forward: dropout mask shape {dropout_mask.shape} != {h2.shape}")
         scale = 1.0 / (1.0 - drop_rate)
-        h3 = h2 * dropout_mask * scale
+        h3 = h2 * dropout_mask
+        h3 *= scale
     else:
         scale = 1.0
         h3 = h2
-    out = h3 @ params.w2 + params.b2
+    out = h3 @ params.w2
+    out += params.b2
     c = params.num_classes
     smap = ScoreMap(scores=out[:, :c], thresholds=out[:, c])
-    cache = ForwardCache(x, z1, h1, pre_act, h2, h3, dropout_mask, scale, params)
+    cache = ForwardCache(x, z1, padded, pre_act, h2, h3, dropout_mask, scale, params)
     return smap, cache
 
 
@@ -173,7 +193,8 @@ def backward(
     out: NetworkParams | None = None,
 ) -> NetworkParams:
     """Exact chain rule back to every parameter array, written into ``out``
-    (overwritten, not added to; allocated when not given) and returned."""
+    (overwritten, not added to; allocated when not given) and returned.
+    The cache is only read, so one forward pass can be differentiated twice."""
     params = cache.params
     t = cache.features.shape[0]
     c = params.num_classes
@@ -184,26 +205,24 @@ def backward(
 
     np.matmul(cache.h3.T, d_out, out=grads.w2)
     np.sum(d_out, axis=0, out=grads.b2)
-    d_h3 = d_out @ params.w2.T
-
+    d_pre = d_out @ params.w2.T  # d h3, then d h2, then d pre_act, in place
     if cache.dropout_mask is not None:
-        d_h2 = d_h3 * cache.dropout_mask * cache.dropout_scale
-    else:
-        d_h2 = d_h3
-    d_pre = d_h2 * (cache.pre_act > 0)
+        d_pre *= cache.dropout_mask
+        d_pre *= cache.dropout_scale
+    d_pre *= cache.pre_act > 0
 
     # conv backward over the zero-padded sequence
-    padded = np.zeros((t + 2, params.hidden_dim))
-    padded[1 : t + 1] = cache.h1
+    padded = cache.h1_padded
     for k in range(3):
         np.matmul(padded[k : k + t].T, d_pre, out=grads.conv_kernel[k])
     np.sum(d_pre, axis=0, out=grads.conv_bias)
     d_padded = np.zeros_like(padded)
     for k in range(3):
         d_padded[k : k + t] += d_pre @ params.conv_kernel[k].T
-    d_h1 = d_pre + d_padded[1 : t + 1]  # residual path + conv path
+    d_z1 = d_padded[1 : t + 1]
+    d_z1 += d_pre  # residual path + conv path: d h1
+    d_z1 *= cache.z1 > 0
 
-    d_z1 = d_h1 * (cache.z1 > 0)
     np.matmul(cache.features.T, d_z1, out=grads.w1)
     np.sum(d_z1, axis=0, out=grads.b1)
     return grads
@@ -214,12 +233,10 @@ def backward(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below,
+    so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softsign01(x: np.ndarray) -> np.ndarray:
@@ -257,19 +274,23 @@ def manual_thresholds(scores: np.ndarray) -> np.ndarray:
     return 0.5 * (scores.max(axis=0) + scores.min(axis=0))
 
 
-def gate_margins(score_map: ScoreMap, rule: str) -> np.ndarray:
+def gate_margins(score_map: ScoreMap, rule: str, lengths=None) -> np.ndarray:
     """Scores minus the thresholds that ``rule`` names, shape (T, C).
 
     ``predicted``: each snippet's learned threshold.  ``manual``: the
-    per-class :func:`manual_thresholds`, which get no gradient.  A snippet
-    belongs to a class's action exactly where its margin is > 0; training
-    feeds the margins to the gate, inference cuts segments at 0.
+    per-class :func:`manual_thresholds` of each clip (``lengths``; one clip
+    when not given), which get no gradient.  A snippet belongs to a class's
+    action exactly where its margin is > 0; training feeds the margins to
+    the gate, inference cuts segments at 0.
     """
     s = score_map.scores
     if rule == "predicted":
         return s - score_map.thresholds[:, None]
     if rule == "manual":
-        return s - manual_thresholds(s)[None, :]
+        if lengths is None:
+            return s - manual_thresholds(s)[None, :]
+        cuts = [manual_thresholds(s[a:b]) for a, b in clip_spans(lengths)]
+        return s - np.repeat(cuts, lengths, axis=0)
     raise ValidationError(f"threshold rule must be one of {THRESHOLD_RULES}, got {rule!r}")
 
 

@@ -59,9 +59,11 @@ class LossConfig:
 
 @dataclass
 class VideoProbabilities:
-    pooled_scores: np.ndarray  # (C,)
-    pooled_threshold: float
-    probs: np.ndarray  # (C + 1,), last entry is background
+    """Video-level quantities of a batch, one row per clip."""
+
+    pooled_scores: np.ndarray  # (B, C)
+    pooled_threshold: np.ndarray  # (B,)
+    probs: np.ndarray  # (B, C + 1), last column is background
 
 
 def label_vector(labels, num_classes: int) -> np.ndarray:
@@ -76,22 +78,40 @@ def label_vector(labels, num_classes: int) -> np.ndarray:
     return y
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def topk_count(num_snippets: int) -> int:
     return -(-num_snippets // 8)  # ceil(T / 8)
 
 
-def _topk_indices(column: np.ndarray, k: int) -> np.ndarray:
-    return np.argsort(-column, kind="stable")[:k]
+# Batches: a ScoreMap (and each (N, C) array beside it) holds the rows of B
+# clips back to back, laid out by their ``lengths``; ``None`` means one clip.
+# Each reduction over a clip (a column sum, a mean, a norm, a dot product)
+# runs on that clip's contiguous row slice, so it sums in the order it would
+# for the clip alone; everything elementwise runs on the whole batch, with
+# per-clip values spread over their rows by ``np.repeat``.
 
 
-def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: str) -> VideoProbabilities:
-    """Video-level class scores and (C+1)-way probabilities.
+def _layout(lengths, rows: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    lengths = (rows,) if lengths is None else tuple(lengths)
+    if sum(lengths) != rows or min(lengths, default=0) < 1:
+        raise ValidationError(f"clip lengths {lengths} do not lay out {rows} rows")
+    return lengths, network.clip_spans(lengths)
+
+
+def _column_sums(x: np.ndarray, spans) -> np.ndarray:
+    return np.array([x[a:b].sum(axis=0) for a, b in spans])
+
+
+def _topk_rows(s: np.ndarray, a: int, b: int) -> np.ndarray:
+    """(C, k) row indices of the ceil(T/8) highest scores of each class
+    column of the clip ``s[a:b]``, highest first, ties by snippet order.
+
+    The indices are C-contiguous, so the gathered (C, k) scores are too and
+    each class's mean sums its k values pairwise, as a 1-D mean does."""
+    return a + np.argsort(-s[a:b], axis=0, kind="stable")[: topk_count(b - a)].T.copy()
+
+
+def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: str, lengths=None) -> VideoProbabilities:
+    """Video-level class scores and (C+1)-way probabilities of each clip.
 
     ``gated``: per class, average of snippet scores weighted by the (T, C)
     gate values.
@@ -100,19 +120,21 @@ def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: 
     mean and joins the softmax as the background logit.
     """
     s, b = score_map.scores, score_map.thresholds
-    t, c = s.shape
+    lengths, spans = _layout(lengths, s.shape[0])
     if aggregator == "gated":
         if gate is None:
             raise ValidationError("gated aggregator requires a gate")
-        pooled = (gate * s).sum(axis=0) / (gate.sum(axis=0) + EPS)
+        pooled = _column_sums(gate * s, spans) / (_column_sums(gate, spans) + EPS)
     elif aggregator == "topk_eighth":
-        k = topk_count(t)
-        pooled = np.array([s[_topk_indices(s[:, j], k), j].mean() for j in range(c)])
+        cols = np.arange(s.shape[1])[:, None]
+        pooled = np.array([s[_topk_rows(s, a, z), cols].mean(axis=1) for a, z in spans])
     else:
         raise ValidationError(f"unknown aggregator {aggregator!r}")
-    pooled_threshold = b.mean()
-    probs = _softmax(np.append(pooled, pooled_threshold))
-    return VideoProbabilities(pooled_scores=pooled, pooled_threshold=float(pooled_threshold), probs=probs)
+    pooled_threshold = np.array([b[a:z].sum() for a, z in spans]) / lengths
+    logits = np.concatenate([pooled, pooled_threshold[:, None]], axis=1)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return VideoProbabilities(pooled_scores=pooled, pooled_threshold=pooled_threshold, probs=probs)
 
 
 def pool_backward(
@@ -121,7 +143,8 @@ def pool_backward(
     aggregator: str,
     pooled_scores: np.ndarray,
     d_pooled_scores: np.ndarray,
-    d_pooled_threshold: float,
+    d_pooled_threshold: np.ndarray,
+    lengths=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the pooled quantities back to (scores, gate, thresholds).
 
@@ -130,21 +153,22 @@ def pool_backward(
     through the gate nonlinearity into the score map is the caller's job.
     """
     s = score_map.scores
-    t, c = s.shape
+    lengths, spans = _layout(lengths, s.shape[0])
     if aggregator == "gated":
-        denom = gate.sum(axis=0) + EPS
-        d_s = d_pooled_scores[None, :] * gate / denom[None, :]
-        d_g = d_pooled_scores[None, :] * (s - pooled_scores[None, :]) / denom[None, :]
+        denom = np.repeat(_column_sums(gate, spans) + EPS, lengths, axis=0)
+        d_pooled = np.repeat(d_pooled_scores, lengths, axis=0)
+        d_s = d_pooled * gate / denom
+        d_g = d_pooled * (s - np.repeat(pooled_scores, lengths, axis=0)) / denom
     elif aggregator == "topk_eighth":
         d_s = np.zeros_like(s)
         d_g = np.zeros_like(s)
-        k = topk_count(t)
-        for j in range(c):
-            idx = _topk_indices(s[:, j], k)
-            d_s[idx, j] = d_pooled_scores[j] / k
+        cols = np.arange(s.shape[1])[:, None]
+        for (a, z), d in zip(spans, d_pooled_scores):
+            rows = _topk_rows(s, a, z)
+            d_s[rows, cols] = (d / rows.shape[1])[:, None]
     else:
         raise ValidationError(f"unknown aggregator {aggregator!r}")
-    d_b = np.full(t, d_pooled_threshold / t)
+    d_b = np.repeat(np.asarray(d_pooled_threshold) / lengths, lengths)
     return d_s, d_g, d_b
 
 
@@ -153,54 +177,58 @@ def pool_backward(
 
 
 def classification_loss(
-    probs: list[VideoProbabilities],
-    labels: list[np.ndarray],
+    probs: VideoProbabilities,
+    labels: np.ndarray,
     background_weight: float,
-) -> tuple[float, list[tuple[np.ndarray, float]]]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Cross entropy on pooled probabilities.
 
-    Each video contributes its label mass plus one background term weighted
-    by ``background_weight``; actions in untrimmed video are rare enough
-    that every video is assumed to contain some background.
+    Each video contributes its label mass (a row of the (B, C) ``labels``)
+    plus one background term weighted by ``background_weight``; actions in
+    untrimmed video are rare enough that every video is assumed to contain
+    some background.
 
-    Returns the batch-mean loss and per-video gradients with respect to the
-    pooled class scores and pooled threshold.
+    Returns the batch-mean loss and its gradients with respect to the
+    pooled class scores (B, C) and pooled thresholds (B,).
     """
-    if not probs:
+    p = probs.probs
+    batch = p.shape[0]
+    if not batch:
         raise ValidationError("classification_loss: empty batch")
-    batch = len(probs)
+    target = np.concatenate([labels, np.full((batch, 1), background_weight)], axis=1)
+    log_p = np.log(np.maximum(p, PROB_FLOOR))
     total = 0.0
-    grads = []
-    for vp, y in zip(probs, labels):
-        target = np.append(y, background_weight)
-        total -= float(target @ np.log(np.maximum(vp.probs, PROB_FLOOR)))
-        d_logits = (target.sum() * vp.probs - target) / batch
-        grads.append((d_logits[:-1], float(d_logits[-1])))
-    return total / batch, grads
+    for t_row, lp_row in zip(target, log_p):
+        total -= float(t_row @ lp_row)
+    d_logits = (target.sum(axis=1, keepdims=True) * p - target) / batch
+    return total / batch, (d_logits[:, :-1], d_logits[:, -1])
 
 
-def _gt_max_scores(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snippet max over ground-truth class scores and its argmax class."""
-    gt_classes = np.flatnonzero(y > 0)
-    if gt_classes.size == 0:
+def _gt_max_scores(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-snippet max over ground-truth class scores and its argmax class;
+    ``gt`` is the (T, C) boolean ground-truth mask of each row."""
+    if not gt.any(axis=1).all():
         raise ValidationError("threshold regularization needs at least one ground-truth class")
-    sub = s[:, gt_classes]
-    amax = np.argmax(sub, axis=1)
-    rows = np.arange(s.shape[0])
-    return sub[rows, amax], gt_classes[amax]
+    max_cls = np.argmax(np.where(gt, s, -np.inf), axis=1)
+    return s[np.arange(s.shape[0]), max_cls], max_cls
 
 
-def _safe_unit(v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Norm and direction with a zero direction for the zero vector."""
-    n = float(np.linalg.norm(v))
-    return n, (v / n if n > 0 else np.zeros_like(v))
+def _norms(v: np.ndarray, spans) -> np.ndarray:
+    """Euclidean norm of each clip's slice of the contiguous vector ``v``."""
+    return np.sqrt([v[a:b] @ v[a:b] for a, b in spans])
+
+
+def _units(v: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``v`` over its clip's norm, with a zero direction for a zero norm."""
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0)
 
 
 def threshold_regularization_loss(
-    score_maps: list[ScoreMap],
-    labels: list[np.ndarray],
+    score_map: ScoreMap,
+    labels: np.ndarray,
     form: str = "inner_product",
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    lengths=None,
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Margin regularizer between ground-truth action scores and thresholds.
 
     ``inner_product`` (default): hinge on the per-snippet product of the
@@ -208,76 +236,85 @@ def threshold_regularization_loss(
     the two vectors' norms; drives the two to opposite signs with margin.
     ``l1`` / ``l2``: per-snippet hinge that saturates once the distance
     between the two exceeds 1.  ``cosine``: plain cosine similarity.
+    Each clip (a row of ``labels``) gets its own value; the loss is their
+    mean, and the gradients are (N, C) and (N,).
     """
     if form not in REG_FORMS:
         raise ValidationError(f"unknown reg form {form!r}")
-    batch = len(score_maps)
-    total = 0.0
-    grads = []
-    for smap, y in zip(score_maps, labels):
-        s, b = smap.scores, smap.thresholds
-        t = s.shape[0]
-        stilde, max_cls = _gt_max_scores(s, y)
+    s, b = score_map.scores, score_map.thresholds
+    lengths, spans = _layout(lengths, s.shape[0])
+    batch = len(lengths)
+    t = np.array(lengths)
+    stilde, max_cls = _gt_max_scores(s, np.repeat(labels > 0, lengths, axis=0))
+    if form in ("inner_product", "cosine"):
+        ns = _norms(stilde, spans)
+        nb = _norms(np.ascontiguousarray(b), spans)
+        denom = (ns + EPS) * (nb + EPS)
         if form == "inner_product":
             margins = stilde * b + 1.0
             active = margins > 0
-            hinge_sum = float(margins[active].sum())
-            ns, s_dir = _safe_unit(stilde)
-            nb, b_dir = _safe_unit(b)
-            denom = (ns + EPS) * (nb + EPS)
-            value = hinge_sum / denom
-            d_stilde = (b * active) / denom - value * s_dir / (ns + EPS)
-            d_b = (stilde * active) / denom - value * b_dir / (nb + EPS)
-        elif form == "l1":
-            diff = stilde - b
+            hinge = margins[active]
+            ends = np.cumsum(active)[[z - 1 for _, z in spans]]
+            starts = np.concatenate([[0], ends[:-1]])
+            values = np.array([hinge[p:q].sum() for p, q in zip(starts, ends)]) / denom
+            d_stilde, d_b = b * active, stilde * active
+        else:  # cosine: the dot product reads b in its own (strided) layout
+            values = np.array([stilde[a:z] @ b[a:z] for a, z in spans]) / denom
+            d_stilde, d_b = b, stilde
+        rep = np.repeat(np.stack([denom, values, ns + EPS, nb + EPS, ns, nb]), lengths, axis=1)
+        r_denom, r_value, r_ns, r_nb = rep[:4]
+        d_stilde = d_stilde / r_denom - r_value * _units(stilde, rep[4]) / r_ns
+        d_b = d_b / r_denom - r_value * _units(b, rep[5]) / r_nb
+    else:
+        diff = stilde - b
+        r_t = np.repeat(t, lengths)
+        if form == "l1":
             active = np.abs(diff) < 1.0
-            value = float(np.maximum(1.0 - np.abs(diff), 0.0).sum() / t)
-            d_stilde = -np.sign(diff) * active / t
-            d_b = np.sign(diff) * active / t
-        elif form == "l2":
-            diff = stilde - b
+            terms = np.maximum(1.0 - np.abs(diff), 0.0)
+            d_stilde = -np.sign(diff) * active / r_t
+            d_b = np.sign(diff) * active / r_t
+        else:  # l2
             active = diff * diff < 1.0
-            value = float(np.maximum(1.0 - diff * diff, 0.0).sum() / t)
-            d_stilde = -2.0 * diff * active / t
-            d_b = 2.0 * diff * active / t
-        else:  # cosine
-            ns, s_dir = _safe_unit(stilde)
-            nb, b_dir = _safe_unit(b)
-            denom = (ns + EPS) * (nb + EPS)
-            value = float(stilde @ b) / denom
-            d_stilde = b / denom - value * s_dir / (ns + EPS)
-            d_b = stilde / denom - value * b_dir / (nb + EPS)
+            terms = np.maximum(1.0 - diff * diff, 0.0)
+            d_stilde = -2.0 * diff * active / r_t
+            d_b = 2.0 * diff * active / r_t
+        values = np.array([terms[a:z].sum() for a, z in spans]) / t
+    total = 0.0
+    for value in values.tolist():
         total += value
-        d_s = np.zeros_like(s)
-        np.add.at(d_s, (np.arange(t), max_cls), d_stilde / batch)
-        grads.append((d_s, d_b / batch))
-    return total / batch, grads
+    d_s = np.zeros_like(s)
+    d_s[np.arange(s.shape[0]), max_cls] += d_stilde / batch
+    return total / batch, (d_s, d_b / batch)
 
 
 def localization_loss(
-    gates: list[np.ndarray | None],
-    annotations: list[np.ndarray | None],
+    gate: np.ndarray,
+    annotation: np.ndarray | None,
     fully_annotated: list[bool],
-) -> tuple[float, list[np.ndarray | None]]:
+    lengths=None,
+) -> tuple[float, np.ndarray | None]:
     """Mean absolute deviation between gates and rasterized annotations.
 
-    Only fully annotated samples contribute; with none in the batch the
-    loss is exactly 0 with no gradients.
+    Only the rows of fully annotated clips contribute (``annotation`` may
+    hold anything elsewhere); with none in the batch the loss is exactly 0
+    with no gradient.
     """
+    lengths, spans = _layout(lengths, gate.shape[0])
+    if len(fully_annotated) != len(lengths):
+        raise ValidationError("localization_loss: one fully_annotated flag per clip is needed")
     idx = [i for i, flag in enumerate(fully_annotated) if flag]
-    grads: list[np.ndarray | None] = [None] * len(gates)
     if not idx:
-        return 0.0, grads
+        return 0.0, None
+    if annotation is None or annotation.shape != gate.shape:
+        raise ValidationError("localization_loss: annotation missing or mis-shaped for a flagged sample")
+    grad = np.zeros_like(gate)
     total = 0.0
     for i in idx:
-        g = gates[i]
-        a = annotations[i]
-        if a is None or a.shape != g.shape:
-            raise ValidationError("localization_loss: annotation missing or mis-shaped for a flagged sample")
-        diff = g - a
-        total += float(np.abs(diff).mean())
-        grads[i] = np.sign(diff) / (len(idx) * diff.size)
-    return total / len(idx), grads
+        a, z = spans[i]
+        d = gate[a:z] - annotation[a:z]
+        total += float(np.abs(d).mean())
+        grad[a:z] = np.sign(d) / (len(idx) * d.size)
+    return total / len(idx), grad
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +343,11 @@ def total_loss(
 ) -> tuple[LossBreakdown, NetworkParams]:
     """Weighted sum of the three losses with a full backward pass.
 
-    Composes, per clip: network forward, gate, pooling, probabilities; then
-    classification + threshold regularization (+ localization over the
-    fully annotated clips), and backpropagates the weighted upstream
-    gradients through the shared score map into one parameter gradient.
+    Runs the network forward per clip, then the gate, pooling,
+    probabilities, classification + threshold regularization (+ localization
+    over the fully annotated clips) and the weighted upstream gradients once
+    on the whole batch, and backpropagates each clip's rows of those
+    gradients through the network into one parameter gradient.
     """
     config.validate()
     if train_localization not in TRAIN_LOCALIZATION:
@@ -321,63 +359,69 @@ def total_loss(
     num_classes = params.num_classes
     masks = dropout_masks if dropout_masks is not None else [None] * len(clips)
 
-    smaps, caches, gates, gate_grads, probs, labels = [], [], [], [], [], []
-    for clip, mask in zip(clips, masks):
+    caches = []
+    lengths = [clip.num_snippets for clip in clips]
+    spans = network.clip_spans(lengths)
+    out = np.empty((spans[-1][1], num_classes + 1))  # the batch's (scores | threshold) rows
+    for clip, mask, (a, z) in zip(clips, masks, spans):
         smap, cache = network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate)
-        gate = gate_grad = None
-        if train_localization != "none":
-            x = network.gate_margins(smap, train_localization)
-            gate = network.gate_values(x, gating)
-            gate_grad = network.gate_input_grad(x, gate, gating)
-        smaps.append(smap)
+        out[a:z, :num_classes] = smap.scores
+        out[a:z, num_classes] = smap.thresholds
         caches.append(cache)
-        gates.append(gate)
-        gate_grads.append(gate_grad)
-        probs.append(pool_and_classify(smap, gate, config.aggregator))
-        labels.append(label_vector(clip.labels, num_classes))
+    smap = ScoreMap(scores=out[:, :num_classes], thresholds=out[:, num_classes])
+
+    gate = gate_grad = None
+    if train_localization != "none":
+        x = network.gate_margins(smap, train_localization, lengths)
+        gate = network.gate_values(x, gating)
+        gate_grad = network.gate_input_grad(x, gate, gating)
+    probs = pool_and_classify(smap, gate, config.aggregator, lengths)
+    labels = np.array([label_vector(clip.labels, num_classes) for clip in clips])
 
     w_b = config.resolved_background_weight(num_classes)
-    clas_value, clas_grads = classification_loss(probs, labels, w_b)
-    reg_value, reg_grads = threshold_regularization_loss(smaps, labels, config.reg_form)
+    clas_value, (d_shat, d_bhat) = classification_loss(probs, labels, w_b)
+    reg_value, (ds_reg, db_reg) = threshold_regularization_loss(smap, labels, config.reg_form, lengths)
 
     flags = [clip.fully_annotated for clip in clips]
     loc_active = train_localization != "none" and config.loc_weight > 0 and any(flags)
+    loc_value, loc_grad = 0.0, None
     if loc_active:
-        annotations = [
-            rasterize(clip.segments, clip.num_snippets, num_classes, clip.snippet_duration) if flag else None
-            for clip, flag in zip(clips, flags)
-        ]
-        loc_value, loc_grads = localization_loss(gates, annotations, flags)
-    else:
-        loc_value, loc_grads = 0.0, [None] * len(clips)
+        annotation = np.zeros_like(gate)
+        for clip, flag, (a, z) in zip(clips, flags, spans):
+            if flag:
+                annotation[a:z] = rasterize(clip.segments, clip.num_snippets, num_classes, clip.snippet_duration)
+        loc_value, loc_grad = localization_loss(gate, annotation, flags, lengths)
 
+    # Upstream gradients of the whole batch.  They start at +0.0 and only
+    # add, so they never hold -0.0 and an added zero changes no byte: the
+    # rows of unflagged clips in loc_grad, and d_x wherever d_g is zero.
     lam, eta = config.clas_weight, config.loc_weight
-    total = params.with_flat(np.zeros_like(params.flat))
-    clip_grads = params.with_flat(np.empty_like(params.flat))
-    for i, (smap, cache) in enumerate(zip(smaps, caches)):
-        d_s = np.zeros_like(smap.scores)
-        d_b = np.zeros_like(smap.thresholds)
-        d_g = np.zeros_like(smap.scores)
-        if lam > 0:
-            d_shat, d_bhat = clas_grads[i]
-            ds_pool, dg_pool, db_pool = pool_backward(
-                smap, gates[i], config.aggregator, probs[i].pooled_scores, d_shat, d_bhat
-            )
-            d_s += lam * ds_pool
-            d_b += lam * db_pool
-            d_g += lam * dg_pool
-        if lam < 1:
-            ds_reg, db_reg = reg_grads[i]
-            d_s += (1.0 - lam) * ds_reg
-            d_b += (1.0 - lam) * db_reg
-        if loc_active and loc_grads[i] is not None:
-            d_g += eta * loc_grads[i]
-        if gates[i] is not None and d_g.any():
-            d_x = d_g * gate_grads[i]
-            d_s += d_x
-            if train_localization == "predicted":
-                d_b -= d_x.sum(axis=1)
-        network.backward(cache, d_s, d_b, out=clip_grads)
+    d_s = np.zeros_like(smap.scores)
+    d_b = np.zeros_like(smap.thresholds)
+    d_g = np.zeros_like(smap.scores)
+    if lam > 0:
+        ds_pool, dg_pool, db_pool = pool_backward(
+            smap, gate, config.aggregator, probs.pooled_scores, d_shat, d_bhat, lengths
+        )
+        d_s += lam * ds_pool
+        d_b += lam * db_pool
+        d_g += lam * dg_pool
+    if lam < 1:
+        d_s += (1.0 - lam) * ds_reg
+        d_b += (1.0 - lam) * db_reg
+    if loc_grad is not None:
+        d_g += eta * loc_grad
+    if gate is not None:
+        d_x = d_g * gate_grad
+        d_s += d_x
+        if train_localization == "predicted":
+            d_b -= d_x.sum(axis=1)
+
+    # the first clip's gradient becomes the total, which the others add to
+    total = network.backward(caches[0], d_s[: lengths[0]], d_b[: lengths[0]])
+    clip_grads = None
+    for cache, (a, z) in zip(caches[1:], spans[1:]):
+        clip_grads = network.backward(cache, d_s[a:z], d_b[a:z], out=clip_grads)
         total.flat += clip_grads.flat
 
     breakdown = LossBreakdown(

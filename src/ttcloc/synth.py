@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import GroundTruthSegment, VideoSample, manifest_from_samples
+from .data import DatasetManifest, GroundTruthSegment, VideoSample
 from .errors import GenerationError, ValidationError
 
 SNIPPET_DURATION = 1.0  # synthetic snippets use a unit clock
@@ -169,5 +169,6 @@ def generate(spec: SynthSpec) -> tuple:
             )
 
     class_names = tuple(f"class{c:02d}" for c in range(spec.num_classes))
-    manifest = manifest_from_samples(samples, spec.num_classes, class_names)
+    # not validated here: write_dataset validates what it writes, run_training what it trains on
+    manifest = DatasetManifest(spec.num_classes, class_names, tuple(s.record for s in samples))
     return manifest, samples

@@ -151,7 +151,10 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
     clips = [crop_clip(s, config.max_clip_len, state.rng) for s in batch]
     masks = None
     if config.dropout > 0:
-        masks = [state.rng.uniform(size=(c.num_snippets, config.hidden_dim)) >= config.dropout for c in clips]
+        # one draw for the batch: the same stream as one draw per clip
+        lengths = [c.num_snippets for c in clips]
+        keep = state.rng.uniform(size=(sum(lengths), config.hidden_dim)) >= config.dropout
+        masks = [keep[a:b] for a, b in network.clip_spans(lengths)]
     breakdown, grads = total_loss(
         state.params,
         clips,

@@ -154,18 +154,18 @@ def test_criterion_2_invariant_suite(capsys):
 
         labels = rng.choice(c, size=int(rng.integers(1, min(c, 2) + 1)), replace=False)
         y = label_vector(labels.tolist(), c)
-        l0, _ = classification_loss([vp0], [y], 1.0 / c)
-        l1, _ = classification_loss([vp1], [y], 1.0 / c)
+        l0, _ = classification_loss(vp0, y[None], 1.0 / c)
+        l1, _ = classification_loss(vp1, y[None], 1.0 / c)
         clas_shift_worst = max(clas_shift_worst, abs(l0 - l1))
 
         ann = (rng.uniform(size=(t, c)) < 0.3).astype(np.float64)
         gate1 = gate_values(shifted.scores - shifted.thresholds[:, None], "sigmoid")
-        loc0, _ = localization_loss([gate], [ann], [True])
-        loc1, _ = localization_loss([gate1], [ann], [True])
+        loc0, _ = localization_loss(gate, ann, [True])
+        loc1, _ = localization_loss(gate1, ann, [True])
         loc_shift_worst = max(loc_shift_worst, abs(loc0 - loc1))
 
-        r0, _ = threshold_regularization_loss([smap], [y], "inner_product")
-        r1, _ = threshold_regularization_loss([shifted], [y], "inner_product")
+        r0, _ = threshold_regularization_loss(smap, y[None], "inner_product")
+        r1, _ = threshold_regularization_loss(shifted, y[None], "inner_product")
         if abs(r0 - r1) > 1e-9:
             reg_changed += 1
         reg_max_change = max(reg_max_change, abs(r0 - r1))
@@ -186,15 +186,15 @@ def test_criterion_2_invariant_suite(capsys):
         gate = gate_values(s - b[:, None], "sigmoid")
         pgate = gate[:, perm]
 
-        l0, _ = classification_loss([pool_and_classify(smap, gate, "gated")], [y], 1.0 / c)
-        l1, _ = classification_loss([pool_and_classify(pmap, pgate, "gated")], [y[perm]], 1.0 / c)
+        l0, _ = classification_loss(pool_and_classify(smap, gate, "gated"), y[None], 1.0 / c)
+        l1, _ = classification_loss(pool_and_classify(pmap, pgate, "gated"), y[perm][None], 1.0 / c)
         perm_worst = max(perm_worst, abs(l0 - l1))
         for form in ("inner_product", "l1", "l2", "cosine"):
-            r0, _ = threshold_regularization_loss([smap], [y], form)
-            r1, _ = threshold_regularization_loss([pmap], [y[perm]], form)
+            r0, _ = threshold_regularization_loss(smap, y[None], form)
+            r1, _ = threshold_regularization_loss(pmap, y[perm][None], form)
             perm_worst = max(perm_worst, abs(r0 - r1))
-        o0, _ = localization_loss([gate], [ann], [True])
-        o1, _ = localization_loss([pgate], [ann[:, perm]], [True])
+        o0, _ = localization_loss(gate, ann, [True])
+        o1, _ = localization_loss(pgate, ann[:, perm], [True])
         perm_worst = max(perm_worst, abs(o0 - o1))
 
     adam_bad = 0

@@ -574,6 +574,14 @@ class TestAblateCommand:
         assert len(lines) == 1 + 20 + 9
         assert sum(1 for line in lines if line.startswith("lambda_sweep")) == 9
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_rejected(self, tmp_path, seeds, capsys):
+        # a run with no seeds would write a CSV holding only its header
+        code = run_cli("ablate", "--seeds", seeds, "--iterations", "1", "--hidden-dim", "4", "--out", str(tmp_path / "a"))
+        assert code == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
 
 def subcommand_parser(command: str) -> argparse.ArgumentParser:
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

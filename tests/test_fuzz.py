@@ -1,6 +1,7 @@
 """Property tests: arbitrary config values, IoU specs, sidecar bytes, manifests,
-detection files and checkpoints fail only with ValidationError, and arbitrary
-command lines only exit 0 or 1.
+detection files and checkpoints fail only with ValidationError, arbitrary
+command lines only exit 0 or 1, and the batched objective matches the
+per-clip reference bit for bit on arbitrary batches.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same bounded set of examples.
@@ -28,6 +29,7 @@ from ttcloc.synth import PRESETS, SynthSpec
 from ttcloc.trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig
 
 from test_cli import make_dataset, run_cli
+from test_objectives import OBJECTIVE_VARIANTS, assert_matches_reference, jittered_params, ragged_batch
 
 FUZZ = settings(
     derandomize=True,
@@ -357,3 +359,29 @@ def test_parse_args_on_token_lists(tokens):
         cli.build_parser().parse_args(tokens)
     except SystemExit as exc:
         assert exc.code in (0, 1)
+
+
+@settings(FUZZ, max_examples=150)
+@given(
+    lengths=st.lists(st.integers(1, 80), min_size=1, max_size=6),
+    num_classes=st.integers(1, 6),
+    variant=st.sampled_from(OBJECTIVE_VARIANTS),
+    clas_weight=st.sampled_from([0.0, 0.2, 1.0]),
+    scale=st.sampled_from([0.5, 1.0, 4.0]),
+    masks=st.sampled_from(["none", "bool", "float"]),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[64, 57, 65, 7], num_classes=3, variant=("sigmoid", "topk_eighth", "predicted", "cosine", True),
+         clas_weight=0.2, scale=1.0, masks="bool", seed=0)
+def test_batched_objective_matches_per_clip_reference(lengths, num_classes, variant, clas_weight, scale, masks, seed):
+    gating, aggregator, rule, reg_form, with_loc = variant
+    rng = np.random.default_rng(seed)
+    params = jittered_params(rng, 3, 5, num_classes)
+    params.flat *= scale
+    clips = ragged_batch(rng, lengths, num_classes=num_classes, flagged=with_loc)
+    config = LossConfig(clas_weight=clas_weight, loc_weight=1.5 if with_loc else 0.0, reg_form=reg_form, aggregator=aggregator)
+    keep = None
+    if masks != "none":
+        keep = [rng.uniform(size=(t, 5)) >= 0.3 for t in lengths]
+        keep = keep if masks == "bool" else [m.astype(np.float64) for m in keep]
+    assert_matches_reference(params, clips, config, gating, rule, keep, drop_rate=0.3)

@@ -21,7 +21,7 @@ from ttcloc.localizer import (
     write_detections,
 )
 from ttcloc.network import ScoreMap, gate_margins, init_params, manual_thresholds
-from ttcloc.objectives import LossConfig, VideoProbabilities, pool_and_classify
+from ttcloc.objectives import LossConfig, pool_and_classify
 from ttcloc.trainer import TrainConfig
 
 CONFIG = TrainConfig()  # predicted-rule training, gated sigmoid pooling
@@ -66,8 +66,7 @@ class TestExtractSegments:
 
 class TestSelectClasses:
     def probs(self, p_classes, background=0.0):
-        arr = np.array(list(p_classes) + [background])
-        return VideoProbabilities(pooled_scores=np.zeros(len(p_classes)), pooled_threshold=0.0, probs=arr)
+        return np.array(list(p_classes) + [background])
 
     def test_uniform_gives_empty(self):
         assert select_classes(self.probs([0.25, 0.25, 0.25], 0.25)) == set()
@@ -179,12 +178,12 @@ def reference_infer(params, sample, mode, config=CONFIG):
     if config.loss.aggregator == "gated":
         pool_cut = b[:, None] if config.train_localization == "predicted" else manual_thresholds(s)[None, :]
         pool_gate = network.gate_values(s - pool_cut, config.gating)
-    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator)
+    probs = pool_and_classify(smap, pool_gate, config.loss.aggregator).probs[0]
     dets = []
     for c in sorted(select_classes(probs)):
         cut = b if mode == "predicted" else float(manual_thresholds(s)[c])
         for t0, t1 in extract_segments((s[:, c] > cut).astype(float)):
-            score = float(probs.probs[c] * sig_gate[t0 : t1 + 1, c].mean())
+            score = float(probs[c] * sig_gate[t0 : t1 + 1, c].mean())
             tau = sample.snippet_duration
             dets.append(Detection(sample.id, c, t0 * tau, (t1 + 1) * tau, score))
     return dets
@@ -207,7 +206,7 @@ class TestPoolingFollowsTraining:
 
         def selected(rule):
             gate = network.gate_values(gate_margins(smap, rule), "sigmoid")
-            return select_classes(pool_and_classify(smap, gate, "gated"))
+            return select_classes(pool_and_classify(smap, gate, "gated").probs[0])
 
         assert selected("predicted") == {0} and selected("manual") == {3}
         for mode in network.THRESHOLD_RULES:

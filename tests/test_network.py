@@ -106,7 +106,7 @@ class TestForward:
         eye = np.eye(h)
         kernel = np.stack([eye, eye, eye])
         h1 = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
-        out = network._conv3(h1, kernel, np.zeros(h))
+        out = network._conv3(np.pad(h1, ((1, 1), (0, 0))), kernel, np.zeros(h))
         np.testing.assert_allclose(out[1:-1], 3.0 * h1[1:-1])
         np.testing.assert_allclose(out[0], 2.0 * h1[0])
         np.testing.assert_allclose(out[-1], 2.0 * h1[-1])
@@ -150,6 +150,40 @@ class TestBackward:
             outputs.append((smap.scores.tobytes(), smap.thresholds.tobytes(), backward(cache, d_s, d_b).flat.tobytes()))
         assert outputs[0] == outputs[1]
 
+    def test_backward_leaves_the_cache_untouched(self):
+        # backward works in place on its own buffers only: the cache keeps its
+        # bytes, and a second backward on it gives the first one's bytes
+        rng = np.random.default_rng(10)
+        params = init_params(rng, 3, 6, 2)
+        params.conv_bias += rng.normal(scale=0.1, size=6)
+        x = rng.normal(size=(7, 3))
+        d_s, d_b = rng.normal(size=(7, 2)), rng.normal(size=7)
+        for mask in (None, rng.uniform(size=(7, 6)) >= 0.5):
+            _, cache = forward(params, x, dropout_mask=mask, drop_rate=0.5)
+            arrays = {name: value for name, value in vars(cache).items() if isinstance(value, np.ndarray)}
+            before = {name: value.tobytes() for name, value in arrays.items()}
+            first = backward(cache, d_s, d_b).flat.tobytes()
+            assert backward(cache, d_s, d_b).flat.tobytes() == first
+            assert {name: value.tobytes() for name, value in arrays.items()} == before
+            assert cache.h1_padded[[0, -1]].tobytes() == np.zeros((2, 6)).tobytes()
+
+    def test_forward_gives_the_bytes_of_the_plain_formula(self):
+        rng = np.random.default_rng(11)
+        params = init_params(rng, 3, 6, 2)
+        params.flat += rng.normal(scale=0.1, size=params.flat.size)
+        x = rng.normal(size=(9, 3))
+        mask = rng.uniform(size=(9, 6)) >= 0.5
+        h1 = np.maximum(x @ params.w1 + params.b1, 0.0)
+        padded = np.zeros((11, 6))
+        padded[1:10] = h1
+        conv = padded[0:9] @ params.conv_kernel[0] + padded[1:10] @ params.conv_kernel[1]
+        conv = conv + padded[2:11] @ params.conv_kernel[2] + params.conv_bias
+        h3 = np.maximum(h1 + conv, 0.0) * mask * 2.0
+        out = h3 @ params.w2 + params.b2
+        smap, _ = forward(params, x, dropout_mask=mask, drop_rate=0.5)
+        assert smap.scores.tobytes() == np.ascontiguousarray(out[:, :2]).tobytes()
+        assert smap.thresholds.tobytes() == np.ascontiguousarray(out[:, 2]).tobytes()
+
     def test_zero_conv_kernel_reduces_to_fc_backward(self):
         params = tiny_params()
         params.conv_kernel[:] = 0.0
@@ -182,6 +216,17 @@ class TestGating:
         smap = ScoreMap(scores=np.array([[1.0]]), thresholds=np.array([0.0]))
         gate = gate_values(gate_margins(smap, "predicted"), "sigmoid")
         np.testing.assert_allclose(gate, 0.7310585786300049, rtol=0, atol=1e-15)
+
+    def test_sigmoid_gives_the_bytes_of_the_split_formula(self):
+        # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, as
+        # boolean-indexed halves
+        x = np.concatenate([np.random.default_rng(12).normal(scale=8.0, size=500), [0.0, -0.0, 750.0, -750.0]])
+        split = np.empty_like(x)
+        pos = x >= 0
+        split[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        split[~pos] = ex / (1.0 + ex)
+        assert network.sigmoid(x).tobytes() == split.tobytes()
 
     def test_binarize_forward_and_surrogate(self):
         x = np.array([-0.3, 0.0, 0.2])

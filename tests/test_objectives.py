@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ttcloc.data import VideoSample
+from ttcloc.data import GroundTruthSegment, VideoSample, rasterize
 from ttcloc.errors import ValidationError
 from ttcloc import gradcheck, network, objectives
 from ttcloc.gradcheck import check_total_loss, numerical_gradient, relative_error
@@ -62,7 +64,7 @@ class TestPooling:
         smap = random_scoremap(rng, t=6, c=2)
         gate = np.full((6, 2), 0.37)
         vp = pool_and_classify(smap, gate, "gated")
-        np.testing.assert_allclose(vp.pooled_scores, smap.scores.mean(axis=0), rtol=1e-7)
+        np.testing.assert_allclose(vp.pooled_scores[0], smap.scores.mean(axis=0), rtol=1e-7)
 
     def test_zero_scores_give_uniform_probs(self):
         smap = ScoreMap(scores=np.zeros((4, 3)), thresholds=np.zeros(4))
@@ -73,7 +75,7 @@ class TestPooling:
         smap = ScoreMap(scores=np.array([[2.0], [0.0]]), thresholds=np.zeros(2))
         gate = np.array([[1.0], [0.0]])
         vp = pool_and_classify(smap, gate, "gated")
-        np.testing.assert_allclose(vp.pooled_scores, [2.0], rtol=1e-7)
+        np.testing.assert_allclose(vp.pooled_scores[0], [2.0], rtol=1e-7)
 
     def test_probs_are_normalized(self):
         rng = np.random.default_rng(1)
@@ -91,7 +93,7 @@ class TestPooling:
         scores = np.arange(t, dtype=float)[:, None]
         smap = ScoreMap(scores=scores, thresholds=np.zeros(t))
         vp = pool_and_classify(smap, None, "topk_eighth")
-        np.testing.assert_allclose(vp.pooled_scores, [(15 + 14) / 2])
+        np.testing.assert_allclose(vp.pooled_scores[0], [(15 + 14) / 2])
 
     def test_pool_backward_matches_fd(self):
         rng = np.random.default_rng(2)
@@ -106,10 +108,10 @@ class TestPooling:
                 b = flat[15:]
                 sm = ScoreMap(s, b)
                 vp = pool_and_classify(sm, gate, aggregator)  # gate held fixed
-                return float(d_pooled @ vp.pooled_scores + d_bhat * vp.pooled_threshold)
+                return float(d_pooled @ vp.pooled_scores[0] + d_bhat * vp.pooled_threshold[0])
 
             pooled = pool_and_classify(smap, gate, aggregator).pooled_scores
-            d_s, _, d_b = pool_backward(smap, gate, aggregator, pooled, d_pooled, d_bhat)
+            d_s, _, d_b = pool_backward(smap, gate, aggregator, pooled, d_pooled[None], np.array([d_bhat]))
             flat0 = np.concatenate([smap.scores.ravel(), smap.thresholds])
             numeric = numerical_gradient(value, flat0)
             analytic = np.concatenate([d_s.ravel(), d_b])
@@ -124,24 +126,29 @@ class TestPooling:
         def value(flat):
             g = flat.reshape(4, 2)
             vp = pool_and_classify(smap, g, "gated")
-            return float(d_pooled @ vp.pooled_scores)
+            return float(d_pooled @ vp.pooled_scores[0])
 
         pooled = pool_and_classify(smap, gate, "gated").pooled_scores
-        _, d_g, _ = pool_backward(smap, gate, "gated", pooled, d_pooled, 0.0)
+        _, d_g, _ = pool_backward(smap, gate, "gated", pooled, d_pooled[None], np.zeros(1))
         numeric = numerical_gradient(value, gate.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-8
 
 
+def video_probs(probs):
+    """A batch of one video with the given (C + 1) probabilities."""
+    c = len(probs) - 1
+    return VideoProbabilities(pooled_scores=np.zeros((1, c)), pooled_threshold=np.zeros(1), probs=np.array([probs]))
+
+
 class TestClassificationLoss:
     def test_uniform_probs_hand_value(self):
-        vp = VideoProbabilities(pooled_scores=np.zeros(2), pooled_threshold=0.0, probs=np.full(3, 1 / 3))
-        loss, _ = classification_loss([vp], [np.array([1.0, 0.0])], background_weight=0.5)
+        vp = video_probs(np.full(3, 1 / 3))
+        loss, _ = classification_loss(vp, np.array([[1.0, 0.0]]), background_weight=0.5)
         np.testing.assert_allclose(loss, 1.5 * np.log(3.0), rtol=1e-12)
 
     def test_confident_prediction_drives_loss_to_zero(self):
         p = np.array([1.0 - 2e-12, 1e-12, 1e-12])
-        vp = VideoProbabilities(pooled_scores=np.zeros(2), pooled_threshold=0.0, probs=p)
-        loss, _ = classification_loss([vp], [np.array([1.0, 0.0])], background_weight=1e-9)
+        loss, _ = classification_loss(video_probs(p), np.array([[1.0, 0.0]]), background_weight=1e-9)
         assert 0 <= loss < 1e-7
 
     def test_always_nonnegative(self):
@@ -151,7 +158,7 @@ class TestClassificationLoss:
             smap = random_scoremap(rng, t=4, c=c, scale=3.0)
             vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
             y = label_vector({int(rng.integers(0, c))}, c)
-            loss, _ = classification_loss([vp], [y], background_weight=1.0 / c)
+            loss, _ = classification_loss(vp, y[None], background_weight=1.0 / c)
             assert loss >= 0
 
     def test_gradient_matches_fd_on_pooled_logits(self):
@@ -163,16 +170,14 @@ class TestClassificationLoss:
         def value(logits):
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
-            vp = VideoProbabilities(pooled_scores=logits[:c], pooled_threshold=float(logits[c]), probs=probs)
-            loss, _ = classification_loss([vp], [y], background_weight=0.25)
+            loss, _ = classification_loss(video_probs(probs), y[None], background_weight=0.25)
             return loss
 
         probs = np.exp(logits0 - logits0.max())
         probs /= probs.sum()
-        vp = VideoProbabilities(pooled_scores=logits0[:c], pooled_threshold=float(logits0[c]), probs=probs)
-        _, ((d_shat, d_bhat),) = classification_loss([vp], [y], background_weight=0.25)
+        _, (d_shat, d_bhat) = classification_loss(video_probs(probs), y[None], background_weight=0.25)
         numeric = numerical_gradient(value, logits0)
-        analytic = np.append(d_shat, d_bhat)
+        analytic = np.append(d_shat[0], d_bhat[0])
         assert relative_error(analytic, numeric) < 1e-6
 
 
@@ -180,29 +185,29 @@ class TestThresholdRegularization:
     def test_inactive_hinge_is_zero(self):
         # stilde * b = -2 everywhere, margin already beyond the hinge
         smap = ScoreMap(scores=np.full((3, 1), 2.0), thresholds=np.full(3, -1.0))
-        loss, _ = threshold_regularization_loss([smap], [np.array([1.0])])
+        loss, _ = threshold_regularization_loss(smap, np.array([[1.0]]))
         assert loss == 0.0
 
     def test_hand_value_all_ones(self):
         smap = ScoreMap(scores=np.ones((2, 1)), thresholds=np.ones(2))
-        loss, _ = threshold_regularization_loss([smap], [np.array([1.0])])
+        loss, _ = threshold_regularization_loss(smap, np.array([[1.0]]))
         np.testing.assert_allclose(loss, 2.0, rtol=1e-6)
 
     def test_l1_saturates_beyond_unit_distance(self):
         smap = ScoreMap(scores=np.full((4, 1), 0.2), thresholds=np.full(4, -4.0))
-        loss, _ = threshold_regularization_loss([smap], [np.array([1.0])], form="l1")
+        loss, _ = threshold_regularization_loss(smap, np.array([[1.0]]), form="l1")
         assert loss == 0.0
 
     def test_l2_at_zero_distance(self):
         smap = ScoreMap(scores=np.full((5, 1), 0.7), thresholds=np.full(5, 0.7))
-        loss, _ = threshold_regularization_loss([smap], [np.array([1.0])], form="l2")
+        loss, _ = threshold_regularization_loss(smap, np.array([[1.0]]), form="l2")
         np.testing.assert_allclose(loss, 1.0)
 
     def test_cosine_antiparallel(self):
         rng = np.random.default_rng(6)
         s = rng.normal(size=(4, 1))
         smap = ScoreMap(scores=s, thresholds=-s[:, 0])
-        loss, _ = threshold_regularization_loss([smap], [np.array([1.0])], form="cosine")
+        loss, _ = threshold_regularization_loss(smap, np.array([[1.0]]), form="cosine")
         np.testing.assert_allclose(loss, -1.0, atol=1e-6)
 
     def test_hinge_forms_nonnegative(self):
@@ -210,7 +215,7 @@ class TestThresholdRegularization:
         for form in ("inner_product", "l1", "l2"):
             for _ in range(50):
                 smap = random_scoremap(rng, t=4, c=2, scale=2.0)
-                loss, _ = threshold_regularization_loss([smap], [label_vector({0}, 2)], form=form)
+                loss, _ = threshold_regularization_loss(smap, label_vector({0}, 2)[None], form=form)
                 assert loss >= 0
 
     @pytest.mark.parametrize("form", ["inner_product", "l1", "l2", "cosine"])
@@ -222,10 +227,10 @@ class TestThresholdRegularization:
 
         def value(flat):
             sm = ScoreMap(flat[: t * c].reshape(t, c), flat[t * c :])
-            loss, _ = threshold_regularization_loss([sm], [y], form=form)
+            loss, _ = threshold_regularization_loss(sm, y[None], form=form)
             return loss
 
-        _, ((d_s, d_b),) = threshold_regularization_loss([smap], [y], form=form)
+        _, (d_s, d_b) = threshold_regularization_loss(smap, y[None], form=form)
         flat0 = np.concatenate([smap.scores.ravel(), smap.thresholds])
         numeric = numerical_gradient(value, flat0)
         assert relative_error(np.concatenate([d_s.ravel(), d_b]), numeric) < 1e-6
@@ -235,28 +240,28 @@ class TestLocalizationLoss:
     def test_exact_match_is_zero(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         gate = a.copy()
-        loss, grads = localization_loss([gate], [a], [True])
+        loss, grad = localization_loss(gate, a, [True])
         assert loss == 0.0
-        assert not grads[0].any()
+        assert not grad.any()
 
     def test_half_gate_on_binary_annotation(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         gate = np.full((2, 2), 0.5)
-        loss, _ = localization_loss([gate], [a], [True])
+        loss, _ = localization_loss(gate, a, [True])
         np.testing.assert_allclose(loss, 0.5)
 
     def test_no_flagged_samples(self):
         gate = np.full((2, 2), 0.5)
-        loss, grads = localization_loss([gate], [None], [False])
+        loss, grad = localization_loss(gate, None, [False])
         assert loss == 0.0
-        assert grads == [None]
+        assert grad is None
 
     def test_range_bounded_by_one(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             g = rng.uniform(size=(3, 2))
             a = (rng.uniform(size=(3, 2)) > 0.5).astype(float)
-            loss, _ = localization_loss([g], [a], [True])
+            loss, _ = localization_loss(g, a, [True])
             assert 0.0 <= loss <= 1.0
 
     def test_gradient_matches_fd(self):
@@ -265,10 +270,10 @@ class TestLocalizationLoss:
         g0 = rng.uniform(0.05, 0.95, size=(4, 2))
 
         def value(flat):
-            loss, _ = localization_loss([flat.reshape(4, 2)], [a], [True])
+            loss, _ = localization_loss(flat.reshape(4, 2), a, [True])
             return loss
 
-        _, (d_g,) = localization_loss([g0], [a], [True])
+        _, d_g = localization_loss(g0, a, [True])
         numeric = numerical_gradient(value, g0.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-6
 
@@ -373,19 +378,19 @@ class TestInvariances:
 
             def clas(sm):
                 vp = pool_and_classify(sm, gate_values(gate_margins(sm, "predicted"), "sigmoid"), "gated")
-                return classification_loss([vp], [y], background_weight=0.5)[0]
+                return classification_loss(vp, y[None], background_weight=0.5)[0]
 
             np.testing.assert_allclose(clas(shifted), clas(smap), atol=1e-9)
 
             a = (rng.uniform(size=(6, 2)) > 0.5).astype(float)
 
             def loc(sm):
-                return localization_loss([gate_values(gate_margins(sm, "predicted"), "sigmoid")], [a], [True])[0]
+                return localization_loss(gate_values(gate_margins(sm, "predicted"), "sigmoid"), a, [True])[0]
 
             np.testing.assert_allclose(loc(shifted), loc(smap), atol=1e-9)
 
-            r0 = threshold_regularization_loss([smap], [y])[0]
-            r1 = threshold_regularization_loss([shifted], [y])[0]
+            r0 = threshold_regularization_loss(smap, y[None])[0]
+            r1 = threshold_regularization_loss(shifted, y[None])[0]
             if abs(r1 - r0) > 1e-6:
                 changed += 1
         assert changed > 40  # regularizer must respond to shifts
@@ -405,17 +410,17 @@ class TestInvariances:
 
             vp = pool_and_classify(smap, gate_values(gate_margins(smap, "predicted"), "sigmoid"), "gated")
             vp_p = pool_and_classify(smap_p, gate_values(gate_margins(smap_p, "predicted"), "sigmoid"), "gated")
-            l0 = classification_loss([vp], [y], 0.3)[0]
-            l1 = classification_loss([vp_p], [y_p], 0.3)[0]
+            l0 = classification_loss(vp, y[None], 0.3)[0]
+            l1 = classification_loss(vp_p, y_p[None], 0.3)[0]
             np.testing.assert_allclose(l1, l0, rtol=1e-10)
 
             for form in ("inner_product", "l1", "l2", "cosine"):
-                r0 = threshold_regularization_loss([smap], [y], form)[0]
-                r1 = threshold_regularization_loss([smap_p], [y_p], form)[0]
+                r0 = threshold_regularization_loss(smap, y[None], form)[0]
+                r1 = threshold_regularization_loss(smap_p, y_p[None], form)[0]
                 np.testing.assert_allclose(r1, r0, rtol=1e-10)
 
-            g0 = localization_loss([gate_values(gate_margins(smap, "predicted"), "sigmoid")], [a], [True])[0]
-            g1 = localization_loss([gate_values(gate_margins(smap_p, "predicted"), "sigmoid")], [a_p], [True])[0]
+            g0 = localization_loss(gate_values(gate_margins(smap, "predicted"), "sigmoid"), a, [True])[0]
+            g1 = localization_loss(gate_values(gate_margins(smap_p, "predicted"), "sigmoid"), a_p, [True])[0]
             np.testing.assert_allclose(g1, g0, rtol=1e-10)
 
 
@@ -458,3 +463,239 @@ class TestManualGradcheck:
         with pytest.raises(ValidationError, match="boom"):
             check_total_loss("sigmoid", "gated", "l2", True, train_localization="manual")
         assert network.manual_thresholds is real
+
+
+# ---------------------------------------------------------------------------
+# The objective as it was composed before it ran on whole batches: every clip
+# on its own, with fresh arrays.  A test-only reference that total_loss must
+# match bit for bit (as oracle_evaluate is for the evaluator).
+
+
+def _ref_softmax(logits):
+    z = logits - logits.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def _ref_topk(column, k):
+    return np.argsort(-column, kind="stable")[:k]
+
+
+def _ref_unit(v):
+    n = float(np.linalg.norm(v))
+    return n, (v / n if n > 0 else np.zeros_like(v))
+
+
+def _ref_regularizer(s, b, y, form):
+    """One clip's regularizer value and its gradients (before the 1/B)."""
+    t = s.shape[0]
+    gt = np.flatnonzero(y > 0)
+    sub = s[:, gt]
+    amax = np.argmax(sub, axis=1)
+    stilde, max_cls = sub[np.arange(t), amax], gt[amax]
+    eps = objectives.EPS
+    if form in ("inner_product", "cosine"):
+        ns, s_dir = _ref_unit(stilde)
+        nb, b_dir = _ref_unit(b)
+        denom = (ns + eps) * (nb + eps)
+        if form == "inner_product":
+            margins = stilde * b + 1.0
+            active = margins > 0
+            value = float(margins[active].sum()) / denom
+            d_stilde = (b * active) / denom - value * s_dir / (ns + eps)
+            d_b = (stilde * active) / denom - value * b_dir / (nb + eps)
+        else:
+            value = float(stilde @ b) / denom
+            d_stilde = b / denom - value * s_dir / (ns + eps)
+            d_b = stilde / denom - value * b_dir / (nb + eps)
+    elif form == "l1":
+        diff = stilde - b
+        active = np.abs(diff) < 1.0
+        value = float(np.maximum(1.0 - np.abs(diff), 0.0).sum() / t)
+        d_stilde = -np.sign(diff) * active / t
+        d_b = np.sign(diff) * active / t
+    else:
+        diff = stilde - b
+        active = diff * diff < 1.0
+        value = float(np.maximum(1.0 - diff * diff, 0.0).sum() / t)
+        d_stilde = -2.0 * diff * active / t
+        d_b = 2.0 * diff * active / t
+    return value, stilde, max_cls, d_stilde, d_b
+
+
+def reference_total_loss(params, clips, config, gating, train_localization="predicted", dropout_masks=None, drop_rate=0.7):
+    num_classes, batch = params.num_classes, len(clips)
+    masks = dropout_masks if dropout_masks is not None else [None] * batch
+    lam, eta = config.clas_weight, config.loc_weight
+    eps = objectives.EPS
+    flagged = [i for i, clip in enumerate(clips) if clip.fully_annotated]
+    loc_active = train_localization != "none" and eta > 0 and bool(flagged)
+
+    clas = reg = loc = 0.0
+    upstream = []
+    for i, (clip, mask) in enumerate(zip(clips, masks)):
+        smap, cache = network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate)
+        s, b = smap.scores, smap.thresholds
+        t, c = s.shape
+        gate = gate_grad = None
+        if train_localization != "none":
+            cut = b[:, None] if train_localization == "predicted" else network.manual_thresholds(s)[None, :]
+            x = s - cut
+            gate = gate_values(x, gating)
+            gate_grad = network.gate_input_grad(x, gate, gating)
+        if config.aggregator == "gated":
+            pooled = (gate * s).sum(axis=0) / (gate.sum(axis=0) + eps)
+        else:
+            k = topk_count(t)
+            pooled = np.array([s[_ref_topk(s[:, j], k), j].mean() for j in range(c)])
+        probs = _ref_softmax(np.append(pooled, b.mean()))
+
+        y = label_vector(clip.labels, num_classes)
+        target = np.append(y, config.resolved_background_weight(num_classes))
+        clas -= float(target @ np.log(np.maximum(probs, objectives.PROB_FLOOR)))
+        d_logits = (target.sum() * probs - target) / batch
+        d_shat, d_bhat = d_logits[:-1], float(d_logits[-1])
+
+        value, stilde, max_cls, d_stilde, d_b_reg = _ref_regularizer(s, b, y, config.reg_form)
+        reg += value
+        ds_reg = np.zeros_like(s)
+        np.add.at(ds_reg, (np.arange(t), max_cls), d_stilde / batch)
+        db_reg = d_b_reg / batch
+
+        loc_grad = None
+        if loc_active and clip.fully_annotated:
+            a = rasterize(clip.segments, clip.num_snippets, num_classes, clip.snippet_duration)
+            diff = gate - a
+            loc += float(np.abs(diff).mean())
+            loc_grad = np.sign(diff) / (len(flagged) * diff.size)
+
+        d_s = np.zeros_like(s)
+        d_b = np.zeros_like(b)
+        d_g = np.zeros_like(s)
+        if lam > 0:
+            if config.aggregator == "gated":
+                denom = gate.sum(axis=0) + eps
+                ds_pool = d_shat[None, :] * gate / denom[None, :]
+                dg_pool = d_shat[None, :] * (s - pooled[None, :]) / denom[None, :]
+            else:
+                ds_pool, dg_pool = np.zeros_like(s), np.zeros_like(s)
+                for j in range(c):
+                    ds_pool[_ref_topk(s[:, j], k), j] = d_shat[j] / k
+            d_s += lam * ds_pool
+            d_b += lam * np.full(t, d_bhat / t)
+            d_g += lam * dg_pool
+        if lam < 1:
+            d_s += (1.0 - lam) * ds_reg
+            d_b += (1.0 - lam) * db_reg
+        if loc_grad is not None:
+            d_g += eta * loc_grad
+        if gate is not None and d_g.any():
+            d_x = d_g * gate_grad
+            d_s += d_x
+            if train_localization == "predicted":
+                d_b -= d_x.sum(axis=1)
+        upstream.append((cache, d_s, d_b))
+
+    total = np.zeros_like(params.flat)
+    for cache, d_s, d_b in upstream:
+        total += network.backward(cache, d_s, d_b).flat
+    clas, reg = clas / batch, reg / batch
+    loc = loc / len(flagged) if loc_active else 0.0
+    return objectives.LossBreakdown(clas, reg, loc, lam * clas + (1.0 - lam) * reg + eta * loc), total
+
+
+RAGGED_LENGTHS = (3, 60, 7, 71, 1, 64, 57)  # k = 1 below 9 snippets, 8 in 57-64, 9 above 64
+
+
+def ragged_batch(rng, lengths, num_classes=5, feature_dim=3, flagged=True):
+    """Clips of the given lengths with 1-3 labels each; every third is fully annotated if ``flagged``."""
+    clips = []
+    for i, t in enumerate(lengths):
+        labels = sorted(rng.choice(num_classes, size=int(rng.integers(1, min(3, num_classes) + 1)), replace=False).tolist())
+        annotated = flagged and i % 3 == 0
+        segments = tuple(GroundTruthSegment(c, 0.25 * t * j / 3, 0.25 * t * (j / 3 + 2)) for j, c in enumerate(labels))
+        clips.append(
+            VideoSample(
+                id=f"clip{i}",
+                features=rng.normal(size=(t, feature_dim)),
+                labels=frozenset(labels),
+                snippet_duration=0.5,
+                segments=segments if annotated else None,
+                fully_annotated=annotated,
+            )
+        )
+    return clips
+
+
+def assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.7):
+    breakdown, grads = total_loss(params, clips, config, gating, rule, masks, drop_rate)
+    ref_breakdown, ref_grads = reference_total_loss(params, clips, config, gating, rule, masks, drop_rate)
+    assert np.array_equal(list(breakdown.as_dict().values()), list(ref_breakdown.as_dict().values()))
+    assert np.array_equal(grads.flat, ref_grads)
+
+
+# every valid (gating, aggregator, train_localization, reg_form, with_loc); "none" needs topk_eighth
+OBJECTIVE_VARIANTS = [
+    v
+    for v in itertools.product(
+        network.GATING_KINDS, objectives.AGGREGATORS, objectives.TRAIN_LOCALIZATION, objectives.REG_FORMS, (False, True)
+    )
+    if not (v[2] == "none" and v[1] == "gated")
+]
+
+
+class TestBatchedObjectiveMatchesPerClipReference:
+    @pytest.mark.parametrize("gating, aggregator, rule, reg_form, with_loc", OBJECTIVE_VARIANTS)
+    def test_bit_identical(self, gating, aggregator, rule, reg_form, with_loc):
+        rng = np.random.default_rng(20)
+        hidden = 6
+        params = jittered_params(rng, 3, hidden, 5)
+        params.flat *= 2.0  # spread the scores so gates and hinges take every branch
+        clips = ragged_batch(rng, RAGGED_LENGTHS, flagged=with_loc)
+        config = LossConfig(clas_weight=0.3, loc_weight=2.0 if with_loc else 0.0, reg_form=reg_form, aggregator=aggregator)
+        keep = [rng.uniform(size=(clip.num_snippets, hidden)) >= 0.5 for clip in clips]
+        for masks in (None, keep, [m.astype(np.float64) for m in keep]):
+            assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.5)
+
+    @pytest.mark.parametrize("clas_weight", [0.0, 1.0])
+    def test_bit_identical_at_the_weight_ends(self, clas_weight):
+        rng = np.random.default_rng(21)
+        params = jittered_params(rng, 3, 6, 5)
+        clips = ragged_batch(rng, RAGGED_LENGTHS)
+        for aggregator in objectives.AGGREGATORS:
+            config = LossConfig(clas_weight=clas_weight, loc_weight=1.5, aggregator=aggregator)
+            assert_matches_reference(params, clips, config, "sigmoid", "predicted", None)
+
+    def test_manual_thresholds_asked_once_per_clip_in_order(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        params = jittered_params(rng, 3, 6, 5)
+        clips = ragged_batch(rng, (4, 9, 2))
+        seen = []
+        real = network.manual_thresholds
+
+        def spy(scores):
+            seen.append(scores.shape[0])
+            return real(scores)
+
+        monkeypatch.setattr(network, "manual_thresholds", spy)
+        total_loss(params, clips, LossConfig(), "sigmoid", "manual")
+        assert seen == [4, 9, 2]
+
+    def test_clip_lengths_must_cover_the_rows(self):
+        smap = random_scoremap(np.random.default_rng(23), t=5, c=2)
+        with pytest.raises(ValidationError):
+            pool_and_classify(smap, None, "topk_eighth", lengths=(2, 2))
+        with pytest.raises(ValidationError):
+            threshold_regularization_loss(smap, np.ones((2, 2)), lengths=(5, 0))
+
+    def test_batch_rows_equal_clips_alone(self):
+        # pooling a batch gives each clip the bytes it gets alone
+        rng = np.random.default_rng(24)
+        maps = [random_scoremap(rng, t=t, c=3, scale=2.0) for t in (5, 64, 1)]
+        batch = ScoreMap(np.concatenate([m.scores for m in maps]), np.concatenate([m.thresholds for m in maps]))
+        for aggregator in objectives.AGGREGATORS:
+            gate = gate_values(gate_margins(batch, "predicted"), "sigmoid")
+            together = pool_and_classify(batch, gate, aggregator, lengths=(5, 64, 1))
+            for i, m in enumerate(maps):
+                alone = pool_and_classify(m, gate_values(gate_margins(m, "predicted"), "sigmoid"), aggregator)
+                assert together.probs[i].tobytes() == alone.probs[0].tobytes()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ttcloc.data import load_dataset, rasterize, write_dataset
+from ttcloc import cli
+from ttcloc.data import VideoRecord, load_dataset, load_manifest, rasterize, write_dataset
 from ttcloc.errors import GenerationError, ValidationError
 from ttcloc.synth import PRESETS, SynthSpec, generate, preset_spec
 
@@ -166,6 +167,21 @@ class TestGenerate:
         )
         with pytest.raises(GenerationError, match="v00_000"):
             generate(spec)
+
+    def test_synth_validates_each_record_once(self, tmp_path, monkeypatch):
+        checked = []
+        real = VideoRecord.validate
+
+        def counting(self, num_classes=None):
+            checked.append(self.id)
+            return real(self, num_classes)
+
+        monkeypatch.setattr(VideoRecord, "validate", counting)
+        args = ["synth", "--preset", "easy", "--num-classes", "2", "--videos-per-class", "3", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        during_synth = sorted(checked)
+        assert during_synth == sorted(r.id for r in load_manifest(str(tmp_path / "manifest.json")).records)
+        assert len(during_synth) == 6
 
     def test_round_trip_through_disk(self, tmp_path):
         manifest, samples = generate(SMALL)

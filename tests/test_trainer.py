@@ -1,10 +1,12 @@
+import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttcloc import network, trainer
-from ttcloc.data import GroundTruthSegment, VideoSample
+from ttcloc.data import GroundTruthSegment, VideoSample, crop_clip
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.network import init_params
 from ttcloc.objectives import LossConfig
@@ -203,7 +205,7 @@ def _reference_backward(cache, d_scores, d_thresholds):
     d_h2 = d_h3 * cache.dropout_mask * cache.dropout_scale if cache.dropout_mask is not None else d_h3
     d_pre = d_h2 * (cache.pre_act > 0)
     padded = np.zeros((t + 2, params.hidden_dim))
-    padded[1 : t + 1] = cache.h1
+    padded[1 : t + 1] = cache.h1_padded[1 : t + 1]
     d_kernel = np.stack([padded[k : k + t].T @ d_pre for k in range(3)])
     d_conv_bias = d_pre.sum(axis=0)
     d_padded = np.zeros_like(padded)
@@ -324,6 +326,30 @@ class TestTrainStep:
         monkeypatch.setattr(trainer, "total_loss", recording)
         train_step(state, samples[:3], cfg)
         assert [(m.dtype, m.shape) for m in seen] == [(np.bool_, (12, 8))] * 3
+
+    def test_one_batch_mask_draw_equals_per_clip_draws(self, monkeypatch):
+        # the batch's mask is one rng draw, viewed per clip; it must give the
+        # bytes, and leave the rng where, one draw per clip did
+        rng = np.random.default_rng(9)
+        samples = make_dataset(rng, t=40)
+        samples = [replace(s, features=s.features[: 3 + 7 * i]) for i, s in enumerate(samples[:4])]
+        cfg = tiny_config(dropout=0.6, max_clip_len=16)
+        state = init_state(cfg, 3, 2)
+        reference_rng = copy.deepcopy(state.rng)
+        seen = []
+        real_total_loss = trainer.total_loss
+
+        def recording(*args, **kwargs):
+            seen.extend(kwargs["dropout_masks"])
+            return real_total_loss(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "total_loss", recording)
+        train_step(state, samples, cfg)
+        clips = [crop_clip(s, cfg.max_clip_len, reference_rng) for s in samples]
+        expected = [reference_rng.uniform(size=(c.num_snippets, cfg.hidden_dim)) >= cfg.dropout for c in clips]
+        assert [c.num_snippets for c in clips] == [3, 10, 16, 16]
+        assert [m.tobytes() for m in seen] == [m.tobytes() for m in expected]
+        assert state.rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_crops_long_videos(self):
         rng = np.random.default_rng(7)
