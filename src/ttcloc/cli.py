@@ -2,9 +2,9 @@
 
 Configuration precedence is flags > config file > defaults.  Unknown
 config keys and values of the wrong type are rejected.  Exit codes: 0
-success, 1 validation error, 2 numerical failure.  All outputs are written
-atomically (temp file plus rename), and every subcommand is deterministic
-given its seed.
+success, 1 validation error or a file that cannot be read or written, 2
+numerical failure.  All outputs are written atomically (temp file plus
+rename), and every subcommand is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import typing
 from . import gradcheck as gradcheck_mod
 from . import network
 from .data import load_dataset, load_manifest, write_dataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, json_types, type_error
 from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
 from .localizer import infer_dataset, load_detections, write_detections
 from .objectives import AGGREGATORS, LossConfig, REG_FORMS, TRAIN_LOCALIZATION
@@ -66,21 +66,14 @@ _FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (SynthSpec, TrainConf
 
 
 def _check_config(data: dict, types: dict, context: str) -> None:
-    """Reject keys missing from ``types`` and values not of their type.
-
-    A type may be a union such as ``float | None``.  A bool is never an int,
-    an int is accepted where a float is, and null only where ``None`` is.
-    """
+    """Reject keys missing from ``types`` and values not of their type (:func:`ttcloc.errors.json_types`)."""
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValidationError(f"{context}: unknown keys {unknown}")
     for key, value in data.items():
-        kinds = typing.get_args(types[key]) or (types[key],)
-        if float in kinds:
-            kinds += (int,)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ValidationError(f"{context}: {key} must be {names}, got {value!r}")
+        kinds = json_types(types[key])
+        if type(value) not in kinds:
+            raise type_error(f"{context}: {key}", kinds, value)
 
 
 def build_synth_spec(preset: str | None, file_cfg: dict, overrides: dict) -> SynthSpec:
@@ -327,7 +320,7 @@ def cmd_ablate(args) -> int:
     seeds = list(range(cfg["seeds"]))
     thresholds = parse_iou_spec(cfg["iou"])
 
-    spec = preset_spec(cfg["preset"], videos_per_class=cfg["videos_per_class"], annotated_fraction=0.0)
+    spec = preset_spec(cfg["preset"], videos_per_class=cfg["videos_per_class"])
     _, samples = generate(spec)
     train_base = TrainConfig(
         iterations=cfg["iterations"],
@@ -451,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a path given cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_types, type_error
 
 DEFAULT_SNIPPET_DURATION = 0.64  # seconds covered by one feature vector
 
@@ -42,8 +42,8 @@ class VideoSample:
     """A feature sequence with its labels and optional segment annotations.
 
     ``features`` is a read-only (T, D) float32 array.  ``fully_annotated``
-    marks the sample as usable for localization supervision, which requires
-    ``segments`` to be present.
+    marks the sample as usable for localization supervision and requires
+    ``segments``; training sets it (:func:`ttcloc.trainer.apply_supervision`), no manifest holds it.
     """
 
     id: str
@@ -83,12 +83,13 @@ class VideoSample:
             labels=tuple(sorted(self.labels)),
             snippet_duration=self.snippet_duration,
             segments=self.segments,
-            fully_annotated=self.fully_annotated,
         )
 
     def validate(self, num_classes: int | None = None) -> None:
         self.validate_features()
         self.record.validate(num_classes)
+        if self.fully_annotated and self.segments is None:
+            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
 
     def validate_features(self) -> None:
         if self.features.ndim != 2:
@@ -107,7 +108,6 @@ class VideoRecord:
     labels: tuple[int, ...]
     snippet_duration: float
     segments: tuple[GroundTruthSegment, ...] | None
-    fully_annotated: bool
 
     def validate(self, num_classes: int | None = None) -> None:
         if self.num_snippets < 1 or self.feature_dim < 1:
@@ -130,8 +130,6 @@ class VideoRecord:
                     raise ValidationError(
                         f"video {self.id!r}: segment class {seg.class_id} not in labels {sorted(self.labels)}"
                     )
-        if self.fully_annotated and self.segments is None:
-            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
 
 
 @dataclass(frozen=True)
@@ -212,12 +210,7 @@ def crop_clip(sample: VideoSample, max_len: int, rng: np.random.Generator) -> Vi
             if start < end:
                 kept.append(GroundTruthSegment(seg.class_id, start - window_start, end - window_start))
         segments = tuple(kept)
-    return replace(
-        sample,
-        features=sample.features[offset : offset + max_len],
-        segments=segments,
-        fully_annotated=sample.fully_annotated and segments is not None,
-    )
+    return replace(sample, features=sample.features[offset : offset + max_len], segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +221,29 @@ def _segment_to_json(seg: GroundTruthSegment) -> dict:
     return {"class_id": seg.class_id, "start": seg.start, "end": seg.end}
 
 
-# JSON kinds of manifest values, checked exactly: a bool is never an
-# integer, an integer is a number, and null is none of them
-_KINDS = {"an integer": (int,), "a number": (int, float), "a string": (str,), "a list": (list,), "a bool": (bool,)}
+_INTEGER, _NUMBER, _STRING, _LIST = (json_types(t) for t in (int, float, str, list))
 
 
-def _typed(obj: dict, key: str, kind: str, context: str):
+def _typed(obj: dict, key: str, kinds: tuple[type, ...], context: str):
     value = obj[key]
-    if type(value) not in _KINDS[kind]:
-        raise ValidationError(f"{context}: {key} must be {kind}, got {value!r}")
+    if type(value) not in kinds:
+        raise type_error(f"{context}: {key}", kinds, value)
     return value
 
 
 def _real(obj: dict, key: str, context: str) -> float:
-    value = _typed(obj, key, "a number", context)
+    value = _typed(obj, key, _NUMBER, context)
     try:
         return float(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValidationError(f"{context}: {key} {value} is out of range") from exc
 
 
-def _list_of(obj: dict, key: str, kind: str, context: str) -> list:
-    values = _typed(obj, key, "a list", context)
+def _list_of(obj: dict, key: str, kinds: tuple[type, ...], context: str) -> list:
+    values = _typed(obj, key, _LIST, context)
     for value in values:
-        if type(value) not in _KINDS[kind]:
-            raise ValidationError(f"{context}: {key} entries must be {kind}, got {value!r}")
+        if type(value) not in kinds:
+            raise type_error(f"{context}: {key} entries", kinds, value)
     return values
 
 
@@ -261,7 +252,7 @@ def _segment_from_json(obj: dict, video_id: str) -> GroundTruthSegment:
     if type(obj) is not dict:
         raise ValidationError(f"{context} must be an object, got {obj!r}")
     try:
-        class_id = _typed(obj, "class_id", "an integer", context)
+        class_id = _typed(obj, "class_id", _INTEGER, context)
         return GroundTruthSegment(class_id, _real(obj, "start", context), _real(obj, "end", context))
     except KeyError as exc:
         raise ValidationError(f"{context} lacks key {exc}: {obj!r}") from exc
@@ -274,6 +265,8 @@ def _record_from_json(obj: dict) -> VideoRecord:
     if not isinstance(vid, str) or not vid:
         raise ValidationError(f"manifest: video entry without a valid id: {obj!r}")
     required = {"id", "num_snippets", "feature_dim", "labels", "snippet_duration"}
+    # older manifests carry a per-video fully_annotated flag; the trainer
+    # decides supervision itself, so the key is accepted and ignored
     allowed = required | {"segments", "fully_annotated"}
     unknown = set(obj) - allowed
     if unknown:
@@ -284,23 +277,22 @@ def _record_from_json(obj: dict) -> VideoRecord:
     context = f"video {vid!r}"
     segments = None
     if obj.get("segments") is not None:
-        segments = tuple(_segment_from_json(s, vid) for s in _typed(obj, "segments", "a list", context))
+        segments = tuple(_segment_from_json(s, vid) for s in _typed(obj, "segments", _LIST, context))
     return VideoRecord(
         id=vid,
-        num_snippets=_typed(obj, "num_snippets", "an integer", context),
-        feature_dim=_typed(obj, "feature_dim", "an integer", context),
-        labels=tuple(_list_of(obj, "labels", "an integer", context)),
+        num_snippets=_typed(obj, "num_snippets", _INTEGER, context),
+        feature_dim=_typed(obj, "feature_dim", _INTEGER, context),
+        labels=tuple(_list_of(obj, "labels", _INTEGER, context)),
         snippet_duration=_real(obj, "snippet_duration", context),
         segments=segments,
-        fully_annotated=_typed(obj, "fully_annotated", "a bool", context) if "fully_annotated" in obj else False,
     )
 
 
 def load_manifest(manifest_path: str) -> DatasetManifest:
     """Parse and validate ``manifest.json`` (features are not touched).
 
-    JSON types are checked, not converted: counts and class ids are
-    integers, times and durations numbers, ``fully_annotated`` a bool.
+    JSON types are checked, not converted (:func:`ttcloc.errors.json_types`):
+    counts and class ids are integers, times and durations numbers.
     """
     if not os.path.isfile(manifest_path):
         raise ValidationError(f"manifest not found: {manifest_path}")
@@ -316,9 +308,9 @@ def load_manifest(manifest_path: str) -> DatasetManifest:
         if key not in obj:
             raise ValidationError(f"{context}: missing key {key!r}")
     manifest = DatasetManifest(
-        num_classes=_typed(obj, "num_classes", "an integer", context),
-        class_names=tuple(_list_of(obj, "class_names", "a string", context)),
-        records=tuple(_record_from_json(v) for v in _typed(obj, "videos", "a list", context)),
+        num_classes=_typed(obj, "num_classes", _INTEGER, context),
+        class_names=tuple(_list_of(obj, "class_names", _STRING, context)),
+        records=tuple(_record_from_json(v) for v in _typed(obj, "videos", _LIST, context)),
         directory=os.path.dirname(os.path.abspath(manifest_path)),
     )
     manifest.validate()
@@ -360,7 +352,6 @@ def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
             labels=frozenset(record.labels),
             snippet_duration=record.snippet_duration,
             segments=record.segments,
-            fully_annotated=record.fully_annotated,
         )
         sample.validate(manifest.num_classes)
         samples.append(sample)
@@ -386,7 +377,6 @@ def manifest_to_json(manifest: DatasetManifest) -> str:
             "feature_dim": r.feature_dim,
             "labels": list(r.labels),
             "snippet_duration": r.snippet_duration,
-            "fully_annotated": r.fully_annotated,
             "segments": None if r.segments is None else [_segment_to_json(s) for s in r.segments],
         }
         videos.append(entry)

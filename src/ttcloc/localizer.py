@@ -18,7 +18,7 @@ import numpy as np
 
 from . import network
 from .data import VideoSample
-from .errors import ValidationError
+from .errors import ValidationError, json_types, type_error
 from .network import NetworkParams
 from .objectives import pool_and_classify
 from .trainer import TrainConfig
@@ -172,16 +172,16 @@ def write_detections(detections: list[Detection], class_names: tuple[str, ...], 
     os.replace(tmp, path)
 
 
-_NUMBER = (int, float)  # JSON numbers; bool, a subclass of int, is not one
+_STRING, _INTEGER, _NUMBER = (json_types(t) for t in (str, int, float))
+_FIELDS = (("video_id", _STRING), ("class_id", _INTEGER), ("start_s", _NUMBER), ("end_s", _NUMBER), ("score", _NUMBER))
 
 
 def load_detections(path: str) -> list[Detection]:
     """Parse and validate a detection file, one record per line; errors name ``path:lineno``.
 
-    JSON types are checked, not converted: ``video_id`` is a string,
-    ``class_id`` an integer, and ``start_s``, ``end_s`` and ``score`` are
-    numbers; a bool is neither.  Bytes that are not UTF-8 are an error of
-    their line.
+    JSON types are checked, not converted (:func:`ttcloc.errors.json_types`):
+    ``video_id`` is a string, ``class_id`` an integer, and ``start_s``,
+    ``end_s`` and ``score`` are numbers.  Bytes that are not UTF-8 are an error of their line.
     """
     decode = json.JSONDecoder().raw_decode
     detections = []
@@ -200,12 +200,10 @@ def load_detections(path: str) -> list[Detection]:
                 if type(obj) is not dict:
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
                 vid, c, start, stop, score = obj["video_id"], obj["class_id"], obj["start_s"], obj["end_s"], obj["score"]
-                if type(vid) is not str:
-                    raise TypeError(f"video_id must be a string, got {vid!r}")
-                if type(c) is not int:
-                    raise TypeError(f"class_id must be an integer, got {c!r}")
-                if not (type(start) in _NUMBER and type(stop) in _NUMBER and type(score) in _NUMBER):
-                    raise TypeError(f"start_s, end_s and score must be numbers, got {start!r}, {stop!r}, {score!r}")
+                # tested inline, with no call per record; the message is built only for a failing one
+                typed = type(vid) in _STRING and type(c) in _INTEGER and type(start) in _NUMBER
+                if not (typed and type(stop) in _NUMBER and type(score) in _NUMBER):
+                    raise next(type_error(key, kinds, obj[key]) for key, kinds in _FIELDS if type(obj[key]) not in kinds)
                 detections.append(Detection(vid, c, start, stop, score))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc

@@ -39,7 +39,6 @@ class SynthSpec:
     prototype_scale: float = 8.0
     amplitude_min: float = 1.0
     amplitude_max: float = 1.0
-    annotated_fraction: float = 0.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -60,12 +59,10 @@ class SynthSpec:
             raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
         if not self.prototype_scale > 0:
             raise ValidationError(f"prototype_scale must be > 0, got {self.prototype_scale}")
-        if not 0 < self.amplitude_min <= self.amplitude_max:
+        if not 0 < self.amplitude_min <= self.amplitude_max < math.inf:
             raise ValidationError(
-                f"amplitude range [{self.amplitude_min}, {self.amplitude_max}] must satisfy 0 < min <= max"
+                f"amplitude range [{self.amplitude_min}, {self.amplitude_max}] must satisfy 0 < min <= max < inf"
             )
-        if not 0.0 <= self.annotated_fraction <= 1.0:
-            raise ValidationError(f"annotated_fraction must be in [0, 1], got {self.annotated_fraction}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -136,7 +133,6 @@ def generate(spec: SynthSpec) -> tuple:
     rng = np.random.default_rng(spec.seed)
     protos = _prototypes(rng, spec)
     background = protos[spec.num_classes]
-    n_flagged = math.ceil(spec.annotated_fraction * spec.videos_per_class)
 
     samples = []
     for c in range(spec.num_classes):
@@ -164,7 +160,6 @@ def generate(spec: SynthSpec) -> tuple:
                     labels=frozenset({c}),
                     snippet_duration=SNIPPET_DURATION,
                     segments=segments,
-                    fully_annotated=v < n_flagged,
                 )
             )
 

@@ -97,7 +97,7 @@ def init_state(config: TrainConfig, feature_dim: int, num_classes: int) -> Train
 
 
 def select_semi_subset(samples: list[VideoSample], k: int) -> list[VideoSample]:
-    """Recompute fully_annotated flags: first k annotated videos per class.
+    """Set fully_annotated flags: first k annotated videos per class.
 
     Order is manifest order.  A class with fewer than k annotated
     candidates keeps all of them and triggers a warning.

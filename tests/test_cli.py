@@ -356,7 +356,6 @@ class TestBadInputFiles:
             {"labels": 5},
             {"labels": [1.7]},
             {"snippet_duration": None},
-            {"fully_annotated": "no"},
             {"num_snippets": "x"},
         ],
     )
@@ -387,6 +386,41 @@ class TestBadInputFiles:
         assert run_cli("eval", "--det", str(det), "--gt", os.path.join(ds, "manifest.json"), "--out", out) == 1
         assert "det.jsonl:1" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+class TestOlderManifest:
+    """A manifest that still carries the per-video ``fully_annotated`` flag loads and trains as if it did not."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("older_manifest")
+        stripped = make_dataset(str(root / "stripped"))
+        manifest = json.loads(open(os.path.join(stripped, "manifest.json")).read())
+        assert all("fully_annotated" not in video for video in manifest["videos"])
+        flagged = {}
+        for value in (True, "no"):
+            ds = str(root / f"flagged-{value}")
+            shutil.copytree(stripped, ds)
+            for video in manifest["videos"]:
+                video["fully_annotated"] = value
+            with open(os.path.join(ds, "manifest.json"), "w") as fh:
+                json.dump(manifest, fh)
+            flagged[value] = ds
+        return root, stripped, flagged
+
+    @pytest.mark.parametrize("supervision", SUPERVISION_MODES)
+    def test_training_bytes_ignore_the_flag(self, datasets, supervision):
+        root, stripped, flagged = datasets
+
+        def train(ds):
+            run = str(root / f"run-{supervision}-{os.path.basename(ds)}")
+            argv = ["--supervision", supervision, "--semi-k", "1", "--iterations", "3", "--hidden-dim", "8"]
+            assert run_cli("train", "--data", ds, "--out", run, *argv) == 0
+            return [open(os.path.join(run, name), "rb").read() for name in (cli.CHECKPOINT_NAME, cli.METRICS_NAME)]
+
+        expected = train(stripped)
+        for ds in flagged.values():
+            assert train(ds) == expected
 
 
 class TestEscapingVideoId:
@@ -455,7 +489,7 @@ class TestInferFollowsTrainingConfig:
         "edit, message",
         [
             (lambda cfg: cfg.update(loss=5), "'loss' must be an object"),
-            (lambda cfg: cfg.update(gating=[]), "gating must be str"),
+            (lambda cfg: cfg.update(gating=[]), "gating must be a string"),
             (lambda cfg: cfg.update(warmup=10), "unknown keys ['warmup']"),
             (lambda cfg: cfg.update(train_localization="none"), "requires the topk_eighth aggregator"),
             (lambda cfg: cfg["loss"].update(aggregator="max"), "aggregator must be one of"),

@@ -159,7 +159,7 @@ class TestOnDiskFormat:
             assert back.features.tobytes() == orig.features.astype("<f4").tobytes()
             assert back.labels == orig.labels
             assert back.segments == orig.segments
-            assert back.fully_annotated == orig.fully_annotated
+            assert not back.fully_annotated  # supervision is the trainer's choice, not stored
             assert back.snippet_duration == orig.snippet_duration
 
     def test_small_manifest_loads(self, tmp_path):
@@ -263,8 +263,6 @@ WRONG_TYPES = [
     (("videos", 0, "snippet_duration"), None),
     (("videos", 0, "snippet_duration"), "0.64"),
     (("videos", 0, "snippet_duration"), 10**400),
-    (("videos", 0, "fully_annotated"), "no"),
-    (("videos", 0, "fully_annotated"), 1),
     (("videos", 0, "segments"), 5),
     (("videos", 0, "segments"), [5]),
     (("videos", 0, "segments"), [{"class_id": 0, "start": "0", "end": 1.0}]),
@@ -328,7 +326,6 @@ BAD_VALUES = [
     (("videos", 0, "segments"), [{"class_id": 0, "start": 5.0, "end": 1.0}]),
     (("videos", 0, "segments"), [{"class_id": 0, "start": -1.0, "end": 1.0}]),
     (("videos", 0, "segments"), [{"class_id": 3, "start": 0.0, "end": 1.0}]),
-    (("videos", 0, "segments"), None),
 ]
 
 
@@ -340,11 +337,6 @@ class TestManifestValues:
     @pytest.mark.parametrize("key_path, value", BAD_VALUES, ids=[f"{'.'.join(map(str, k))}={v!r:.30}" for k, v in BAD_VALUES])
     def test_impossible_value_rejected(self, tmp_path, key_path, value):
         path = self.write(tmp_path, key_path, value)
-        if value is None:  # segments null while flagged fully annotated
-            obj = json.loads(open(path, encoding="utf-8").read())
-            obj["videos"][0]["fully_annotated"] = True
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
         os.remove(tmp_path / "ds" / "one.f32")
         with pytest.raises(ValidationError, match="video 'one'"):
             load_manifest(path)
@@ -352,11 +344,16 @@ class TestManifestValues:
     def test_record_of_a_sample_is_its_manifest_entry(self, tmp_path):
         seg = GroundTruthSegment(2, 0.5, 1.5)
         sample = make_sample("v7", t=3, d=5, labels=(2, 0), tau=0.5, segments=(seg,), flagged=True)
-        assert sample.record == VideoRecord("v7", 3, 5, (0, 2), 0.5, (seg,), True)
+        assert sample.record == VideoRecord("v7", 3, 5, (0, 2), 0.5, (seg,))
         path = write_dataset([sample], 3, ["a", "b", "c"], str(tmp_path / "ds"))
         assert load_manifest(path).records == (sample.record,)
 
     def test_record_validate_needs_a_snippet_and_a_dimension(self):
         for t, d in ((0, 2), (2, 0)):
             with pytest.raises(ValidationError, match="must be >= 1"):
-                VideoRecord("v", t, d, (0,), 1.0, None, False).validate(1)
+                VideoRecord("v", t, d, (0,), 1.0, None).validate(1)
+
+    def test_flagged_sample_needs_segments(self):
+        with pytest.raises(ValidationError, match="fully_annotated requires segments"):
+            make_sample(flagged=True).validate(1)
+        make_sample(segments=(), flagged=True).validate(1)

@@ -265,8 +265,8 @@ class TestOracleAgreement:
 class TestManifestIndex:
     def manifest(self):
         records = (
-            VideoRecord("v1", 10, 4, (0,), 1.0, (GroundTruthSegment(0, 1.0, 3.0),), True),
-            VideoRecord("v2", 10, 4, (1,), 1.0, None, False),
+            VideoRecord("v1", 10, 4, (0,), 1.0, (GroundTruthSegment(0, 1.0, 3.0),)),
+            VideoRecord("v2", 10, 4, (1,), 1.0, None),
         )
         return DatasetManifest(num_classes=2, class_names=("a", "b"), records=records)
 

@@ -1,7 +1,8 @@
 """Property tests: arbitrary config values, IoU specs, sidecar bytes, manifests,
 detection files and checkpoints fail only with ValidationError, arbitrary
-command lines only exit 0 or 1, and the batched objective matches the
-per-clip reference bit for bit on arbitrary batches.
+command lines only parse or exit 0 or 1, whole runs of drawn command lines
+exit 0, 1 or 2, and the batched objective matches the per-clip reference
+bit for bit on arbitrary batches.
 
 Hypothesis runs derandomized and without an example database, so every run
 draws the same bounded set of examples.
@@ -12,14 +13,17 @@ import dataclasses
 import json
 import math
 import os
+import shutil
+import tempfile
+from unittest import mock
 
 import numpy as np
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from ttcloc import cli, network
+from ttcloc import cli, gradcheck, network
 from ttcloc.data import load_manifest
 from ttcloc.errors import ValidationError
 from ttcloc.localizer import Detection, load_detections
@@ -226,7 +230,7 @@ BASE_MANIFEST = {
             "feature_dim": 2,
             "labels": [0],
             "snippet_duration": 0.64,
-            "fully_annotated": True,
+            "fully_annotated": True,  # an older manifest's key, accepted and ignored
             "segments": [{"class_id": 0, "start": 0.0, "end": 1.0}],
         }
     ],
@@ -270,7 +274,7 @@ def test_load_manifest_on_arbitrary_bytes(scratch, blob):
     assert type(manifest.num_classes) is int and all(type(n) is str for n in manifest.class_names)
     for record in manifest.records:
         assert type(record.num_snippets) is int and type(record.snippet_duration) is float
-        assert all(type(c) is int for c in record.labels) and type(record.fully_annotated) is bool
+        assert all(type(c) is int for c in record.labels)
 
 
 @pytest.fixture(scope="module")
@@ -337,12 +341,17 @@ def test_load_params_on_arbitrary_bytes(scratch, checkpoint_bytes, blob, cut, ch
     assert type(params) is NetworkParams and params.flat.dtype == np.float64
 
 
+def parser_subcommands(parser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def parser_tokens():
     """Every flag and subcommand name of the real parser, and values for them."""
     parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    tokens = set(sub.choices)
-    for p in (parser, *sub.choices.values()):
+    subcommands = parser_subcommands(parser)
+    tokens = set(subcommands)
+    for p in (parser, *subcommands.values()):
         for action in p._actions:
             tokens.update(action.option_strings)
             tokens.update(action.choices or ())
@@ -359,6 +368,103 @@ def test_parse_args_on_token_lists(tokens):
         cli.build_parser().parse_args(tokens)
     except SystemExit as exc:
         assert exc.code in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def cli_root(tmp_path_factory):
+    """Files a command line can name: a dataset, a trained run, detections and config files."""
+    root = tmp_path_factory.mktemp("cli_runs")
+    ds = make_dataset(str(root / "ds"))
+    run = str(root / "run")
+    assert run_cli("train", "--data", ds, "--out", run, "--iterations", "1", "--hidden-dim", "4") == 0
+    assert run_cli("infer", "--ckpt", run, "--data", ds, "--out", str(root / "det.jsonl")) == 0
+    configs = {
+        "train.json": {"iterations": 1, "batch_size": 2, "loss": {"aggregator": "topk_eighth"}},
+        "spec.json": {"num_classes": 2, "videos_per_class": 1, "feature_dim": 4},
+        "ablate.json": {"seeds": 1, "videos_per_class": 1, "lambda_sweep": True},
+        "list.json": [1],
+    }
+    for name, obj in configs.items():
+        with open(root / name, "w") as fh:
+            json.dump(obj, fh)
+    return str(root)
+
+
+SUBCOMMANDS = parser_subcommands(cli.build_parser())
+# paths under the fixture's directory and, for outputs, under a fresh directory per example
+INPUTS = [f"{{root}}/{name}" for name in ("ds", "ds/manifest.json", "run", "run/checkpoint.ttck", "det.jsonl", "missing")]
+INPUTS += [f"{{root}}/{name}" for name in ("train.json", "spec.json", "ablate.json", "list.json")]
+OUTPUTS = ["{out}/o", "{out}/o/report.json", "{out}"]
+INPUT_FLAGS = {"data", "ckpt", "det", "gt", "spec", "config"}
+
+
+def flag_values(action):
+    """Values that fit one flag, from its choices or its type."""
+    if action.dest == "out":
+        return st.sampled_from(OUTPUTS)
+    if action.dest in INPUT_FLAGS:
+        return st.sampled_from(INPUTS)
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.sampled_from(["1", "2", "3", "0", "-1"])
+    if action.type is float:
+        return st.sampled_from(["0.5", "1", "2", "1e-3", "0", "-1", "nan", "inf"])
+    return st.sampled_from(["0.5", "0.3:0.7:0.1", "0.1,0.9", "0:1:0", "nan"])  # --iou
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and flags drawn from the parser's own actions, with values that fit them or not.
+
+    Hypothesis draws the first choice of each ``sampled_from`` and the
+    smallest integer most often, so those are the ones that give a run:
+    flags other than ``--help``, required flags present, fitting values.
+    """
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    actions = sorted((a for a in SUBCOMMANDS[name]._actions if a.option_strings), key=lambda a: a.dest == "help")
+    chosen = draw(st.lists(st.sampled_from(actions), max_size=6))
+    if not draw(st.booleans()):
+        chosen += [a for a in actions if a.required and a not in chosen]
+    argv = [name]
+    for action in chosen:
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs == 0:
+            continue
+        # now and then the value is any short text (never for --out) or is left out
+        kind = draw(st.integers(0, 9))
+        if kind < 8:
+            argv.append(draw(flag_values(action)))
+        elif kind == 8 and action.dest != "out":
+            argv.append(draw(st.text(max_size=4)))
+    if any("--iterations" in a.option_strings for a in actions):  # the last value of a flag wins
+        argv += ["--iterations", "2", "--hidden-dim", "4"]
+    return argv
+
+
+def one_gradient_check(seed=0):
+    """The first check of the gradient sweep: the full sweep takes seconds, and its flags are what is fuzzed."""
+    return [gradcheck.ComponentCheck("network_backward", gradcheck.check_network_backward(seed), True, 0.0)]
+
+
+@settings(FUZZ, max_examples=200)
+@given(argv=command_lines())
+@example(argv=["synth", "--amplitude-max", "inf", "--out", "{out}/o"])
+@example(argv=["eval", "--det", "{root}/missing", "--gt", "{root}/ds", "--out", "{out}/o"])
+@example(argv=["eval", "--det", "{root}/det.jsonl", "--gt", "{root}/ds/manifest.json", "--out", "{out}/o/report.json"])
+@example(argv=["train", "--data", "{root}/ds", "--learning-rate", "inf", "--out", "{out}", "--iterations", "2", "--hidden-dim", "4"])
+def test_main_on_drawn_command_lines(cli_root, argv):
+    """A whole ``ttcloc`` run exits 0, 1 or 2, and raises nothing else."""
+    out = tempfile.mkdtemp(dir=cli_root)
+    try:
+        with mock.patch.object(cli.gradcheck_mod, "run_gradient_checks", one_gradient_check):
+            code = cli.main([token.replace("{root}", cli_root).replace("{out}", out) for token in argv])
+    except SystemExit as exc:  # argparse: 0 after --help, 1 for a usage error
+        code = exc.code
+    finally:
+        shutil.rmtree(out)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
 
 
 @settings(FUZZ, max_examples=150)

@@ -43,7 +43,7 @@ class TestSpecValidation:
             ("prototype_scale", 0.0),
             ("amplitude_min", 0.0),
             ("amplitude_max", 0.5),  # below amplitude_min
-            ("annotated_fraction", 1.5),
+            ("amplitude_max", float("inf")),
             ("noise_scale", float("nan")),
             ("seed", -1),
         ],
@@ -140,18 +140,6 @@ class TestGenerate:
         norms = {float(np.linalg.norm(s.features[0])) for s in c0}
         assert len(norms) == len(c0)
 
-    def test_annotated_fraction(self):
-        from dataclasses import replace
-
-        _, none_flagged = generate(replace(SMALL, annotated_fraction=0.0))
-        assert not any(s.fully_annotated for s in none_flagged)
-
-        _, some = generate(replace(SMALL, annotated_fraction=0.3))
-        # ceil(0.3 * 4) = 2 per class, and they are the first of each class
-        for c in range(3):
-            flags = [s.fully_annotated for s in some if c in s.labels]
-            assert flags == [True, True, False, False]
-
     def test_infeasible_placement_names_video(self):
         spec = SynthSpec(
             num_classes=2,
@@ -193,4 +181,3 @@ class TestGenerate:
             assert a.features.tobytes() == b.features.tobytes()
             assert a.labels == b.labels
             assert a.segments == b.segments
-            assert a.fully_annotated == b.fully_annotated
