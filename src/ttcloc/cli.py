@@ -21,9 +21,9 @@ import typing
 from . import gradcheck as gradcheck_mod
 from . import network
 from .data import load_dataset, load_manifest, write_dataset
-from .errors import NumericalError, ValidationError, json_types, type_error
+from .errors import NumericalError, ValidationError, json_types, replacing, type_error
 from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
-from .localizer import infer_dataset, load_detections, write_detections
+from .localizer import infer_dataset, iter_detections, load_detections, write_detections
 from .objectives import AGGREGATORS, LossConfig, REG_FORMS, TRAIN_LOCALIZATION
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig, run_training
@@ -42,10 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_json_config(path: str) -> dict:
@@ -208,9 +206,8 @@ def cmd_infer(args) -> int:
         raise ValidationError(
             f"checkpoint expects {params.feature_dim}-dim features but dataset has {samples[0].feature_dim}"
         )
-    detections = infer_dataset(params, samples, config, args.mode)
-    write_detections(detections, manifest.class_names, args.out)
-    print(f"wrote {len(detections)} detections ({args.mode} mode): {args.out}")
+    count = write_detections(iter_detections(params, samples, config, args.mode), manifest.class_names, args.out)
+    print(f"wrote {count} detections ({args.mode} mode): {args.out}")
     return EXIT_OK
 
 
@@ -240,7 +237,7 @@ def cmd_gradcheck(args) -> int:
         else:
             status = "FAIL"
             failed = True
-        print(f"{check.name:45s} max_rel_err {check.max_rel_err:.3e}  [{status}]")
+        print(f"{check.name:45s} max_rel_err {check.max_rel_err:.3e}  [{status}]  {check.elapsed_s:.3f} s")
     worst = max(c.max_rel_err for c in checks if c.strict)
     print(f"worst strict component: {worst:.3e} (tolerance {gradcheck_mod.STRICT_TOLERANCE:g})")
     return EXIT_NUMERICAL if failed else EXIT_OK

@@ -10,7 +10,7 @@ threshold at the midpoint of the max and min snippet scores.
 from __future__ import annotations
 
 import json
-import os
+from collections.abc import Iterable, Iterator
 from math import isfinite
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import network
 from .data import VideoSample
-from .errors import ValidationError, json_types, type_error
+from .errors import ValidationError, json_types, replacing, type_error
 from .network import NetworkParams
 from .objectives import pool_and_classify
 from .trainer import TrainConfig
@@ -80,6 +80,7 @@ def infer_video(
     sample: VideoSample,
     config: TrainConfig,
     mode: str = "predicted",
+    buffers: network.ForwardBuffers | None = None,
 ) -> list[Detection]:
     """Full-sequence inference; no cropping, no dropout.
 
@@ -89,8 +90,9 @@ def infer_video(
     the ``mode`` margin is positive.  The detection score is the video-level
     class probability times the mean sigmoid gate on the predicted margin
     across the segment, whatever the checkpoint was trained with.
+    The forward pass writes into ``buffers`` (see :func:`network.forward`).
     """
-    smap, _ = network.forward(params, sample.features)
+    smap, _ = network.forward(params, sample.features, out=buffers)
     gated = config.loss.aggregator == "gated"
     rules = (mode, "predicted", config.train_localization) if gated else (mode, "predicted")
     margins = {rule: network.gate_margins(smap, rule) for rule in dict.fromkeys(rules)}
@@ -129,47 +131,64 @@ def run_means(values: np.ndarray, cls: np.ndarray, t0s: np.ndarray, t1s: np.ndar
     return means
 
 
+def iter_detections(
+    params: NetworkParams,
+    samples: list[VideoSample],
+    config: TrainConfig,
+    mode: str = "predicted",
+) -> Iterator[Detection]:
+    """The detections of every video in sample order, each video's made when
+    the first of them is asked for; one set of forward buffers, sized for
+    the longest video, serves them all."""
+    buffers = network.ForwardBuffers.empty(params, max((s.num_snippets for s in samples), default=0))
+    for sample in samples:
+        yield from infer_video(params, sample, config, mode, buffers)
+
+
 def infer_dataset(
     params: NetworkParams,
     samples: list[VideoSample],
     config: TrainConfig,
     mode: str = "predicted",
 ) -> list[Detection]:
-    out: list[Detection] = []
-    for sample in samples:
-        out.extend(infer_video(params, sample, config, mode))
-    return out
+    return list(iter_detections(params, samples, config, mode))
 
 
-def detections_to_jsonl(detections: list[Detection], class_names: tuple[str, ...]) -> str:
-    """One JSON object per line, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
-
-    Each distinct video id and class name is encoded once.  Times and
-    scores are written as floats with ``repr``, which for the finite values
-    that a ``Detection`` admits is exactly what ``json.dumps`` writes.
-    """
+def _jsonl_lines(detections: Iterable[Detection], class_names: tuple[str, ...]) -> Iterator[str]:
     names = [json.dumps(name) for name in class_names]
     ids: dict = {}
-    lines = []
     for video_id, class_id, start, end, score in detections:
         if not 0 <= class_id < len(class_names):
             raise ValidationError(f"detection class {class_id} outside the {len(class_names)}-class space")
         vid = ids.get(video_id)
         if vid is None:
             vid = ids[video_id] = json.dumps(video_id)
-        lines.append(
+        yield (
             f'{{"class_id": {int(class_id)}, "class_name": {names[class_id]}, "end_s": {float(end)!r}, '
             f'"score": {float(score)!r}, "start_s": {float(start)!r}, "video_id": {vid}}}\n'
         )
-    return "".join(lines)
 
 
-def write_detections(detections: list[Detection], class_names: tuple[str, ...], path: str) -> None:
-    payload = detections_to_jsonl(detections, class_names)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+def detections_to_jsonl(detections: Iterable[Detection], class_names: tuple[str, ...]) -> str:
+    """One JSON object per line, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
+
+    Each distinct video id and class name is encoded once.  Times and
+    scores are written as floats with ``repr``, which for the finite values
+    that a ``Detection`` admits is exactly what ``json.dumps`` writes.
+    """
+    return "".join(_jsonl_lines(detections, class_names))
+
+
+def write_detections(detections: Iterable[Detection], class_names: tuple[str, ...], path: str) -> int:
+    """Write the lines of :func:`detections_to_jsonl` to ``path`` as the
+    detections arrive (an iterator, such as :func:`iter_detections`, is
+    consumed once) and return their count.  On any error, ``path`` is left
+    as it was and no tmp file stays."""
+    count = 0
+    with replacing(path) as fh:
+        for count, line in enumerate(_jsonl_lines(detections, class_names), start=1):
+            fh.write(line)
+    return count
 
 
 _STRING, _INTEGER, _NUMBER = (json_types(t) for t in (str, int, float))

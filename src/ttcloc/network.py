@@ -17,13 +17,12 @@ math is float64; relu'(0) is taken as 0.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, replacing
 
 GATING_KINDS = ("sigmoid", "softsign", "binarize")
 THRESHOLD_RULES = ("predicted", "manual")  # what a score is compared against
@@ -122,6 +121,61 @@ class ForwardCache:
     params: NetworkParams
 
 
+@dataclass
+class ForwardBuffers:
+    """The arrays a forward pass writes, for clips of up to ``rows`` snippets.
+
+    A clip of T snippets uses rows ``0 .. T`` of each array (``T + 2`` of
+    ``h1_padded``), so buffers sized for the longest clip serve every
+    shorter one.  Each pass overwrites what the last one wrote.
+    """
+
+    x: np.ndarray  # (rows, D): the features in float64
+    z1: np.ndarray  # (rows, H)
+    h1_padded: np.ndarray  # (rows + 2 * clips, H)
+    pre_act: np.ndarray  # (rows, H)
+    h2: np.ndarray  # (rows, H)
+    h3: np.ndarray  # (rows, H); written only under dropout
+    out: np.ndarray  # (rows, C + 1): the scores, then the threshold
+
+    @classmethod
+    def empty(cls, params: NetworkParams, rows: int, clips: int = 1) -> "ForwardBuffers":
+        """Uninitialized buffers of ``rows`` rows, enough for ``clips`` clips laid out by :meth:`clip`."""
+        d, h, c = params.feature_dim, params.hidden_dim, params.num_classes
+        shapes = ((rows, d), (rows, h), (rows + 2 * clips, h), (rows, h), (rows, h), (rows, h), (rows, c + 1))
+        return cls(*(np.empty(shape) for shape in shapes))
+
+    def clip(self, start: int, stop: int, index: int) -> "ForwardBuffers":
+        """Views for the ``index``-th clip of a batch laid out by :func:`clip_spans`,
+        rows ``start:stop``; its padded rows lie ``2 * index`` rows further on."""
+        pad = start + 2 * index
+        rows = (a[start:stop] for a in (self.x, self.z1, self.pre_act, self.h2, self.h3, self.out))
+        x, z1, pre_act, h2, h3, out = rows
+        return ForwardBuffers(x, z1, self.h1_padded[pad : pad + stop - start + 2], pre_act, h2, h3, out)
+
+
+@dataclass
+class BackwardBuffers:
+    """Scratch of a backward pass over clips of up to ``rows`` snippets.
+
+    ``grad`` has the size of the largest gradient array, each conv tap
+    counted alone: a pass that adds its gradient to a total computes one
+    array at a time into it.
+    """
+
+    d_out: np.ndarray  # (rows, C + 1)
+    d_pre: np.ndarray  # (rows, H)
+    d_padded: np.ndarray  # (rows + 2, H)
+    tap: np.ndarray  # (rows, H): one conv tap's product
+    grad: np.ndarray  # flat
+
+    @classmethod
+    def empty(cls, params: NetworkParams, rows: int) -> "BackwardBuffers":
+        d, h, c = params.feature_dim, params.hidden_dim, params.num_classes
+        h_shapes = ((rows, h), (rows + 2, h), (rows, h))
+        return cls(np.empty((rows, c + 1)), *(np.empty(shape) for shape in h_shapes), np.empty(max(d, h, c + 1) * h))
+
+
 def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num_classes: int) -> NetworkParams:
     """Glorot-uniform weights, zero biases; deterministic given the rng state."""
     if min(feature_dim, hidden_dim, num_classes) < 1:
@@ -142,12 +196,14 @@ def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num
     )
 
 
-def _conv3(padded: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Temporal width-3 convolution of the (T + 2, H) zero-padded input, shape (T, H)."""
+def _conv3(padded: np.ndarray, kernel: np.ndarray, bias: np.ndarray, out=None, tap=None) -> np.ndarray:
+    """Temporal width-3 convolution of the (T + 2, H) zero-padded input into
+    ``out`` (T, H); ``tap`` (T, H) holds one tap's product at a time.  Either
+    is allocated when not given."""
     t = padded.shape[0] - 2
-    out = padded[0:t] @ kernel[0]
-    out += padded[1 : t + 1] @ kernel[1]
-    out += padded[2 : t + 2] @ kernel[2]
+    out = np.matmul(padded[0:t], kernel[0], out=out)
+    out += np.matmul(padded[1 : t + 1], kernel[1], out=tap)
+    out += np.matmul(padded[2 : t + 2], kernel[2], out=tap)
     out += bias
     return out
 
@@ -157,31 +213,42 @@ def forward(
     features: np.ndarray,
     dropout_mask: np.ndarray | None = None,
     drop_rate: float = 0.7,
+    out: ForwardBuffers | None = None,
 ) -> tuple[ScoreMap, ForwardCache]:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.feature_dim:
-        raise ValidationError(f"forward: features must be (T, {params.feature_dim}), got {x.shape}")
-    t = x.shape[0]
-    z1 = x @ params.w1
+    """Scores and the cache :func:`backward` reads, every array written into
+    ``out`` (allocated when not given): the score map and the cache are views
+    of it, valid until the next pass into the same buffers."""
+    features = np.asarray(features)
+    if features.ndim != 2 or features.shape[1] != params.feature_dim:
+        raise ValidationError(f"forward: features must be (T, {params.feature_dim}), got {features.shape}")
+    t = features.shape[0]
+    buf = out if out is not None else ForwardBuffers.empty(params, t)
+    if buf.x.shape[0] < t:
+        raise ValidationError(f"forward: buffers hold {buf.x.shape[0]} rows, the clip has {t}")
+    x = buf.x[:t]
+    x[...] = features  # float32 features convert to float64 exactly
+    z1 = np.matmul(x, params.w1, out=buf.z1[:t])
     z1 += params.b1
-    padded = np.zeros((t + 2, params.hidden_dim))
+    padded = buf.h1_padded[: t + 2]
+    padded[0] = padded[t + 1] = 0.0
     h1 = np.maximum(z1, 0.0, out=padded[1 : t + 1])
-    pre_act = _conv3(padded, params.conv_kernel, params.conv_bias)
+    h2 = buf.h2[:t]  # holds the conv taps until h2 is written
+    pre_act = _conv3(padded, params.conv_kernel, params.conv_bias, buf.pre_act[:t], tap=h2)
     pre_act += h1
-    h2 = np.maximum(pre_act, 0.0)
+    np.maximum(pre_act, 0.0, out=h2)
     if dropout_mask is not None:
         if dropout_mask.shape != h2.shape:
             raise ValidationError(f"forward: dropout mask shape {dropout_mask.shape} != {h2.shape}")
         scale = 1.0 / (1.0 - drop_rate)
-        h3 = h2 * dropout_mask
+        h3 = np.multiply(h2, dropout_mask, out=buf.h3[:t])
         h3 *= scale
     else:
         scale = 1.0
         h3 = h2
-    out = h3 @ params.w2
-    out += params.b2
+    rows = np.matmul(h3, params.w2, out=buf.out[:t])
+    rows += params.b2
     c = params.num_classes
-    smap = ScoreMap(scores=out[:, :c], thresholds=out[:, c])
+    smap = ScoreMap(scores=rows[:, :c], thresholds=rows[:, c])
     cache = ForwardCache(x, z1, padded, pre_act, h2, h3, dropout_mask, scale, params)
     return smap, cache
 
@@ -191,21 +258,35 @@ def backward(
     d_scores: np.ndarray,
     d_thresholds: np.ndarray,
     out: NetworkParams | None = None,
+    add: bool = False,
+    scratch: BackwardBuffers | None = None,
 ) -> NetworkParams:
     """Exact chain rule back to every parameter array, written into ``out``
-    (overwritten, not added to; allocated when not given) and returned.
-    The cache is only read, so one forward pass can be differentiated twice."""
+    (allocated when not given) and returned.  Each array overwrites its
+    slot, or with ``add`` is computed into ``scratch.grad`` and added to it,
+    so a sum over clips needs no second gradient vector.  Intermediates go
+    to ``scratch`` (allocated when not given).  The cache is only read, so
+    one forward pass can be differentiated twice."""
     params = cache.params
     t = cache.features.shape[0]
     c = params.num_classes
     if d_scores.shape != (t, c) or d_thresholds.shape != (t,):
         raise ValidationError("backward: upstream gradient shapes do not match the forward pass")
     grads = out if out is not None else params.with_flat(np.empty_like(params.flat))
-    d_out = np.concatenate([d_scores, d_thresholds[:, None]], axis=1)
+    buf = scratch if scratch is not None else BackwardBuffers.empty(params, t)
 
-    np.matmul(cache.h3.T, d_out, out=grads.w2)
-    np.sum(d_out, axis=0, out=grads.b2)
-    d_pre = d_out @ params.w2.T  # d h3, then d h2, then d pre_act, in place
+    def put(dest, fn, *args, **kwargs):
+        target = buf.grad[: dest.size].reshape(dest.shape) if add else dest
+        fn(*args, **kwargs, out=target)
+        if add:
+            dest += target
+
+    d_out = buf.d_out[:t]
+    d_out[:, :c] = d_scores
+    d_out[:, c] = d_thresholds
+    put(grads.w2, np.matmul, cache.h3.T, d_out)
+    put(grads.b2, np.sum, d_out, axis=0)
+    d_pre = np.matmul(d_out, params.w2.T, out=buf.d_pre[:t])  # d h3, then d h2, then d pre_act, in place
     if cache.dropout_mask is not None:
         d_pre *= cache.dropout_mask
         d_pre *= cache.dropout_scale
@@ -214,17 +295,18 @@ def backward(
     # conv backward over the zero-padded sequence
     padded = cache.h1_padded
     for k in range(3):
-        np.matmul(padded[k : k + t].T, d_pre, out=grads.conv_kernel[k])
-    np.sum(d_pre, axis=0, out=grads.conv_bias)
-    d_padded = np.zeros_like(padded)
+        put(grads.conv_kernel[k], np.matmul, padded[k : k + t].T, d_pre)
+    put(grads.conv_bias, np.sum, d_pre, axis=0)
+    d_padded = buf.d_padded[: t + 2]
+    d_padded.fill(0.0)
     for k in range(3):
-        d_padded[k : k + t] += d_pre @ params.conv_kernel[k].T
+        d_padded[k : k + t] += np.matmul(d_pre, params.conv_kernel[k].T, out=buf.tap[:t])
     d_z1 = d_padded[1 : t + 1]
     d_z1 += d_pre  # residual path + conv path: d h1
     d_z1 *= cache.z1 > 0
 
-    np.matmul(cache.features.T, d_z1, out=grads.w1)
-    np.sum(d_z1, axis=0, out=grads.b1)
+    put(grads.w1, np.matmul, cache.features.T, d_z1)
+    put(grads.b1, np.sum, d_z1, axis=0)
     return grads
 
 
@@ -232,40 +314,56 @@ def backward(
 # Gating
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))`` below,
-    so exp never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    so exp never overflows.  Written into ``out``, with ``scratch`` shaped
+    like ``x`` (either allocated when not given)."""
+    e = np.abs(x, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.positive(e, out=out)  # a copy of e
+    np.copyto(out, 1.0, where=x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
-def _softsign01(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x / (1.0 + np.abs(x)) + 1.0)
-
-
-def gate_values(x: np.ndarray, kind: str) -> np.ndarray:
-    """Gate nonlinearity applied to score-minus-threshold margins."""
+def gate_values(x: np.ndarray, kind: str, out=None, scratch=None) -> np.ndarray:
+    """Gate nonlinearity applied to score-minus-threshold margins, written
+    into ``out`` (allocated when not given); ``scratch`` as for :func:`sigmoid`."""
     if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "softsign":
-        return _softsign01(x)
+        return sigmoid(x, out, scratch)
+    if kind == "softsign":  # 0.5 * (x / (1 + |x|) + 1)
+        out = np.abs(x, out=out)
+        out += 1.0
+        np.divide(x, out, out=out)
+        out += 1.0
+        out *= 0.5
+        return out
     if kind == "binarize":
-        return (x > 0).astype(np.float64)
+        return np.greater(x, 0, out=out if out is not None else np.empty_like(x))
     raise ValidationError(f"unknown gating kind {kind!r}; expected one of {GATING_KINDS}")
 
 
-def gate_input_grad(x: np.ndarray, values: np.ndarray, kind: str) -> np.ndarray:
-    """d gate / d input, elementwise.
+def gate_input_grad(x: np.ndarray, values: np.ndarray, kind: str, out=None) -> np.ndarray:
+    """d gate / d input, elementwise, written into ``out`` (allocated when not given).
 
     Binarization uses the identity as a surrogate gradient, so training can
     pass information through the hard step.
     """
-    if kind == "sigmoid":
-        return values * (1.0 - values)
-    if kind == "softsign":
-        return 0.5 / np.square(1.0 + np.abs(x))
+    if kind == "sigmoid":  # values * (1 - values)
+        out = np.subtract(1.0, values, out=out)
+        out *= values
+        return out
+    if kind == "softsign":  # 0.5 / (1 + |x|)^2
+        out = np.abs(x, out=out)
+        out += 1.0
+        np.square(out, out=out)
+        return np.divide(0.5, out, out=out)
     if kind == "binarize":
-        return np.ones_like(x)
+        out = np.empty_like(x) if out is None else out
+        out.fill(1.0)
+        return out
     raise ValidationError(f"unknown gating kind {kind!r}; expected one of {GATING_KINDS}")
 
 
@@ -274,8 +372,9 @@ def manual_thresholds(scores: np.ndarray) -> np.ndarray:
     return 0.5 * (scores.max(axis=0) + scores.min(axis=0))
 
 
-def gate_margins(score_map: ScoreMap, rule: str, lengths=None) -> np.ndarray:
-    """Scores minus the thresholds that ``rule`` names, shape (T, C).
+def gate_margins(score_map: ScoreMap, rule: str, lengths=None, out=None) -> np.ndarray:
+    """Scores minus the thresholds that ``rule`` names, shape (T, C), written
+    into ``out`` (allocated when not given).
 
     ``predicted``: each snippet's learned threshold.  ``manual``: the
     per-class :func:`manual_thresholds` of each clip (``lengths``; one clip
@@ -285,12 +384,12 @@ def gate_margins(score_map: ScoreMap, rule: str, lengths=None) -> np.ndarray:
     """
     s = score_map.scores
     if rule == "predicted":
-        return s - score_map.thresholds[:, None]
+        return np.subtract(s, score_map.thresholds[:, None], out=out)
     if rule == "manual":
-        if lengths is None:
-            return s - manual_thresholds(s)[None, :]
-        cuts = [manual_thresholds(s[a:b]) for a, b in clip_spans(lengths)]
-        return s - np.repeat(cuts, lengths, axis=0)
+        out = np.empty(s.shape) if out is None else out
+        for a, z in clip_spans((s.shape[0],) if lengths is None else lengths):
+            np.subtract(s[a:z], manual_thresholds(s[a:z]), out=out[a:z])
+        return out
     raise ValidationError(f"threshold rule must be one of {THRESHOLD_RULES}, got {rule!r}")
 
 
@@ -318,10 +417,8 @@ def save_params(params: NetworkParams, path: str) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(b"".join(chunks))
-    os.replace(tmp, path)
 
 
 def load_params(path: str) -> NetworkParams:

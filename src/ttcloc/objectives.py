@@ -124,7 +124,8 @@ def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: 
     if aggregator == "gated":
         if gate is None:
             raise ValidationError("gated aggregator requires a gate")
-        pooled = _column_sums(gate * s, spans) / (_column_sums(gate, spans) + EPS)
+        products = np.array([(gate[a:z] * s[a:z]).sum(axis=0) for a, z in spans])
+        pooled = products / (_column_sums(gate, spans) + EPS)
     elif aggregator == "topk_eighth":
         cols = np.arange(s.shape[1])[:, None]
         pooled = np.array([s[_topk_rows(s, a, z), cols].mean(axis=1) for a, z in spans])
@@ -145,8 +146,10 @@ def pool_backward(
     d_pooled_scores: np.ndarray,
     d_pooled_threshold: np.ndarray,
     lengths=None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the pooled quantities back to (scores, gate, thresholds).
+    """Gradients of the pooled quantities back to (scores, gate, thresholds);
+    the first two are written into the pair ``out`` (allocated when not given).
 
     ``pooled_scores`` is what :func:`pool_and_classify` returned for the
     same inputs.  The gate is treated as an independent input here; chaining
@@ -154,14 +157,19 @@ def pool_backward(
     """
     s = score_map.scores
     lengths, spans = _layout(lengths, s.shape[0])
+    d_s, d_g = (np.empty(s.shape), np.empty(s.shape)) if out is None else out
     if aggregator == "gated":
-        denom = np.repeat(_column_sums(gate, spans) + EPS, lengths, axis=0)
-        d_pooled = np.repeat(d_pooled_scores, lengths, axis=0)
-        d_s = d_pooled * gate / denom
-        d_g = d_pooled * (s - np.repeat(pooled_scores, lengths, axis=0)) / denom
+        # per clip: d_pooled * gate / denom and d_pooled * (s - pooled) / denom
+        denom = _column_sums(gate, spans) + EPS
+        for (a, z), d, den, pooled in zip(spans, d_pooled_scores, denom, pooled_scores):
+            np.multiply(d, gate[a:z], out=d_s[a:z])
+            d_s[a:z] /= den
+            np.subtract(s[a:z], pooled, out=d_g[a:z])
+            np.multiply(d, d_g[a:z], out=d_g[a:z])
+            d_g[a:z] /= den
     elif aggregator == "topk_eighth":
-        d_s = np.zeros_like(s)
-        d_g = np.zeros_like(s)
+        d_s.fill(0.0)
+        d_g.fill(0.0)
         cols = np.arange(s.shape[1])[:, None]
         for (a, z), d in zip(spans, d_pooled_scores):
             rows = _topk_rows(s, a, z)
@@ -204,12 +212,12 @@ def classification_loss(
     return total / batch, (d_logits[:, :-1], d_logits[:, -1])
 
 
-def _gt_max_scores(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gt_max_scores(s: np.ndarray, gt: np.ndarray, spans) -> tuple[np.ndarray, np.ndarray]:
     """Per-snippet max over ground-truth class scores and its argmax class;
-    ``gt`` is the (T, C) boolean ground-truth mask of each row."""
+    ``gt`` is the (B, C) boolean ground-truth mask of each clip."""
     if not gt.any(axis=1).all():
         raise ValidationError("threshold regularization needs at least one ground-truth class")
-    max_cls = np.argmax(np.where(gt, s, -np.inf), axis=1)
+    max_cls = np.concatenate([np.argmax(np.where(g, s[a:z], -np.inf), axis=1) for g, (a, z) in zip(gt, spans)])
     return s[np.arange(s.shape[0]), max_cls], max_cls
 
 
@@ -228,6 +236,7 @@ def threshold_regularization_loss(
     labels: np.ndarray,
     form: str = "inner_product",
     lengths=None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Margin regularizer between ground-truth action scores and thresholds.
 
@@ -237,7 +246,8 @@ def threshold_regularization_loss(
     ``l1`` / ``l2``: per-snippet hinge that saturates once the distance
     between the two exceeds 1.  ``cosine``: plain cosine similarity.
     Each clip (a row of ``labels``) gets its own value; the loss is their
-    mean, and the gradients are (N, C) and (N,).
+    mean, and the gradients are (N, C), written into ``out`` (allocated when
+    not given), and (N,).
     """
     if form not in REG_FORMS:
         raise ValidationError(f"unknown reg form {form!r}")
@@ -245,7 +255,7 @@ def threshold_regularization_loss(
     lengths, spans = _layout(lengths, s.shape[0])
     batch = len(lengths)
     t = np.array(lengths)
-    stilde, max_cls = _gt_max_scores(s, np.repeat(labels > 0, lengths, axis=0))
+    stilde, max_cls = _gt_max_scores(s, labels > 0, spans)
     if form in ("inner_product", "cosine"):
         ns = _norms(stilde, spans)
         nb = _norms(np.ascontiguousarray(b), spans)
@@ -282,7 +292,8 @@ def threshold_regularization_loss(
     total = 0.0
     for value in values.tolist():
         total += value
-    d_s = np.zeros_like(s)
+    d_s = np.empty(s.shape) if out is None else out
+    d_s.fill(0.0)
     d_s[np.arange(s.shape[0]), max_cls] += d_stilde / batch
     return total / batch, (d_s, d_b / batch)
 
@@ -292,12 +303,14 @@ def localization_loss(
     annotation: np.ndarray | None,
     fully_annotated: list[bool],
     lengths=None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Mean absolute deviation between gates and rasterized annotations.
 
     Only the rows of fully annotated clips contribute (``annotation`` may
     hold anything elsewhere); with none in the batch the loss is exactly 0
-    with no gradient.
+    with no gradient.  The gradient is written into ``out`` (allocated when
+    not given).
     """
     lengths, spans = _layout(lengths, gate.shape[0])
     if len(fully_annotated) != len(lengths):
@@ -307,7 +320,8 @@ def localization_loss(
         return 0.0, None
     if annotation is None or annotation.shape != gate.shape:
         raise ValidationError("localization_loss: annotation missing or mis-shaped for a flagged sample")
-    grad = np.zeros_like(gate)
+    grad = np.empty(gate.shape) if out is None else out
+    grad.fill(0.0)
     total = 0.0
     for i in idx:
         a, z = spans[i]
@@ -319,6 +333,40 @@ def localization_loss(
 
 # ---------------------------------------------------------------------------
 # Combined objective
+
+
+# the objective's (rows, C) arrays in a Workspace, in the order total_loss unpacks them
+_OBJECTIVE_ARRAYS = (
+    "margins", "gate", "gate_grad", "scratch", "annotation", "ds_reg", "loc_grad", "ds_pool", "dg_pool", "d_s", "d_g"
+)
+
+
+class Workspace:
+    """Every array the size of a batch of up to ``clips`` clips of up to
+    ``clip_rows`` snippets, or of the parameters, that :func:`total_loss`
+    writes, allocated once so that the steps reusing it allocate none: the
+    forward buffers of all clips laid back to back (see
+    :func:`network.clip_spans`), the objective's (rows, C) arrays, one clip's
+    backward scratch, the gradient total, and room for the batch's boolean
+    dropout mask."""
+
+    def __init__(self, params: NetworkParams, clips: int, clip_rows: int):
+        self.clips, self.clip_rows = clips, clip_rows
+        self.dims = _dims(params)
+        rows = clips * clip_rows
+        self.forward = network.ForwardBuffers.empty(params, rows, clips)
+        self.backward = network.BackwardBuffers.empty(params, clip_rows)
+        self.grads = params.with_flat(np.empty_like(params.flat))
+        self.keep = np.empty((rows, params.hidden_dim), dtype=bool)
+        self.objective = np.empty((len(_OBJECTIVE_ARRAYS), rows, params.num_classes))
+
+    def fits(self, params: NetworkParams, clips: int, clip_rows: int) -> bool:
+        """Whether this workspace can serve a batch of ``clips`` clips of at most ``clip_rows`` snippets."""
+        return self.dims == _dims(params) and clips <= self.clips and clip_rows <= self.clip_rows
+
+
+def _dims(params: NetworkParams) -> tuple[int, int, int]:
+    return params.feature_dim, params.hidden_dim, params.num_classes
 
 
 @dataclass
@@ -340,6 +388,7 @@ def total_loss(
     train_localization: str = "predicted",
     dropout_masks: list[np.ndarray | None] | None = None,
     drop_rate: float = 0.7,
+    workspace: Workspace | None = None,
 ) -> tuple[LossBreakdown, NetworkParams]:
     """Weighted sum of the three losses with a full backward pass.
 
@@ -348,6 +397,11 @@ def total_loss(
     over the fully annotated clips) and the weighted upstream gradients once
     on the whole batch, and backpropagates each clip's rows of those
     gradients through the network into one parameter gradient.
+
+    Every array the size of the batch or of the parameters goes to
+    ``workspace`` (allocated for this batch when not given), the returned
+    gradient included: it is valid until the next call with the same
+    workspace.
     """
     config.validate()
     if train_localization not in TRAIN_LOCALIZATION:
@@ -359,70 +413,76 @@ def total_loss(
     num_classes = params.num_classes
     masks = dropout_masks if dropout_masks is not None else [None] * len(clips)
 
-    caches = []
     lengths = [clip.num_snippets for clip in clips]
     spans = network.clip_spans(lengths)
-    out = np.empty((spans[-1][1], num_classes + 1))  # the batch's (scores | threshold) rows
-    for clip, mask, (a, z) in zip(clips, masks, spans):
-        smap, cache = network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate)
-        out[a:z, :num_classes] = smap.scores
-        out[a:z, num_classes] = smap.thresholds
-        caches.append(cache)
+    ws = workspace if workspace is not None else Workspace(params, len(clips), max(lengths))
+    if not ws.fits(params, len(clips), max(lengths)):
+        raise ValidationError(
+            f"total_loss: the workspace holds {ws.clips} clips of {ws.clip_rows} snippets at (D, H, C) {ws.dims}; "
+            f"the batch has {len(clips)} clips of up to {max(lengths)} at {_dims(params)}"
+        )
+    caches = []
+    for i, (clip, mask, (a, z)) in enumerate(zip(clips, masks, spans)):
+        out = ws.forward.clip(a, z, i)
+        caches.append(network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate, out=out)[1])
+    n = spans[-1][1]
+    out = ws.forward.out[:n]  # the batch's (scores | threshold) rows, as the forwards wrote them
     smap = ScoreMap(scores=out[:, :num_classes], thresholds=out[:, num_classes])
+    margins, gate, gate_grad, scratch, annotation, ds_reg, loc_grad, ds_pool, dg_pool, d_s, d_g = ws.objective[:, :n]
 
-    gate = gate_grad = None
     if train_localization != "none":
-        x = network.gate_margins(smap, train_localization, lengths)
-        gate = network.gate_values(x, gating)
-        gate_grad = network.gate_input_grad(x, gate, gating)
+        x = network.gate_margins(smap, train_localization, lengths, out=margins)
+        gate = network.gate_values(x, gating, out=gate, scratch=scratch)
+        gate_grad = network.gate_input_grad(x, gate, gating, out=gate_grad)
+    else:
+        gate = gate_grad = None
     probs = pool_and_classify(smap, gate, config.aggregator, lengths)
     labels = np.array([label_vector(clip.labels, num_classes) for clip in clips])
 
     w_b = config.resolved_background_weight(num_classes)
     clas_value, (d_shat, d_bhat) = classification_loss(probs, labels, w_b)
-    reg_value, (ds_reg, db_reg) = threshold_regularization_loss(smap, labels, config.reg_form, lengths)
+    reg_value, (ds_reg, db_reg) = threshold_regularization_loss(smap, labels, config.reg_form, lengths, out=ds_reg)
 
     flags = [clip.fully_annotated for clip in clips]
     loc_active = train_localization != "none" and config.loc_weight > 0 and any(flags)
-    loc_value, loc_grad = 0.0, None
+    loc_value = 0.0
     if loc_active:
-        annotation = np.zeros_like(gate)
+        annotation.fill(0.0)
         for clip, flag, (a, z) in zip(clips, flags, spans):
             if flag:
                 annotation[a:z] = rasterize(clip.segments, clip.num_snippets, num_classes, clip.snippet_duration)
-        loc_value, loc_grad = localization_loss(gate, annotation, flags, lengths)
+        loc_value, loc_grad = localization_loss(gate, annotation, flags, lengths, out=loc_grad)
 
     # Upstream gradients of the whole batch.  They start at +0.0 and only
     # add, so they never hold -0.0 and an added zero changes no byte: the
     # rows of unflagged clips in loc_grad, and d_x wherever d_g is zero.
+    # Each weighted term is scaled in its own buffer first (w * x == x * w).
     lam, eta = config.clas_weight, config.loc_weight
-    d_s = np.zeros_like(smap.scores)
-    d_b = np.zeros_like(smap.thresholds)
-    d_g = np.zeros_like(smap.scores)
+    d_s.fill(0.0)
+    d_b = np.zeros(n)
+    d_g.fill(0.0)
     if lam > 0:
         ds_pool, dg_pool, db_pool = pool_backward(
-            smap, gate, config.aggregator, probs.pooled_scores, d_shat, d_bhat, lengths
+            smap, gate, config.aggregator, probs.pooled_scores, d_shat, d_bhat, lengths, out=(ds_pool, dg_pool)
         )
-        d_s += lam * ds_pool
+        d_s += np.multiply(ds_pool, lam, out=ds_pool)
         d_b += lam * db_pool
-        d_g += lam * dg_pool
+        d_g += np.multiply(dg_pool, lam, out=dg_pool)
     if lam < 1:
-        d_s += (1.0 - lam) * ds_reg
+        d_s += np.multiply(ds_reg, 1.0 - lam, out=ds_reg)
         d_b += (1.0 - lam) * db_reg
-    if loc_grad is not None:
-        d_g += eta * loc_grad
+    if loc_active:
+        d_g += np.multiply(loc_grad, eta, out=loc_grad)
     if gate is not None:
-        d_x = d_g * gate_grad
+        d_x = np.multiply(d_g, gate_grad, out=d_g)
         d_s += d_x
         if train_localization == "predicted":
             d_b -= d_x.sum(axis=1)
 
     # the first clip's gradient becomes the total, which the others add to
-    total = network.backward(caches[0], d_s[: lengths[0]], d_b[: lengths[0]])
-    clip_grads = None
-    for cache, (a, z) in zip(caches[1:], spans[1:]):
-        clip_grads = network.backward(cache, d_s[a:z], d_b[a:z], out=clip_grads)
-        total.flat += clip_grads.flat
+    total = ws.grads
+    for i, (cache, (a, z)) in enumerate(zip(caches, spans)):
+        network.backward(cache, d_s[a:z], d_b[a:z], out=total, add=i > 0, scratch=ws.backward)
 
     breakdown = LossBreakdown(
         clas=clas_value,

@@ -9,6 +9,7 @@ subset with the full objective.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -18,7 +19,7 @@ from . import network
 from .data import VideoSample, crop_clip
 from .errors import NumericalError, ValidationError
 from .network import NetworkParams
-from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, total_loss
+from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, Workspace, total_loss
 
 SUPERVISION_MODES = ("weak", "semi", "full")
 STRATEGIES = ("joint", "fully_annotated_only", "pretrain_finetune")
@@ -44,12 +45,12 @@ class TrainConfig:
     train_localization: str = "predicted"
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValidationError("beta1/beta2 must lie in (0, 1)")
-        if not self.adam_eps > 0:
-            raise ValidationError("adam_eps must be > 0")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise ValidationError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.batch_size < 1 or self.max_clip_len < 1 or self.iterations < 0:
             raise ValidationError("batch_size/max_clip_len must be >= 1 and iterations >= 0")
         if self.hidden_dim < 1:
@@ -75,6 +76,9 @@ class TrainConfig:
             raise ValidationError("train_localization='none' requires the topk_eighth aggregator")
 
 
+ADAM_BLOCK = 16384  # elements per block of the Adam update, so that a block's arrays stay in cache
+
+
 @dataclass
 class TrainState:
     params: NetworkParams
@@ -82,12 +86,13 @@ class TrainState:
     v: np.ndarray
     step: int
     rng: np.random.Generator
-    # two vectors shaped like m that the Adam update works in, so it
-    # allocates nothing parameter-sized
+    # two block-sized vectors that the Adam update works in
     scratch: tuple = field(init=False, repr=False, compare=False)
+    # the arrays total_loss writes, made by the first step and remade for a larger batch
+    workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.scratch = (np.empty(min(ADAM_BLOCK, self.m.size)), np.empty(min(ADAM_BLOCK, self.m.size)))
 
 
 def init_state(config: TrainConfig, feature_dim: int, num_classes: int) -> TrainState:
@@ -129,31 +134,40 @@ def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
-    g, m, v = grads.flat, state.m, state.v
-    a, b = state.scratch
-    # in place, in the operation order of
+    scale_m, scale_v = 1.0 - b1**t, 1.0 - b2**t
+    # in place, block by block (every operation is elementwise), in the operation order of
     #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
     #   flat -= (lr * m_hat) / (sqrt(v_hat) + eps)
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=a)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=a)
-    v += np.multiply(a, g, out=a)
-    m_hat = np.divide(m, 1.0 - b1**t, out=a)
-    v_hat = np.divide(v, 1.0 - b2**t, out=b)
-    denom = np.add(np.sqrt(v_hat, out=b), config.adam_eps, out=b)
-    step = np.multiply(m_hat, config.learning_rate, out=a)
-    state.params.flat -= np.divide(step, denom, out=a)
+    for start in range(0, state.m.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, m, v, flat = grads.flat[block], state.m[block], state.v[block], state.params.flat[block]
+        a, b = (s[: g.size] for s in state.scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=a)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        m_hat = np.divide(m, scale_m, out=a)
+        v_hat = np.divide(v, scale_v, out=b)
+        denom = np.add(np.sqrt(v_hat, out=b), config.adam_eps, out=b)
+        step = np.multiply(m_hat, config.learning_rate, out=a)
+        flat -= np.divide(step, denom, out=a)
 
 
 def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig) -> LossBreakdown:
     """One gradient step on an already-sampled batch; mutates state."""
     clips = [crop_clip(s, config.max_clip_len, state.rng) for s in batch]
+    ws = state.workspace
+    if ws is None or not ws.fits(state.params, len(clips), config.max_clip_len):
+        ws = state.workspace = Workspace(state.params, len(clips), config.max_clip_len)
     masks = None
     if config.dropout > 0:
-        # one draw for the batch: the same stream as one draw per clip
+        # one draw for the batch, the same stream as one uniform(size=...) draw per clip,
+        # into the h3 rows, which the forward passes fill only after the mask is taken
         lengths = [c.num_snippets for c in clips]
-        keep = state.rng.uniform(size=(sum(lengths), config.hidden_dim)) >= config.dropout
+        n = sum(lengths)
+        draw = state.rng.random(out=ws.forward.h3[:n])
+        keep = np.greater_equal(draw, config.dropout, out=ws.keep[:n])
         masks = [keep[a:b] for a, b in network.clip_spans(lengths)]
     breakdown, grads = total_loss(
         state.params,
@@ -163,11 +177,12 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
         train_localization=config.train_localization,
         dropout_masks=masks,
         drop_rate=config.dropout,
+        workspace=ws,
     )
     ids = [c.id for c in clips]
     if not np.isfinite(breakdown.total):
         raise NumericalError(f"non-finite loss {breakdown.total!r} at step {state.step + 1}; batch ids {ids}")
-    if not np.isfinite(grads.flat).all():
+    if not (np.isfinite(grads.flat.min()) and np.isfinite(grads.flat.max())):  # NaN propagates through both
         raise NumericalError(f"non-finite gradient at step {state.step + 1}; batch ids {ids}")
     _adam_update(state, grads, config)
     return breakdown

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -259,6 +260,41 @@ class TestPipeline:
         assert not os.path.exists(out)
 
 
+class TestOutputNamesADirectory:
+    """A failed write exits 1 and leaves neither the target changed nor a tmp file."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("outdir")
+        ds = make_dataset(str(root / "ds"))
+        run = str(root / "run")
+        assert run_cli("train", "--data", ds, "--out", run, "--iterations", "3", "--hidden-dim", "8") == 0
+        return ds, run
+
+    def test_infer(self, trained, tmp_path):
+        ds, run = trained
+        out = tmp_path / "det"
+        out.mkdir()
+        assert run_cli("infer", "--ckpt", run, "--data", ds, "--mode", "manual", "--out", str(out)) == 1
+        assert os.listdir(tmp_path) == ["det"] and os.listdir(out) == []
+
+    def test_eval(self, trained, tmp_path):
+        ds, run = trained
+        det = str(tmp_path / "det.jsonl")
+        assert run_cli("infer", "--ckpt", run, "--data", ds, "--mode", "manual", "--out", det) == 0
+        out = tmp_path / "report.json"
+        out.mkdir()
+        assert run_cli("eval", "--det", det, "--gt", os.path.join(ds, "manifest.json"), "--out", str(out)) == 1
+        assert sorted(os.listdir(tmp_path)) == ["det.jsonl", "report.json"]
+
+    def test_train(self, trained, tmp_path):
+        ds, _ = trained
+        run = tmp_path / "run"
+        (run / "checkpoint.ttck").mkdir(parents=True)
+        assert run_cli("train", "--data", ds, "--out", str(run), "--iterations", "1", "--hidden-dim", "4") == 1
+        assert "checkpoint.ttck.tmp" not in os.listdir(run)
+
+
 class TestExitCodes:
     def test_usage_error_is_validation_exit(self):
         with pytest.raises(SystemExit) as info:
@@ -275,6 +311,14 @@ class TestExitCodes:
         assert run_cli("gradcheck", "--seed", "-1") == 1
         assert capsys.readouterr().err.count("seed must be >= 0") == 3
         assert not os.path.exists(tmp_path / "ds2") and not os.path.exists(tmp_path / "run")
+
+    def test_infinite_adam_settings_fail_cleanly(self, tmp_path, capsys):
+        ds = make_dataset(str(tmp_path / "ds"))
+        for flag in ("--learning-rate", "--adam-eps"):
+            run = str(tmp_path / "run")
+            assert run_cli("train", "--data", ds, flag, "inf", "--iterations", "2", "--hidden-dim", "4", "--out", run) == 1
+            assert "must be finite" in capsys.readouterr().err
+            assert not os.path.exists(run)
 
     def test_unknown_config_key_exit(self, tmp_path):
         cfg = tmp_path / "train.json"
@@ -541,6 +585,9 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "surrogate" in out  # binarize gate reported, not enforced
         assert "FAIL" not in out
+        components = out.splitlines()[:-1]
+        assert len(components) > 40
+        assert all(re.search(r"\] +\d+\.\d{3} s$", line) for line in components)  # each check's elapsed time
 
     def test_sign_flip_bug_is_caught(self, monkeypatch):
         # negative control: corrupt one analytic gradient and expect detection

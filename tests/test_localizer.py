@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -14,6 +15,7 @@ from ttcloc.localizer import (
     detections_to_jsonl,
     extract_segments,
     infer_dataset,
+    iter_detections,
     infer_video,
     load_detections,
     run_means,
@@ -158,14 +160,16 @@ class TestInferVideo:
         assert extract_segments(gate_margins(ScoreMap(s, np.zeros(6)), "manual")[:, 0]) == []
 
     def test_infer_dataset_concatenates(self):
+        # one set of buffers, sized for the longest video, serves videos of every length
         rng = np.random.default_rng(5)
         params = init_params(rng, 3, 4, 2)
         for arr in params.as_dict().values():
             arr *= 3.0
-        samples = [make_sample(rng, vid=f"v{i}") for i in range(4)]
-        all_dets = infer_dataset(params, samples, CONFIG)
-        per_video = [infer_video(params, s, CONFIG) for s in samples]
+        samples = [make_sample(rng, t=t, vid=f"v{i}") for i, t in enumerate((8, 30, 1, 17))]
+        all_dets = infer_dataset(params, samples, CONFIG, "manual")
+        per_video = [infer_video(params, s, CONFIG, "manual") for s in samples]
         assert all_dets == [d for group in per_video for d in group]
+        assert len({d.video_id for d in all_dets}) == 3
 
 
 def reference_infer(params, sample, mode, config=CONFIG):
@@ -288,6 +292,30 @@ class TestDetectionIO:
         payload = detections_to_jsonl(self.make_dets(), ("alpha", "beta"))
         lines = [json.loads(line) for line in payload.strip().split("\n")]
         assert [obj["class_name"] for obj in lines] == ["alpha", "beta", "alpha"]
+
+    def test_streamed_write_has_the_bytes_of_the_whole_list(self, tmp_path):
+        rng = np.random.default_rng(6)
+        params = init_params(rng, 3, 4, 2)
+        params.flat *= 3.0
+        samples = [make_sample(rng, t=t, vid=f"v{i}") for i, t in enumerate((12, 40, 5))]
+        dets = infer_dataset(params, samples, CONFIG, "manual")
+        path = str(tmp_path / "det.jsonl")
+        assert write_detections(iter_detections(params, samples, CONFIG, "manual"), ("alpha", "beta"), path) == len(dets)
+        assert open(path, "rb").read() == detections_to_jsonl(dets, ("alpha", "beta")).encode()
+        assert len(dets) > 3
+
+    def test_failed_stream_leaves_the_target_and_no_tmp(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        path.write_text("old\n")
+
+        def failing():
+            yield from self.make_dets()
+            raise ValidationError("inference failed")
+
+        with pytest.raises(ValidationError, match="inference failed"):
+            write_detections(failing(), ("alpha", "beta"), str(path))
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["det.jsonl"]
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

@@ -450,7 +450,7 @@ class TestManualGradcheck:
 
     def test_wrong_gate_gradient_is_caught(self, monkeypatch):
         real = network.gate_input_grad
-        monkeypatch.setattr(network, "gate_input_grad", lambda x, v, kind: 1.1 * real(x, v, kind))
+        monkeypatch.setattr(network, "gate_input_grad", lambda x, v, kind, **_: 1.1 * real(x, v, kind))
         assert check_total_loss("sigmoid", "gated", "l2", True, train_localization="manual") > 1e-5
 
     def test_thresholds_restored_after_a_failure(self, monkeypatch):
@@ -627,11 +627,27 @@ def ragged_batch(rng, lengths, num_classes=5, feature_dim=3, flagged=True):
     return clips
 
 
-def assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.7):
+def assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.7, workspace=None):
     breakdown, grads = total_loss(params, clips, config, gating, rule, masks, drop_rate)
     ref_breakdown, ref_grads = reference_total_loss(params, clips, config, gating, rule, masks, drop_rate)
     assert np.array_equal(list(breakdown.as_dict().values()), list(ref_breakdown.as_dict().values()))
     assert np.array_equal(grads.flat, ref_grads)
+    if workspace is not None:
+        # a reused workspace gives the bytes of buffers allocated for the batch
+        ws_breakdown, ws_grads = total_loss(params, clips, config, gating, rule, masks, drop_rate, workspace)
+        assert np.shares_memory(ws_grads.flat, workspace.grads.flat)
+        assert np.array(list(ws_breakdown.as_dict().values())).tobytes() == np.array(list(breakdown.as_dict().values())).tobytes()
+        assert ws_grads.flat.tobytes() == grads.flat.tobytes()
+
+
+def stale_workspace(params, clips, clip_rows):
+    """A workspace larger than the batches it serves, every buffer filled with NaN."""
+    ws = objectives.Workspace(params, clips, clip_rows)
+    for buffers in (ws.forward, ws.backward):
+        for array in vars(buffers).values():
+            array.fill(np.nan)
+    ws.grads.flat.fill(np.nan)
+    return ws
 
 
 # every valid (gating, aggregator, train_localization, reg_form, with_loc); "none" needs topk_eighth
@@ -654,8 +670,9 @@ class TestBatchedObjectiveMatchesPerClipReference:
         clips = ragged_batch(rng, RAGGED_LENGTHS, flagged=with_loc)
         config = LossConfig(clas_weight=0.3, loc_weight=2.0 if with_loc else 0.0, reg_form=reg_form, aggregator=aggregator)
         keep = [rng.uniform(size=(clip.num_snippets, hidden)) >= 0.5 for clip in clips]
+        workspace = stale_workspace(params, len(clips) + 1, max(RAGGED_LENGTHS) + 2)
         for masks in (None, keep, [m.astype(np.float64) for m in keep]):
-            assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.5)
+            assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.5, workspace=workspace)
 
     @pytest.mark.parametrize("clas_weight", [0.0, 1.0])
     def test_bit_identical_at_the_weight_ends(self, clas_weight):
@@ -680,6 +697,17 @@ class TestBatchedObjectiveMatchesPerClipReference:
         monkeypatch.setattr(network, "manual_thresholds", spy)
         total_loss(params, clips, LossConfig(), "sigmoid", "manual")
         assert seen == [4, 9, 2]
+
+    def test_workspace_must_fit_the_batch(self):
+        rng = np.random.default_rng(25)
+        params = jittered_params(rng, 3, 6, 5)
+        clips = ragged_batch(rng, (4, 9, 2))
+        for clips_held, rows in ((2, 9), (3, 8)):
+            with pytest.raises(ValidationError, match="workspace"):
+                total_loss(params, clips, LossConfig(), "sigmoid", workspace=objectives.Workspace(params, clips_held, rows))
+        other = jittered_params(rng, 3, 7, 5)
+        with pytest.raises(ValidationError, match="workspace"):
+            total_loss(params, clips, LossConfig(), "sigmoid", workspace=objectives.Workspace(other, 3, 9))
 
     def test_clip_lengths_must_cover_the_rows(self):
         smap = random_scoremap(np.random.default_rng(23), t=5, c=2)

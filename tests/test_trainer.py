@@ -62,6 +62,10 @@ class TestConfigValidation:
         "field,value",
         [
             ("learning_rate", 0.0),
+            ("learning_rate", float("inf")),
+            ("learning_rate", float("nan")),
+            ("adam_eps", float("inf")),
+            ("adam_eps", float("nan")),
             ("beta1", 1.0),
             ("batch_size", 0),
             ("dropout", 1.0),
@@ -247,9 +251,9 @@ class TestFlatPathMatchesPerArrayReference:
         clip_grads = []
         real_backward = network.backward
 
-        def recording_backward(cache, d_scores, d_thresholds, out=None):
+        def recording_backward(cache, d_scores, d_thresholds, **kwargs):
             clip_grads.append(_reference_backward(cache, d_scores, d_thresholds))
-            return real_backward(cache, d_scores, d_thresholds, out=out)
+            return real_backward(cache, d_scores, d_thresholds, **kwargs)
 
         monkeypatch.setattr(network, "backward", recording_backward)
         loc_steps = 0
@@ -358,6 +362,51 @@ class TestTrainStep:
         state = init_state(cfg, 3, 2)
         breakdown = train_step(state, samples[:4], cfg)
         assert np.isfinite(breakdown.total)
+
+
+class TestWorkspaceReuse:
+    def test_steps_give_the_bytes_of_fresh_buffers(self):
+        rng = np.random.default_rng(17)
+        cfg = tiny_config(dropout=0.5, supervision="semi", semi_k=2, learning_rate=1e-2)
+        samples = apply_supervision(make_dataset(rng, t=20), cfg)
+        reused, fresh = init_state(cfg, 3, 2), init_state(cfg, 3, 2)
+        workspaces = set()
+        for _ in range(3):
+            batch = _sample_batch(samples, cfg.batch_size, reused.rng)
+            assert _sample_batch(samples, cfg.batch_size, fresh.rng) == batch
+            fresh.workspace = None  # buffers made for this step alone
+            assert train_step(reused, batch, cfg) == train_step(fresh, batch, cfg)
+            workspaces.add(id(reused.workspace))
+            for a, b in ((reused.params.flat, fresh.params.flat), (reused.m, fresh.m), (reused.v, fresh.v)):
+                assert a.tobytes() == b.tobytes()
+            assert reused.rng.bit_generator.state == fresh.rng.bit_generator.state
+        assert len(workspaces) == 1
+
+    def test_a_larger_batch_gets_a_larger_workspace(self):
+        rng = np.random.default_rng(18)
+        cfg = tiny_config()
+        samples = make_dataset(rng)
+        state = init_state(cfg, 3, 2)
+        train_step(state, samples[:2], cfg)
+        assert state.workspace.clips == 2
+        train_step(state, samples[:5], cfg)
+        assert state.workspace.clips == 5
+
+    def test_step_allocates_under_a_megabyte(self):
+        # the acceptance shape: hidden 128, batch 10, clips of 64 snippets, dropout
+        rng = np.random.default_rng(19)
+        cfg = tiny_config(hidden_dim=128, batch_size=10, max_clip_len=64, dropout=0.7, supervision="semi", semi_k=1)
+        samples = apply_supervision(make_dataset(rng, num_classes=5, per_class=4, t=100, d=16), cfg)
+        state = init_state(cfg, 16, 5)
+        train_step(state, _sample_batch(samples, cfg.batch_size, state.rng), cfg)  # makes the workspace
+        batch = _sample_batch(samples, cfg.batch_size, state.rng)
+        tracemalloc.start()
+        try:
+            train_step(state, batch, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestRunTraining:
