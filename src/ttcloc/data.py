@@ -8,6 +8,7 @@ turns them into per-snippet binary matrices on demand.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -396,31 +397,35 @@ def write_dataset(
 ) -> str:
     """Write manifest + feature files into ``out_dir``; returns manifest path.
 
-    Files are staged under a temporary name and renamed into place so a
-    failed write never leaves a partial dataset behind.  Every sample is
-    validated, its metadata once, through the manifest.
+    Files are staged under a temporary name and renamed into place, the
+    manifest last.  If any step fails, every staged file and every feature
+    file that was not there before is removed, so no tmp file and no partial
+    new dataset stays behind.  Every sample is validated, its metadata once,
+    through the manifest.
     """
     for s in samples:
         s.validate_features()
     manifest = manifest_from_samples(samples, num_classes, class_names)
     os.makedirs(out_dir, exist_ok=True)
-    staged = []
+    staged, created = [], []
     try:
         for s in samples:
             tmp = os.path.join(out_dir, f".{s.id}.f32.tmp")
-            s.features.astype("<f4").tofile(tmp)
             staged.append((tmp, os.path.join(out_dir, f"{s.id}.f32")))
+            s.features.astype("<f4").tofile(tmp)
         tmp_manifest = os.path.join(out_dir, ".manifest.json.tmp")
+        manifest_path = os.path.join(out_dir, "manifest.json")
+        staged.append((tmp_manifest, manifest_path))
         with open(tmp_manifest, "w", encoding="utf-8") as fh:
             fh.write(manifest_to_json(manifest))
             fh.write("\n")
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        staged.append((tmp_manifest, manifest_path))
+        for tmp, final in staged:
+            if not os.path.lexists(final):
+                created.append(final)
+            os.replace(tmp, final)
     except BaseException:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for path in [tmp for tmp, _ in staged] + created:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
         raise
-    for tmp, final in staged:
-        os.replace(tmp, final)
     return manifest_path

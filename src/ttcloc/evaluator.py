@@ -1,13 +1,15 @@
 """Detection mAP with no-duplicate-credit matching, plus a brute-force oracle.
 
-``oracle_evaluate`` (kept deliberately first and independent) re-derives
-every AP as an explicit precision/recall area over score-order prefixes,
-re-matching each prefix from scratch with plain loops.  ``evaluate`` is
-the production path: it ranks each class's detections with one stable
-``np.lexsort`` and computes IoUs as one array per video.  The two share
-only the report assembly (mAP from the per-class APs).  Each implements
-the same rank order on its own: descending score, ties by earlier start,
-then by lower video id, then by input order.
+``oracle_evaluate`` (kept deliberately first and independent) takes a list
+of ``Detection`` records and re-derives every AP as an explicit
+precision/recall area over score-order prefixes, re-matching each prefix
+from scratch with plain loops.  ``evaluate`` is the production path: it
+takes a ``Detections`` column table, ranks each class's rows with one
+stable ``np.lexsort`` and computes IoUs as one array per video.  The two
+share only the input checks and the report assembly (mAP from the
+per-class APs).  Each implements the same rank order on its own:
+descending score, ties by earlier start, then by lower video id, then by
+input order.
 
 AP is non-interpolated: the sum of precision at each true-positive rank
 divided by the number of ground-truth segments.  Classes without any
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .localizer import Detection
+from .localizer import Detection, Detections
 
 ORACLE_MAX_DETECTIONS = 10
 
@@ -73,7 +75,7 @@ def _sorted_dets(dets: list[Detection]) -> list[Detection]:
     return sorted(dets, key=lambda d: (-d.score, d.start, d.video_id))
 
 
-def _validate_inputs(detections: list[Detection], gt: GroundTruthIndex, iou_thresholds) -> None:
+def _validate_inputs(detections: Detections, gt: GroundTruthIndex, iou_thresholds) -> None:
     if not iou_thresholds:
         raise ValidationError("need at least one IoU threshold")
     for t in iou_thresholds:
@@ -81,11 +83,13 @@ def _validate_inputs(detections: list[Detection], gt: GroundTruthIndex, iou_thre
             raise ValidationError(f"IoU threshold {t} must lie in (0, 1]")
     if gt.total_segments() == 0:
         raise ValidationError("ground truth contains no segments; mAP is undefined")
-    for det in detections:
-        if det.video_id not in gt.video_ids:
-            raise ValidationError(f"detection references unknown video {det.video_id!r}")
-        if not 0 <= det.class_id < gt.num_classes:
-            raise ValidationError(f"detection class {det.class_id} outside {gt.num_classes} classes")
+    unknown = np.array([v not in gt.video_ids for v in detections.video_ids], dtype=bool)[detections.video_index]
+    bad = np.flatnonzero(unknown | detections.class_outside(gt.num_classes))
+    if len(bad):
+        i = bad[0]
+        if unknown[i]:
+            raise ValidationError(f"detection references unknown video {detections.video_ids[detections.video_index[i]]!r}")
+        raise ValidationError(f"detection class {detections.class_id[i]} outside {gt.num_classes} classes")
 
 
 def _default_names(gt: GroundTruthIndex, class_names) -> tuple:
@@ -127,7 +131,7 @@ def oracle_evaluate(
     class_names=None,
 ) -> EvalReport:
     """Reference evaluator: prefix-by-prefix PR enumeration, plain loops."""
-    _validate_inputs(detections, gt, iou_thresholds)
+    _validate_inputs(Detections.from_records(detections), gt, iou_thresholds)
     names = _default_names(gt, class_names)
     per_class = [[d for d in detections if d.class_id == c] for c in range(gt.num_classes)]
     for c, dets in enumerate(per_class):
@@ -201,10 +205,11 @@ def interval_iou(a: tuple, b: tuple):
     return np.divide(inter, union, out=np.zeros(np.shape(union)), where=union > 0)[()]
 
 
-def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) -> list[np.ndarray]:
+def match_detections(dets: Detections, gts, thresholds: Sequence[float]) -> list[np.ndarray]:
     """TP/FP flags in rank order under the one-detection-per-GT rule.
 
-    ``gts`` is a sequence of (video_id, start, end) for a single class.
+    ``dets`` is the table of one class's detections and ``gts`` a sequence
+    of (video_id, start, end) for that class.
     Detections are ranked by descending score, ties by earlier start, then
     by lower video id in Python string order, then by input order.  Each
     detection, in rank order, claims the highest-IoU unmatched ground truth
@@ -217,15 +222,12 @@ def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) ->
     best IoU reaches the lowest threshold enter the greedy claim loop.
     """
     flags = [np.zeros(len(dets), dtype=bool) for _ in thresholds]
-    if not dets or not gts:
+    if not len(dets) or not gts:
         return flags
-    vids, _, starts, ends, scores = zip(*dets)
-    video_rank = {vid: r for r, vid in enumerate(sorted(set(vids)))}
-    starts = np.array(starts, dtype=np.float64)
-    ends = np.array(ends, dtype=np.float64)
-    ranked_video = np.array([video_rank[v] for v in vids])
-    order = np.lexsort((ranked_video, starts, -np.array(scores, dtype=np.float64)))  # stable, last key first
-    starts, ends, ranked_video = starts[order], ends[order], ranked_video[order]
+    video_rank = {vid: r for r, vid in enumerate(sorted(dets.video_ids))}
+    ranked_video = np.array([video_rank[v] for v in dets.video_ids], dtype=np.int64)[dets.video_index]
+    order = np.lexsort((ranked_video, dets.start, -dets.score))  # stable, last key first
+    starts, ends, ranked_video = dets.start[order], dets.end[order], ranked_video[order]
     # ranks grouped by video, ascending within each video
     by_video_rank = np.argsort(ranked_video, kind="stable")
     bounds = np.searchsorted(ranked_video[by_video_rank], np.arange(len(video_rank) + 1))
@@ -237,7 +239,7 @@ def match_detections(dets: list[Detection], gts, thresholds: Sequence[float]) ->
     tp_ranks: list[list[int]] = [[] for _ in thresholds]
     for vid, spans in gts_by_video.items():
         r = video_rank.get(vid)
-        if r is None:
+        if r is None or bounds[r] == bounds[r + 1]:
             continue
         ranks = by_video_rank[bounds[r] : bounds[r + 1]]
         gs, ge = np.array(spans, dtype=np.float64).T
@@ -281,27 +283,20 @@ def average_precision(flags: Sequence[bool] | np.ndarray, num_gt: int) -> float 
 
 
 def evaluate(
-    detections: list[Detection],
+    detections: Detections,
     gt: GroundTruthIndex,
     iou_thresholds,
     class_names=None,
 ) -> EvalReport:
     _validate_inputs(detections, gt, iou_thresholds)
     names = _default_names(gt, class_names)
-    per_class: list[list[Detection]] = [[] for _ in range(gt.num_classes)]
-    for det in detections:
-        per_class[det.class_id].append(det)
-    flags_per_class = [match_detections(per_class[c], gt.by_class[c], iou_thresholds) for c in range(gt.num_classes)]
-
-    cells = []
-    for i in range(len(iou_thresholds)):
-        row = []
-        for c in range(gt.num_classes):
-            flags = flags_per_class[c][i]
-            num_gt = len(gt.by_class[c])
+    cells: list[list] = [[] for _ in iou_thresholds]
+    for c, gts in enumerate(gt.by_class):
+        # the class's rows in table order; one class's flags exist at a time
+        rows = np.flatnonzero(detections.class_id == c)
+        for row, flags in zip(cells, match_detections(detections.take(rows), gts, iou_thresholds)):
             tp = int(np.count_nonzero(flags))
-            row.append((average_precision(flags, num_gt), (tp, len(flags) - tp, num_gt)))
-        cells.append(row)
+            row.append((average_precision(flags, len(gts)), (tp, len(flags) - tp, len(gts))))
     return _report(iou_thresholds, names, cells)
 
 

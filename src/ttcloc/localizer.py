@@ -10,6 +10,7 @@ threshold at the midpoint of the max and min snippet scores.
 from __future__ import annotations
 
 import json
+from array import array
 from collections.abc import Iterable, Iterator
 from math import isfinite
 from typing import NamedTuple
@@ -37,23 +38,119 @@ class Detection(_DetectionFields):
 
     Every way to build one validates: the constructor, ``_make`` and
     ``_replace`` (which calls ``_make``), and unpickling (which calls the
-    constructor).
+    constructor).  Production code holds detections as a :class:`Detections`
+    table; a ``Detection`` is one of its rows.
     """
 
     __slots__ = ()
 
     def __new__(cls, video_id: str, class_id: int, start: float, end: float, score: float):
-        if not (isfinite(start) and isfinite(end)):
-            raise ValidationError(f"detection in {video_id!r}: non-finite start {start} or end {end}")
-        if not start < end:
-            raise ValidationError(f"detection in {video_id!r}: start {start} must precede end {end}")
-        if not isfinite(score):
-            raise ValidationError(f"detection in {video_id!r}: non-finite score")
+        _check_values(video_id, start, end, score)
         return tuple.__new__(cls, (video_id, class_id, start, end, score))
 
     @classmethod
     def _make(cls, iterable) -> Detection:
         return cls(*iterable)
+
+
+def _check_values(video_id, start, end, score) -> None:
+    """The value rule of a detection: finite times and score, and ``start < end``
+    as float64, the form in which a :class:`Detections` table holds them.
+    The messages show the values as given."""
+    if not (isfinite(start) and isfinite(end)):
+        raise ValidationError(f"detection in {video_id!r}: non-finite start {start} or end {end}")
+    if not float(start) < float(end):
+        raise ValidationError(f"detection in {video_id!r}: start {start} must precede end {end}")
+    if not isfinite(score):
+        raise ValidationError(f"detection in {video_id!r}: non-finite score")
+
+
+def _int64_or_object(values) -> np.ndarray:
+    # a JSON integer beyond int64 is kept exactly; no class space holds it, but messages name it
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class Detections:
+    """Scored segments as an immutable column table, the one form detections
+    take between inference, the detection file and evaluation.
+
+    ``video_ids`` holds each distinct video id once and ``video_index`` each
+    row's position in it.  ``class_id`` is int64 (an object array of Python
+    ints if a value lies beyond int64), and ``start``, ``end`` and ``score``
+    are float64.  Each column is a read-only view; the table takes arrays
+    without copying them, so an array passed in must not be written to
+    afterwards.  The table is validated once, when built, under the rule of
+    :class:`Detection`, and the first bad row raises that row's message.
+    ``len()`` counts rows, iteration yields one :class:`Detection` per row,
+    and :meth:`from_records` builds a table from them.
+    """
+
+    __slots__ = ("video_ids", "video_index", "class_id", "start", "end", "score")
+
+    def __init__(self, video_ids: Iterable[str], video_index, class_id, start, end, score):
+        values = (
+            np.asarray(video_index, dtype=np.int64),
+            _int64_or_object(class_id),
+            *(np.asarray(col, dtype=np.float64) for col in (start, end, score)),
+        )
+        object.__setattr__(self, "video_ids", tuple(video_ids))
+        for name, value in zip(self.__slots__[1:], values):
+            view = value.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if len(set(self.video_ids)) != len(self.video_ids):
+            raise ValidationError("detection video ids must be distinct")
+        n = len(self.video_index)
+        if any(getattr(self, name).shape != (n,) for name in self.__slots__[1:]):
+            raise ValidationError("detection columns must be 1-D and of one length")
+        if n and not 0 <= self.video_index.min() <= self.video_index.max() < len(self.video_ids):
+            raise ValidationError(f"detection video index outside the {len(self.video_ids)} video ids")
+        finite = np.isfinite(self.start) & np.isfinite(self.end) & np.isfinite(self.score)
+        bad = np.flatnonzero(~(finite & (self.start < self.end)))
+        if len(bad):  # the record rule rejects the same rows and words the message
+            i = bad[0]
+            _check_values(self.video_ids[self.video_index[i]], self.start[i], self.end[i], self.score[i])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.video_index)
+
+    def __iter__(self) -> Iterator[Detection]:
+        ids = self.video_ids
+        columns = (self.video_index, self.class_id, self.start, self.end, self.score)
+        for v, c, start, end, score in zip(*(col.tolist() for col in columns)):
+            yield Detection(ids[v], c, start, end, score)
+
+    @classmethod
+    def from_records(cls, records: Iterable[Detection]) -> Detections:
+        records = list(records)
+        ids: dict = {}
+        index = [ids.setdefault(d.video_id, len(ids)) for d in records]
+        return cls(ids, index, *([d[k] for d in records] for k in range(1, 5)))
+
+    @classmethod
+    def concat(cls, tables: Iterable[Detections]) -> Detections:
+        """The rows of every table in order; video ids shared by tables are stored once."""
+        tables = list(tables)
+        if not tables:
+            return cls.from_records(())
+        ids: dict = {}
+        index = [np.array([ids.setdefault(v, len(ids)) for v in t.video_ids], dtype=np.int64)[t.video_index] for t in tables]
+        columns = ([getattr(t, name) for t in tables] for name in cls.__slots__[2:])
+        return cls(ids, np.concatenate(index), *map(np.concatenate, columns))
+
+    def take(self, rows: np.ndarray) -> Detections:
+        """The table of ``rows``, in their order; the video ids are shared."""
+        return type(self)(self.video_ids, *(getattr(self, name)[rows] for name in self.__slots__[1:]))
+
+    def class_outside(self, num_classes: int) -> np.ndarray:
+        """Per row, whether its class lies outside ``[0, num_classes)``."""
+        return np.asarray((self.class_id < 0) | (self.class_id >= num_classes), dtype=bool)
 
 
 def extract_segments(margins: np.ndarray) -> list[tuple[int, int]]:
@@ -81,8 +178,8 @@ def infer_video(
     config: TrainConfig,
     mode: str = "predicted",
     buffers: network.ForwardBuffers | None = None,
-) -> list[Detection]:
-    """Full-sequence inference; no cropping, no dropout.
+) -> Detections:
+    """One video's detections, by class and then start; full-sequence, no cropping, no dropout.
 
     Pooling, and so class selection, follows the ``config`` the parameters
     were trained with: its aggregator, and for ``gated`` its gating kind on
@@ -103,13 +200,12 @@ def infer_video(
 
     runs = [(c, t0, t1) for c in classes for t0, t1 in extract_segments(margins[mode][:, c])]
     if not runs:
-        return []
+        return Detections.from_records(())
     cls, t0s, t1s = np.array(runs).T
-    scores = (probs[cls] * run_means(sig_gate, cls, t0s, t1s)).tolist()
+    scores = probs[cls] * run_means(sig_gate, cls, t0s, t1s)
     tau = sample.snippet_duration
     # a snippet index converts to float64 exactly, so each time is the float t * tau
-    columns = zip(cls.tolist(), (t0s * tau).tolist(), ((t1s + 1) * tau).tolist(), scores)
-    return [Detection(sample.id, c, start, end, score) for c, start, end, score in columns]
+    return Detections((sample.id,), np.zeros(len(cls), dtype=np.int64), cls, t0s * tau, (t1s + 1) * tau, scores)
 
 
 def run_means(values: np.ndarray, cls: np.ndarray, t0s: np.ndarray, t1s: np.ndarray) -> np.ndarray:
@@ -136,13 +232,12 @@ def iter_detections(
     samples: list[VideoSample],
     config: TrainConfig,
     mode: str = "predicted",
-) -> Iterator[Detection]:
-    """The detections of every video in sample order, each video's made when
-    the first of them is asked for; one set of forward buffers, sized for
-    the longest video, serves them all."""
+) -> Iterator[Detections]:
+    """One table per video, in sample order, each made when it is asked for;
+    one set of forward buffers, sized for the longest video, serves them all."""
     buffers = network.ForwardBuffers.empty(params, max((s.num_snippets for s in samples), default=0))
     for sample in samples:
-        yield from infer_video(params, sample, config, mode, buffers)
+        yield infer_video(params, sample, config, mode, buffers)
 
 
 def infer_dataset(
@@ -150,43 +245,44 @@ def infer_dataset(
     samples: list[VideoSample],
     config: TrainConfig,
     mode: str = "predicted",
-) -> list[Detection]:
-    return list(iter_detections(params, samples, config, mode))
+) -> Detections:
+    return Detections.concat(iter_detections(params, samples, config, mode))
 
 
-def _jsonl_lines(detections: Iterable[Detection], class_names: tuple[str, ...]) -> Iterator[str]:
+def _jsonl_lines(tables: Detections | Iterable[Detections], class_names: tuple[str, ...]) -> Iterator[str]:
     names = [json.dumps(name) for name in class_names]
-    ids: dict = {}
-    for video_id, class_id, start, end, score in detections:
-        if not 0 <= class_id < len(class_names):
-            raise ValidationError(f"detection class {class_id} outside the {len(class_names)}-class space")
-        vid = ids.get(video_id)
-        if vid is None:
-            vid = ids[video_id] = json.dumps(video_id)
-        yield (
-            f'{{"class_id": {int(class_id)}, "class_name": {names[class_id]}, "end_s": {float(end)!r}, '
-            f'"score": {float(score)!r}, "start_s": {float(start)!r}, "video_id": {vid}}}\n'
-        )
+    for table in (tables,) if isinstance(tables, Detections) else tables:
+        outside = np.flatnonzero(table.class_outside(len(names)))
+        if len(outside):
+            raise ValidationError(f"detection class {table.class_id[outside[0]]} outside the {len(names)}-class space")
+        vids = [json.dumps(v) for v in table.video_ids]
+        columns = (table.video_index, table.class_id, table.end, table.score, table.start)
+        for v, c, end, score, start in zip(*(col.tolist() for col in columns)):
+            yield (
+                f'{{"class_id": {c}, "class_name": {names[c]}, "end_s": {end!r}, '
+                f'"score": {score!r}, "start_s": {start!r}, "video_id": {vids[v]}}}\n'
+            )
 
 
-def detections_to_jsonl(detections: Iterable[Detection], class_names: tuple[str, ...]) -> str:
+def detections_to_jsonl(tables: Detections | Iterable[Detections], class_names: tuple[str, ...]) -> str:
     """One JSON object per line, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
 
-    Each distinct video id and class name is encoded once.  Times and
+    ``tables`` is one table or an iterable of them, written in order.  Each
+    class name and each table's video ids are encoded once.  Times and
     scores are written as floats with ``repr``, which for the finite values
-    that a ``Detection`` admits is exactly what ``json.dumps`` writes.
+    that a table admits is exactly what ``json.dumps`` writes.
     """
-    return "".join(_jsonl_lines(detections, class_names))
+    return "".join(_jsonl_lines(tables, class_names))
 
 
-def write_detections(detections: Iterable[Detection], class_names: tuple[str, ...], path: str) -> int:
+def write_detections(tables: Detections | Iterable[Detections], class_names: tuple[str, ...], path: str) -> int:
     """Write the lines of :func:`detections_to_jsonl` to ``path`` as the
-    detections arrive (an iterator, such as :func:`iter_detections`, is
-    consumed once) and return their count.  On any error, ``path`` is left
-    as it was and no tmp file stays."""
+    tables arrive (an iterator, such as :func:`iter_detections`, is consumed
+    once) and return their count.  On any error, ``path`` is left as it was
+    and no tmp file stays."""
     count = 0
     with replacing(path) as fh:
-        for count, line in enumerate(_jsonl_lines(detections, class_names), start=1):
+        for count, line in enumerate(_jsonl_lines(tables, class_names), start=1):
             fh.write(line)
     return count
 
@@ -195,15 +291,19 @@ _STRING, _INTEGER, _NUMBER = (json_types(t) for t in (str, int, float))
 _FIELDS = (("video_id", _STRING), ("class_id", _INTEGER), ("start_s", _NUMBER), ("end_s", _NUMBER), ("score", _NUMBER))
 
 
-def load_detections(path: str) -> list[Detection]:
+def load_detections(path: str) -> Detections:
     """Parse and validate a detection file, one record per line; errors name ``path:lineno``.
 
     JSON types are checked, not converted (:func:`ttcloc.errors.json_types`):
     ``video_id`` is a string, ``class_id`` an integer, and ``start_s``,
     ``end_s`` and ``score`` are numbers.  Bytes that are not UTF-8 are an error of their line.
+    Each line's values go straight into typed columns, its video id through
+    one dict of the distinct ids, so no object of a record outlives its line.
     """
     decode = json.JSONDecoder().raw_decode
-    detections = []
+    ids: dict[str, int] = {}
+    index, classes = array("q"), array("q")
+    starts, ends, scores = array("d"), array("d"), array("d")
     # bytes that are not UTF-8 are read as lone surrogates and rejected per line below
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -223,7 +323,15 @@ def load_detections(path: str) -> list[Detection]:
                 typed = type(vid) in _STRING and type(c) in _INTEGER and type(start) in _NUMBER
                 if not (typed and type(stop) in _NUMBER and type(score) in _NUMBER):
                     raise next(type_error(key, kinds, obj[key]) for key, kinds in _FIELDS if type(obj[key]) not in kinds)
-                detections.append(Detection(vid, c, start, stop, score))
+                _check_values(vid, start, stop, score)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc
-    return detections
+            index.append(ids.setdefault(vid, len(ids)))
+            try:
+                classes.append(c)
+            except OverflowError:
+                classes = [*classes, c]
+            starts.append(start)
+            ends.append(stop)
+            scores.append(score)
+    return Detections(ids, index, classes, starts, ends, scores)

@@ -15,7 +15,7 @@ from ttcloc.evaluator import (
     oracle_evaluate,
 )
 from ttcloc.gradcheck import STRICT_TOLERANCE, run_gradient_checks
-from ttcloc.localizer import infer_dataset
+from ttcloc.localizer import Detections, infer_dataset
 from ttcloc.network import ScoreMap, gate_values
 from ttcloc.objectives import (
     LossConfig,
@@ -248,16 +248,16 @@ def test_criterion_3_evaluator_oracle_equivalence(capsys):
     instances = 1000
     for _ in range(instances):
         gt, dets, thresholds = random_instance(rng)
-        assert_reports_equal(evaluate(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))
+        assert_reports_equal(evaluate(Detections.from_records(dets), gt, thresholds), oracle_evaluate(dets, gt, thresholds))
 
     gt = gt_index([("v1", 0, 0.0, 10.0)], num_classes=1)
-    f1 = evaluate([det(start=0.0, end=10.0, score=0.9)], gt, (0.5,)).per_class_ap[0][0]
-    f2 = evaluate(
-        [det(start=0.0, end=10.0, score=0.9), det(start=0.0, end=3.0, score=0.4)], gt, (0.5,)
-    ).per_class_ap[0][0]
-    f3 = evaluate(
-        [det(start=20.0, end=30.0, score=0.9), det(start=0.0, end=10.0, score=0.4)], gt, (0.5,)
-    ).per_class_ap[0][0]
+
+    def ap(*dets):
+        return evaluate(Detections.from_records(dets), gt, (0.5,)).per_class_ap[0][0]
+
+    f1 = ap(det(start=0.0, end=10.0, score=0.9))
+    f2 = ap(det(start=0.0, end=10.0, score=0.9), det(start=0.0, end=3.0, score=0.4))
+    f3 = ap(det(start=20.0, end=30.0, score=0.9), det(start=0.0, end=10.0, score=0.4))
     fixtures_ok = (f1, f2, f3) == (1.0, 1.0, 0.5)
 
     ok = fixtures_ok

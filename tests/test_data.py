@@ -208,6 +208,18 @@ class TestOnDiskFormat:
         with pytest.raises(ValidationError, match="duplicate"):
             load_manifest(path)
 
+    def test_failed_manifest_move_leaves_no_new_file(self, tmp_path):
+        # a directory in the manifest's place makes the last move fail
+        ds = tmp_path / "ds"
+        (ds / "manifest.json").mkdir(parents=True)
+        (ds / "kept.f32").write_bytes(b"old")
+        samples = [
+            VideoSample(id=vid, features=np.zeros((2, 2), np.float32), labels=frozenset({0})) for vid in ("kept", "new1", "new2")
+        ]
+        with pytest.raises(OSError):
+            write_dataset(samples, 1, ["only"], str(ds))
+        assert sorted(os.listdir(ds)) == ["kept.f32", "manifest.json"]
+
     def test_non_finite_features_rejected(self, tmp_path):
         s = VideoSample(id="inf", features=np.zeros((2, 2), np.float32), labels=frozenset({0}))
         path = write_dataset([s], 1, ["only"], str(tmp_path / "ds"))

@@ -18,7 +18,17 @@ from ttcloc.evaluator import (
     render_report_csv,
     render_report_json,
 )
-from ttcloc.localizer import Detection
+from ttcloc.localizer import Detection, Detections
+
+
+def evaluate_records(dets, gt, thresholds, **kwargs):
+    """``evaluate`` on the table of the ``Detection`` list ``dets``."""
+    return evaluate(Detections.from_records(dets), gt, thresholds, **kwargs)
+
+
+def match_records(dets, gts, thresholds):
+    """``match_detections`` on the table of the ``Detection`` list ``dets``."""
+    return match_detections(Detections.from_records(dets), gts, thresholds)
 
 
 def gt_index(rows, num_classes=2, videos=("v1", "v2", "v3")):
@@ -54,35 +64,35 @@ class TestMatchDetections:
     GT = [("v1", 0.0, 10.0)]
 
     def test_perfect_cover_is_tp(self):
-        assert match_detections([det(start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [True]
+        assert match_records([det(start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [True]
 
     def test_duplicate_credits_once(self):
         dets = [det(start=0.0, end=10.0, score=0.9), det(start=0.5, end=10.0, score=0.4)]
-        assert match_detections(dets, self.GT, (0.5,))[0].tolist() == [True, False]
+        assert match_records(dets, self.GT, (0.5,))[0].tolist() == [True, False]
 
     def test_low_iou_is_fp(self):
-        assert match_detections([det(start=0.0, end=4.0)], self.GT, (0.5,))[0].tolist() == [False]
+        assert match_records([det(start=0.0, end=4.0)], self.GT, (0.5,))[0].tolist() == [False]
 
     def test_iou_exactly_at_threshold_counts(self):
         # IoU 0.5 at threshold 0.5: the >= convention keeps it
-        assert match_detections([det(start=0.0, end=5.0)], self.GT, (0.5,))[0].tolist() == [True]
+        assert match_records([det(start=0.0, end=5.0)], self.GT, (0.5,))[0].tolist() == [True]
 
     def test_claims_highest_iou_gt(self):
         gts = [("v1", 0.0, 10.0), ("v1", 8.0, 18.0)]
         dets = [det(start=7.0, end=18.0, score=0.9), det(start=0.0, end=10.0, score=0.5)]
-        flags = match_detections(dets, gts, (0.3,))[0].tolist()
+        flags = match_records(dets, gts, (0.3,))[0].tolist()
         assert flags == [True, True]  # first takes the second GT, second takes the first
 
     def test_wrong_video_never_matches(self):
-        assert match_detections([det(vid="v2", start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [False]
+        assert match_records([det(vid="v2", start=0.0, end=10.0)], self.GT, (0.5,))[0].tolist() == [False]
 
     def test_tie_break_earlier_start_then_video(self):
         gts = [("v1", 0.0, 10.0)]
         d1 = det(vid="v1", start=5.0, end=15.0, score=0.5)
         d2 = det(vid="v1", start=0.0, end=10.0, score=0.5)
         # same score: earlier start goes first and wins the GT
-        assert match_detections([d1, d2], gts, (0.5,))[0].tolist() == [True, False]
-        flags = match_detections([d2, d1], gts, (0.5,))[0].tolist()
+        assert match_records([d1, d2], gts, (0.5,))[0].tolist() == [True, False]
+        flags = match_records([d2, d1], gts, (0.5,))[0].tolist()
         assert flags == [True, False]
 
 
@@ -110,7 +120,7 @@ class TestAveragePrecision:
 class TestEvaluate:
     def test_empty_detections_zero_map(self):
         gt = gt_index([("v1", 0, 0.0, 5.0)])
-        report = evaluate([], gt, (0.5,))
+        report = evaluate_records([], gt, (0.5,))
         assert report.map_per_threshold == (0.0,)
         assert report.per_class_ap[0][0] == 0.0
         assert report.per_class_ap[0][1] is None  # class without GT excluded
@@ -118,33 +128,33 @@ class TestEvaluate:
     def test_no_gt_at_all_rejected(self):
         gt = gt_index([])
         with pytest.raises(ValidationError, match="no segments"):
-            evaluate([], gt, (0.5,))
+            evaluate_records([], gt, (0.5,))
 
     def test_unknown_video_rejected(self):
         gt = gt_index([("v1", 0, 0.0, 5.0)])
         with pytest.raises(ValidationError, match="unknown video"):
-            evaluate([det(vid="nope")], gt, (0.5,))
+            evaluate_records([det(vid="nope")], gt, (0.5,))
 
     def test_unknown_class_rejected(self):
         gt = gt_index([("v1", 0, 0.0, 5.0)])
         with pytest.raises(ValidationError, match="class"):
-            evaluate([det(cls=7)], gt, (0.5,))
+            evaluate_records([det(cls=7)], gt, (0.5,))
 
     def test_bad_threshold_rejected(self):
         gt = gt_index([("v1", 0, 0.0, 5.0)])
         for bad in ((), (0.0,), (1.5,)):
             with pytest.raises(ValidationError):
-                evaluate([], gt, bad)
+                evaluate_records([], gt, bad)
 
     def test_three_fixtures(self):
         gt = gt_index([("v1", 0, 0.0, 10.0)], num_classes=1)
-        r1 = evaluate([det(start=0.0, end=10.0, score=0.9)], gt, (0.5,))
+        r1 = evaluate_records([det(start=0.0, end=10.0, score=0.9)], gt, (0.5,))
         assert r1.per_class_ap[0][0] == 1.0
-        r2 = evaluate(
+        r2 = evaluate_records(
             [det(start=0.0, end=10.0, score=0.9), det(start=0.0, end=3.0, score=0.4)], gt, (0.5,)
         )
         assert r2.per_class_ap[0][0] == 1.0
-        r3 = evaluate(
+        r3 = evaluate_records(
             [det(start=20.0, end=30.0, score=0.9), det(start=0.0, end=10.0, score=0.4)], gt, (0.5,)
         )
         assert r3.per_class_ap[0][0] == 0.5
@@ -156,14 +166,14 @@ class TestEvaluate:
             det(vid="v1", start=0.0, end=10.0, score=0.8),
             det(vid="v2", start=50.0, end=60.0, score=0.7),
         ]
-        report = evaluate(dets, gt, (0.5,))
+        report = evaluate_records(dets, gt, (0.5,))
         assert report.per_class_counts[0][0] == (1, 2, 2)
 
     def test_ap_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             gt, dets, _ = random_instance(rng)
-            report = evaluate(dets, gt, (0.1, 0.3, 0.5, 0.7, 0.9))
+            report = evaluate_records(dets, gt, (0.1, 0.3, 0.5, 0.7, 0.9))
             for c in range(gt.num_classes):
                 aps = [report.per_class_ap[i][c] for i in range(5)]
                 aps = [a for a in aps if a is not None]
@@ -175,15 +185,15 @@ class TestEvaluate:
         for _ in range(20):
             gt, dets, thresholds = random_instance(rng)
             scaled = [Detection(d.video_id, d.class_id, d.start, d.end, d.score * 2.0) for d in dets]
-            assert evaluate(dets, gt, thresholds) == evaluate(scaled, gt, thresholds)
+            assert evaluate_records(dets, gt, thresholds) == evaluate_records(scaled, gt, thresholds)
 
     def test_extra_fp_never_raises_ap(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             gt, dets, thresholds = random_instance(rng)
-            report = evaluate(dets, gt, thresholds)
+            report = evaluate_records(dets, gt, thresholds)
             noise = Detection("v1", 0, 900.0, 901.0, float(rng.uniform(0, 1)))
-            worse = evaluate(dets + [noise], gt, thresholds)
+            worse = evaluate_records(dets + [noise], gt, thresholds)
             for i in range(len(thresholds)):
                 a = report.per_class_ap[i][0]
                 b = worse.per_class_ap[i][0]
@@ -247,13 +257,13 @@ class TestOracleAgreement:
             [det(start=0.0, end=10.0, score=0.9), det(start=0.0, end=3.0, score=0.4)],
             [det(start=20.0, end=30.0, score=0.9), det(start=0.0, end=10.0, score=0.4)],
         ):
-            assert_reports_equal(evaluate(dets, gt, (0.5,)), oracle_evaluate(dets, gt, (0.5,)))
+            assert_reports_equal(evaluate_records(dets, gt, (0.5,)), oracle_evaluate(dets, gt, (0.5,)))
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             gt, dets, thresholds = random_instance(rng)
-            assert_reports_equal(evaluate(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))
+            assert_reports_equal(evaluate_records(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))
 
     def test_oracle_rejects_large_instances(self):
         gt = gt_index([("v1", 0, 0.0, 10.0)], num_classes=1)
@@ -281,7 +291,7 @@ class TestManifestIndex:
 class TestRendering:
     def report(self):
         gt = gt_index([("v1", 0, 0.0, 10.0)], num_classes=2)
-        return evaluate([det(start=0.0, end=10.0, score=0.9)], gt, (0.3, 0.5), class_names=("jump", "run"))
+        return evaluate_records([det(start=0.0, end=10.0, score=0.9)], gt, (0.3, 0.5), class_names=("jump", "run"))
 
     def test_csv_layout(self):
         csv = render_report_csv(self.report())
@@ -369,7 +379,7 @@ class TestAllThresholdsAtOnce:
         rng = np.random.default_rng(11)
         for _ in range(20):
             gt, dets = large_instance(rng)
-            report = evaluate(dets, gt, self.THRESHOLDS)
+            report = evaluate_records(dets, gt, self.THRESHOLDS)
             ap, counts, maps, average = reference_evaluate(dets, gt, self.THRESHOLDS)
             assert report.per_class_ap == ap
             assert report.per_class_counts == counts
@@ -381,8 +391,8 @@ class TestAllThresholdsAtOnce:
         for _ in range(20):
             gt, dets = large_instance(rng, num_classes=1)
             gts = gt.by_class[0]
-            per_threshold = [f.tolist() for f in match_detections(dets, gts, self.THRESHOLDS)]
-            assert per_threshold == [match_detections(dets, gts, (t,))[0].tolist() for t in self.THRESHOLDS]
+            per_threshold = [f.tolist() for f in match_records(dets, gts, self.THRESHOLDS)]
+            assert per_threshold == [match_records(dets, gts, (t,))[0].tolist() for t in self.THRESHOLDS]
             assert per_threshold == [reference_match(dets, gts, t) for t in self.THRESHOLDS]
 
 
@@ -474,7 +484,7 @@ class TestColumnarMatcherEqualsPerRecordLoop:
         for c in range(gt.num_classes):
             class_dets = [d for d in dets if d.class_id == c]
             gts = gt.by_class[c]
-            columnar = match_detections(class_dets, gts, self.THRESHOLDS)
+            columnar = match_records(class_dets, gts, self.THRESHOLDS)
             reference = per_record_match(class_dets, gts, self.THRESHOLDS)
             assert [f.tolist() for f in columnar] == reference
             assert any(any(f) for f in reference)
@@ -485,20 +495,20 @@ class TestColumnarMatcherEqualsPerRecordLoop:
         # identical keys keep input order; the first copy claims the ground truth
         gts = [("v1", 0.0, 10.0)]
         twins = [det(start=0.0, end=10.0, score=0.5), det(start=0.0, end=8.0, score=0.5)]
-        assert match_detections(twins, gts, (0.5,))[0].tolist() == [True, False]
-        assert match_detections(twins[::-1], gts, (0.5,))[0].tolist() == [True, False]
+        assert match_records(twins, gts, (0.5,))[0].tolist() == [True, False]
+        assert match_records(twins[::-1], gts, (0.5,))[0].tolist() == [True, False]
         assert per_record_match(twins[::-1], gts, (0.5,)) == [[True, False]]
 
     def test_video_ids_rank_in_string_order(self):
         gts = [("v10", 0.0, 10.0), ("v2", 0.0, 10.0)]
         dets = [det(vid="v2", start=0.0, end=10.0, score=0.5), det(vid="v10", start=0.0, end=1.0, score=0.5)]
         # "v10" < "v2": the v10 miss ranks first
-        assert match_detections(dets, gts, (0.5,))[0].tolist() == [False, True]
+        assert match_records(dets, gts, (0.5,))[0].tolist() == [False, True]
         assert per_record_match(dets, gts, (0.5,)) == [[False, True]]
 
     def test_empty_inputs(self):
-        assert [f.tolist() for f in match_detections([], [("v1", 0.0, 1.0)], (0.3, 0.5))] == [[], []]
-        assert [f.tolist() for f in match_detections([det()], [], (0.5,))] == [[False]]
+        assert [f.tolist() for f in match_records([], [("v1", 0.0, 1.0)], (0.3, 0.5))] == [[], []]
+        assert [f.tolist() for f in match_records([det()], [], (0.5,))] == [[False]]
 
 
 class TestArrayIoU:
@@ -548,4 +558,4 @@ def tied_instances(draw):
 @given(tied_instances())
 def test_evaluate_equals_oracle_on_tied_instances(instance):
     gt, dets, thresholds = instance
-    assert_reports_equal(evaluate(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))
+    assert_reports_equal(evaluate_records(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))

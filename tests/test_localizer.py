@@ -12,6 +12,7 @@ from ttcloc.data import VideoSample
 from ttcloc.errors import ValidationError
 from ttcloc.localizer import (
     Detection,
+    Detections,
     detections_to_jsonl,
     extract_segments,
     infer_dataset,
@@ -90,7 +91,7 @@ class TestInferVideo:
         rng = np.random.default_rng(0)
         params = init_params(rng, 3, 4, 2)
         params.flat[:] = 0.0
-        assert infer_video(params, make_sample(rng), CONFIG) == []
+        assert len(infer_video(params, make_sample(rng), CONFIG)) == 0
 
     def test_modes_validated(self):
         rng = np.random.default_rng(1)
@@ -107,7 +108,7 @@ class TestInferVideo:
         sample = make_sample(rng, t=7, d=4)
         dets = infer_video(params, sample, CONFIG, mode="predicted")
         assert [(d.class_id, d.start, d.end) for d in dets] == [(0, 0.0, 7.0)]
-        assert dets == reference_infer(params, sample, "predicted")
+        assert list(dets) == reference_infer(params, sample, "predicted")
 
     def test_detections_well_formed(self):
         rng = np.random.default_rng(2)
@@ -168,7 +169,7 @@ class TestInferVideo:
         samples = [make_sample(rng, t=t, vid=f"v{i}") for i, t in enumerate((8, 30, 1, 17))]
         all_dets = infer_dataset(params, samples, CONFIG, "manual")
         per_video = [infer_video(params, s, CONFIG, "manual") for s in samples]
-        assert all_dets == [d for group in per_video for d in group]
+        assert list(all_dets) == [d for group in per_video for d in group]
         assert len({d.video_id for d in all_dets}) == 3
 
 
@@ -216,7 +217,7 @@ class TestPoolingFollowsTraining:
         for mode in network.THRESHOLD_RULES:
             assert {d.class_id for d in infer_video(params, sample, MANUAL, mode)} <= {3}
             assert {d.class_id for d in infer_video(params, sample, CONFIG, mode)} <= {0}
-            assert infer_video(params, sample, MANUAL, mode) == reference_infer(params, sample, mode, MANUAL)
+            assert list(infer_video(params, sample, MANUAL, mode)) == reference_infer(params, sample, mode, MANUAL)
         assert {d.class_id for d in infer_video(params, sample, MANUAL)} == {3}
 
     @pytest.mark.parametrize(
@@ -235,7 +236,7 @@ class TestPoolingFollowsTraining:
         for seed in range(10):
             params, sample = self.scaled(seed, t=20)
             for mode in network.THRESHOLD_RULES:
-                assert infer_video(params, sample, config, mode) == reference_infer(params, sample, mode, config)
+                assert list(infer_video(params, sample, config, mode)) == reference_infer(params, sample, mode, config)
 
 
 class TestRunScores:
@@ -269,24 +270,25 @@ class TestRunScores:
                 snippet_duration=0.64,
             )
             dets = infer_video(params, sample, CONFIG, mode=mode)
-            assert dets == reference_infer(params, sample, mode)
+            assert list(dets) == reference_infer(params, sample, mode)
             longest = max([longest] + [round((d.end - d.start) / 0.64) for d in dets])
         assert longest > 128
 
 
 class TestDetectionIO:
+    RECORDS = (
+        Detection("v1", 0, 0.0, 2.5, 0.75),
+        Detection("v1", 1, 1.28, 3.84, 0.3333333333333333),
+        Detection("v2", 0, 10.0, 11.0, 0.9),
+    )
+
     def make_dets(self):
-        return [
-            Detection("v1", 0, 0.0, 2.5, 0.75),
-            Detection("v1", 1, 1.28, 3.84, 0.3333333333333333),
-            Detection("v2", 0, 10.0, 11.0, 0.9),
-        ]
+        return Detections.from_records(self.RECORDS)
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "det.jsonl")
-        dets = self.make_dets()
-        write_detections(dets, ("alpha", "beta"), path)
-        assert load_detections(path) == dets
+        write_detections(self.make_dets(), ("alpha", "beta"), path)
+        assert list(load_detections(path)) == list(self.RECORDS)
 
     def test_jsonl_carries_class_names(self):
         payload = detections_to_jsonl(self.make_dets(), ("alpha", "beta"))
@@ -309,7 +311,7 @@ class TestDetectionIO:
         path.write_text("old\n")
 
         def failing():
-            yield from self.make_dets()
+            yield self.make_dets()
             raise ValidationError("inference failed")
 
         with pytest.raises(ValidationError, match="inference failed"):
@@ -331,7 +333,7 @@ class TestDetectionIO:
 
     def test_class_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            detections_to_jsonl([Detection("v1", 5, 0.0, 1.0, 0.5)], ("only",))
+            detections_to_jsonl(Detections.from_records([Detection("v1", 5, 0.0, 1.0, 0.5)]), ("only",))
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -362,7 +364,7 @@ class TestDetectionIO:
         path = tmp_path / "det.jsonl"
         good = '{"video_id": "v1", "class_id": 0, "start_s": 0.0, "end_s": 1.0, "score": 0.5}'
         path.write_text("\n \t" + good + "  \n\n" + good + "\n")
-        assert load_detections(str(path)) == [Detection("v1", 0, 0.0, 1.0, 0.5)] * 2
+        assert list(load_detections(str(path))) == [Detection("v1", 0, 0.0, 1.0, 0.5)] * 2
 
     def test_lines_equal_json_dumps(self):
         """The direct formatting writes what ``json.dumps(sort_keys=True)`` writes."""
@@ -390,11 +392,11 @@ class TestDetectionIO:
             + "\n"
             for d in dets
         )
-        assert detections_to_jsonl(dets, names) == expected
+        assert detections_to_jsonl(Detections.from_records(dets), names) == expected
 
     def test_numpy_scalars_written_as_plain_numbers(self):
         det = Detection("v1", np.int64(1), np.float64(0.5), np.float64(1.5), np.float64(0.25))
-        line = detections_to_jsonl([det], ("alpha", "beta"))
+        line = detections_to_jsonl(Detections.from_records([det]), ("alpha", "beta"))
         assert line == json.dumps(
             {"class_id": 1, "class_name": "beta", "end_s": 1.5, "score": 0.25, "start_s": 0.5, "video_id": "v1"},
             sort_keys=True,
@@ -439,7 +441,7 @@ class TestDetectionFileTypes:
     def test_integers_accepted_for_times_and_score(self, tmp_path):
         path = tmp_path / "det.jsonl"
         path.write_text(json.dumps({**GOOD_RECORD, "start_s": 0, "end_s": 2, "score": 1}) + "\n")
-        assert load_detections(str(path)) == [Detection("v1", 0, 0.0, 2.0, 1.0)]
+        assert list(load_detections(str(path))) == [Detection("v1", 0, 0.0, 2.0, 1.0)]
 
     @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xb2\x80", b"\xc3"])
     def test_bytes_not_utf8_name_their_line(self, tmp_path, bad):
@@ -452,7 +454,7 @@ class TestDetectionFileTypes:
     def test_non_ascii_utf8_accepted(self, tmp_path):
         path = tmp_path / "det.jsonl"
         path.write_bytes(json.dumps({**GOOD_RECORD, "video_id": "vid\u00e9o \u52d5"}, ensure_ascii=False).encode() + b"\n")
-        assert load_detections(str(path))[0].video_id == "vid\u00e9o \u52d5"
+        assert load_detections(str(path)).video_ids == ("vid\u00e9o \u52d5",)
 
 
 class TestDetectionRecord:
