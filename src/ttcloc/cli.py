@@ -20,8 +20,8 @@ import typing
 
 from . import gradcheck as gradcheck_mod
 from . import network
-from .data import load_dataset, load_manifest, write_dataset
-from .errors import NumericalError, ValidationError, json_types, replacing, type_error
+from .data import DatasetManifest, VideoSample, load_dataset, load_manifest, write_dataset
+from .errors import NumericalError, ValidationError, field_types, load_json_object, read_object, replacing
 from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
 from .localizer import infer_dataset, iter_detections, load_detections, write_detections
 from .objectives import AGGREGATORS, LossConfig, REG_FORMS, TRAIN_LOCALIZATION
@@ -46,51 +46,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_json_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError(f"config {path!r} must hold a JSON object")
-    return obj
-
-
-# field name -> annotated type, evaluated once: get_type_hints costs about 0.2 ms a call
-_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in (SynthSpec, TrainConfig, LossConfig)}
-
-
-def _check_config(data: dict, types: dict, context: str) -> None:
-    """Reject keys missing from ``types`` and values not of their type (:func:`ttcloc.errors.json_types`)."""
-    unknown = sorted(set(data) - set(types))
-    if unknown:
-        raise ValidationError(f"{context}: unknown keys {unknown}")
-    for key, value in data.items():
-        kinds = json_types(types[key])
-        if type(value) not in kinds:
-            raise type_error(f"{context}: {key}", kinds, value)
-
-
 def build_synth_spec(preset: str | None, file_cfg: dict, overrides: dict) -> SynthSpec:
-    _check_config(file_cfg, _FIELD_TYPES[SynthSpec], "synth config")
     base = preset_spec(preset) if preset else SynthSpec()
-    spec = dataclasses.replace(base, **{**file_cfg, **overrides})
+    spec = dataclasses.replace(base, **{**read_object(file_cfg, field_types(SynthSpec), "synth config"), **overrides})
     spec.validate()
     return spec
 
 
 def build_train_config(file_cfg: dict, overrides: dict, loss_overrides: dict) -> TrainConfig:
-    file_cfg = dict(file_cfg)
-    loss_cfg = file_cfg.pop("loss", {})
-    _check_config(file_cfg, _FIELD_TYPES[TrainConfig], "train config")
-    if not isinstance(loss_cfg, dict):
-        raise ValidationError("train config: 'loss' must be an object")
-    _check_config(loss_cfg, _FIELD_TYPES[LossConfig], "train config loss")
-    loss = LossConfig(**{**loss_cfg, **loss_overrides})
-    config = TrainConfig(**{**file_cfg, **overrides}, loss=loss)
+    config = TrainConfig(**{**read_object(file_cfg, field_types(TrainConfig), "train config"), **overrides})
+    config.loss = dataclasses.replace(config.loss, **loss_overrides)
     config.validate()
     return config
 
@@ -137,8 +102,8 @@ def _overrides_from_args(args, names) -> dict:
 
 
 def cmd_synth(args) -> int:
-    file_cfg = _load_json_config(args.spec) if args.spec else {}
-    spec = build_synth_spec(args.preset, file_cfg, _overrides_from_args(args, _FIELD_TYPES[SynthSpec]))
+    file_cfg = load_json_object(args.spec, "config") if args.spec else {}
+    spec = build_synth_spec(args.preset, file_cfg, _overrides_from_args(args, field_types(SynthSpec)))
     manifest, samples = generate(spec)
     path = write_dataset(samples, manifest.num_classes, manifest.class_names, args.out)
     _write_text(os.path.join(args.out, "synth_spec.json"), json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n")
@@ -151,15 +116,19 @@ METRICS_NAME = "metrics.ndjson"
 TRAIN_CONFIG_NAME = "train_config.json"
 
 
+def _load_data(path: str) -> tuple[DatasetManifest, list[VideoSample]]:
+    """The manifest and samples of a dataset directory or manifest path."""
+    manifest = load_manifest(os.path.join(path, "manifest.json") if os.path.isdir(path) else path)
+    return manifest, load_dataset(manifest)
+
+
 def cmd_train(args) -> int:
-    file_cfg = _load_json_config(args.config) if args.config else {}
-    overrides = _overrides_from_args(args, _FIELD_TYPES[TrainConfig])
-    loss_overrides = _overrides_from_args(args, _FIELD_TYPES[LossConfig])
+    file_cfg = load_json_object(args.config, "config") if args.config else {}
+    overrides = _overrides_from_args(args, field_types(TrainConfig))
+    loss_overrides = _overrides_from_args(args, field_types(LossConfig))
     config = build_train_config(file_cfg, overrides, loss_overrides)
 
-    manifest_path = os.path.join(args.data, "manifest.json") if os.path.isdir(args.data) else args.data
-    manifest = load_manifest(manifest_path)
-    samples = load_dataset(manifest)
+    manifest, samples = _load_data(args.data)
     started = time.perf_counter()
     state, metrics = run_training(samples, manifest.num_classes, config)
     elapsed = time.perf_counter() - started
@@ -187,7 +156,7 @@ def _resolve_checkpoint(path: str) -> tuple[network.NetworkParams, TrainConfig]:
     """
     ckpt_path = os.path.join(path, CHECKPOINT_NAME) if os.path.isdir(path) else path
     params = network.load_params(ckpt_path)
-    config = build_train_config(_load_json_config(os.path.join(os.path.dirname(ckpt_path), TRAIN_CONFIG_NAME)), {}, {})
+    config = build_train_config(load_json_object(os.path.join(os.path.dirname(ckpt_path), TRAIN_CONFIG_NAME), "config"), {}, {})
     if config.hidden_dim != params.hidden_dim:
         raise ValidationError(f"{TRAIN_CONFIG_NAME} has hidden_dim {config.hidden_dim} but the checkpoint {params.hidden_dim}")
     return params, config
@@ -195,9 +164,7 @@ def _resolve_checkpoint(path: str) -> tuple[network.NetworkParams, TrainConfig]:
 
 def cmd_infer(args) -> int:
     params, config = _resolve_checkpoint(args.ckpt)
-    manifest_path = os.path.join(args.data, "manifest.json") if os.path.isdir(args.data) else args.data
-    manifest = load_manifest(manifest_path)
-    samples = load_dataset(manifest)
+    manifest, samples = _load_data(args.data)
     if params.num_classes != manifest.num_classes:
         raise ValidationError(
             f"checkpoint has {params.num_classes} classes but dataset has {manifest.num_classes}"
@@ -282,7 +249,7 @@ ABLATE_COLUMNS = (
 
 
 def _ablate_config(base: TrainConfig, overrides: dict, seed: int) -> TrainConfig:
-    loss = {k: v for k, v in overrides.items() if k in _FIELD_TYPES[LossConfig]}
+    loss = {k: v for k, v in overrides.items() if k in field_types(LossConfig)}
     train = {k: v for k, v in overrides.items() if k not in loss}
     return dataclasses.replace(base, loss=dataclasses.replace(base.loss, **loss), seed=seed, **train)
 
@@ -309,8 +276,7 @@ _ABLATE_TYPES = {key: type(value) for key, value in ABLATE_DEFAULTS.items()}
 
 
 def cmd_ablate(args) -> int:
-    file_cfg = _load_json_config(args.config) if args.config else {}
-    _check_config(file_cfg, _ABLATE_TYPES, "ablate config")
+    file_cfg = read_object(load_json_object(args.config, "config"), _ABLATE_TYPES, "ablate config") if args.config else {}
     cfg = {**ABLATE_DEFAULTS, **file_cfg, **_overrides_from_args(args, ABLATE_DEFAULTS)}
     if cfg["seeds"] < 1:
         raise ValidationError(f"ablate: seeds must be >= 1, got {cfg['seeds']}")
@@ -379,7 +345,7 @@ def _add_synth_parser(sub):
     p.add_argument("--preset", choices=_CHOICES["preset"], help="named parameter preset")
     p.add_argument("--spec", help="JSON file with generator fields")
     p.add_argument("--out", required=True, help="output dataset directory")
-    _add_field_flags(p, _FIELD_TYPES[SynthSpec])
+    _add_field_flags(p, field_types(SynthSpec))
     p.set_defaults(func=cmd_synth)
 
 
@@ -388,7 +354,7 @@ def _add_train_parser(sub):
     p.add_argument("--data", required=True, help="dataset directory or manifest path")
     p.add_argument("--config", help="JSON train config")
     p.add_argument("--out", required=True, help="output directory for checkpoint and logs")
-    _add_field_flags(p, {**_FIELD_TYPES[TrainConfig], **_FIELD_TYPES[LossConfig]})
+    _add_field_flags(p, {**field_types(TrainConfig), **field_types(LossConfig)})
     p.set_defaults(func=cmd_train)
 
 

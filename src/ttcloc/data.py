@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError, json_types, type_error
+from .errors import ValidationError, load_json_object, read_object
 
 DEFAULT_SNIPPET_DURATION = 0.64  # seconds covered by one feature vector
 
@@ -108,7 +108,7 @@ class VideoRecord:
     feature_dim: int
     labels: tuple[int, ...]
     snippet_duration: float
-    segments: tuple[GroundTruthSegment, ...] | None
+    segments: tuple[GroundTruthSegment, ...] | None = None
 
     def validate(self, num_classes: int | None = None) -> None:
         if self.num_snippets < 1 or self.feature_dim < 1:
@@ -222,97 +222,25 @@ def _segment_to_json(seg: GroundTruthSegment) -> dict:
     return {"class_id": seg.class_id, "start": seg.start, "end": seg.end}
 
 
-_INTEGER, _NUMBER, _STRING, _LIST = (json_types(t) for t in (int, float, str, list))
-
-
-def _typed(obj: dict, key: str, kinds: tuple[type, ...], context: str):
-    value = obj[key]
-    if type(value) not in kinds:
-        raise type_error(f"{context}: {key}", kinds, value)
-    return value
-
-
-def _real(obj: dict, key: str, context: str) -> float:
-    value = _typed(obj, key, _NUMBER, context)
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValidationError(f"{context}: {key} {value} is out of range") from exc
-
-
-def _list_of(obj: dict, key: str, kinds: tuple[type, ...], context: str) -> list:
-    values = _typed(obj, key, _LIST, context)
-    for value in values:
-        if type(value) not in kinds:
-            raise type_error(f"{context}: {key} entries", kinds, value)
-    return values
-
-
-def _segment_from_json(obj: dict, video_id: str) -> GroundTruthSegment:
-    context = f"video {video_id!r}: segment"
-    if type(obj) is not dict:
-        raise ValidationError(f"{context} must be an object, got {obj!r}")
-    try:
-        class_id = _typed(obj, "class_id", _INTEGER, context)
-        return GroundTruthSegment(class_id, _real(obj, "start", context), _real(obj, "end", context))
-    except KeyError as exc:
-        raise ValidationError(f"{context} lacks key {exc}: {obj!r}") from exc
-
-
-def _record_from_json(obj: dict) -> VideoRecord:
-    if type(obj) is not dict:
-        raise ValidationError(f"manifest: video entry must be an object, got {obj!r}")
-    vid = obj.get("id")
-    if not isinstance(vid, str) or not vid:
-        raise ValidationError(f"manifest: video entry without a valid id: {obj!r}")
-    required = {"id", "num_snippets", "feature_dim", "labels", "snippet_duration"}
-    # older manifests carry a per-video fully_annotated flag; the trainer
-    # decides supervision itself, so the key is accepted and ignored
-    allowed = required | {"segments", "fully_annotated"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"video {vid!r}: unknown manifest keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ValidationError(f"video {vid!r}: missing manifest keys {sorted(missing)}")
-    context = f"video {vid!r}"
-    segments = None
-    if obj.get("segments") is not None:
-        segments = tuple(_segment_from_json(s, vid) for s in _typed(obj, "segments", _LIST, context))
-    return VideoRecord(
-        id=vid,
-        num_snippets=_typed(obj, "num_snippets", _INTEGER, context),
-        feature_dim=_typed(obj, "feature_dim", _INTEGER, context),
-        labels=tuple(_list_of(obj, "labels", _INTEGER, context)),
-        snippet_duration=_real(obj, "snippet_duration", context),
-        segments=segments,
-    )
+_MANIFEST_TYPES = {"num_classes": int, "class_names": tuple[str, ...], "videos": tuple[VideoRecord, ...]}
 
 
 def load_manifest(manifest_path: str) -> DatasetManifest:
     """Parse and validate ``manifest.json`` (features are not touched).
 
-    JSON types are checked, not converted (:func:`ttcloc.errors.json_types`):
-    counts and class ids are integers, times and durations numbers.
+    JSON types are checked by :func:`ttcloc.errors.read_object`: counts and
+    class ids are integers, times and durations numbers (read as floats).
     """
-    if not os.path.isfile(manifest_path):
-        raise ValidationError(f"manifest not found: {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise ValidationError(f"manifest {manifest_path}: invalid JSON: {exc}") from exc
-    context = f"manifest {manifest_path}"
-    if type(obj) is not dict:
-        raise ValidationError(f"{context}: must hold a JSON object")
-    for key in ("num_classes", "class_names", "videos"):
-        if key not in obj:
-            raise ValidationError(f"{context}: missing key {key!r}")
+    obj = load_json_object(manifest_path, "manifest")
+    # older manifests carry a per-video fully_annotated flag; the trainer
+    # decides supervision itself, so the key is accepted and ignored
+    videos = obj.get("videos")
+    for video in videos if type(videos) is list else ():
+        if type(video) is dict:
+            video.pop("fully_annotated", None)
+    fields = read_object(obj, _MANIFEST_TYPES, f"manifest {manifest_path}", required=_MANIFEST_TYPES)
     manifest = DatasetManifest(
-        num_classes=_typed(obj, "num_classes", _INTEGER, context),
-        class_names=tuple(_list_of(obj, "class_names", _STRING, context)),
-        records=tuple(_record_from_json(v) for v in _typed(obj, "videos", _LIST, context)),
-        directory=os.path.dirname(os.path.abspath(manifest_path)),
+        fields["num_classes"], fields["class_names"], fields["videos"], os.path.dirname(os.path.abspath(manifest_path))
     )
     manifest.validate()
     return manifest

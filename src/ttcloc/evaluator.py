@@ -81,6 +81,10 @@ def _validate_inputs(detections: Detections, gt: GroundTruthIndex, iou_threshold
     for t in iou_thresholds:
         if not 0.0 < t <= 1.0:
             raise ValidationError(f"IoU threshold {t} must lie in (0, 1]")
+    # the report keys each threshold by its label, so two thresholds must not share one
+    labels = [_fmt_thresh(t) for t in iou_thresholds]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"IoU thresholds {list(iou_thresholds)} share report labels {labels}")
     if gt.total_segments() == 0:
         raise ValidationError("ground truth contains no segments; mAP is undefined")
     unknown = np.array([v not in gt.video_ids for v in detections.video_ids], dtype=bool)[detections.video_index]

@@ -88,7 +88,7 @@ class TrainState:
     rng: np.random.Generator
     # two block-sized vectors that the Adam update works in
     scratch: tuple = field(init=False, repr=False, compare=False)
-    # the arrays total_loss writes, made by the first step and remade for a larger batch
+    # the arrays total_loss writes, made by the first step and remade for a batch with more clips or a longer clip
     workspace: Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -157,9 +157,12 @@ def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -
 def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig) -> LossBreakdown:
     """One gradient step on an already-sampled batch; mutates state."""
     clips = [crop_clip(s, config.max_clip_len, state.rng) for s in batch]
+    # sized by the clips, not by the cap, which may be far beyond any video
+    longest = max(c.num_snippets for c in clips)
+    if state.workspace is None or not state.workspace.fits(state.params, len(clips), longest):
+        state.workspace = None  # the old buffers go before the new ones are allocated
+        state.workspace = Workspace(state.params, len(clips), longest)
     ws = state.workspace
-    if ws is None or not ws.fits(state.params, len(clips), config.max_clip_len):
-        ws = state.workspace = Workspace(state.params, len(clips), config.max_clip_len)
     masks = None
     if config.dropout > 0:
         # one draw for the batch, the same stream as one uniform(size=...) draw per clip,

@@ -246,6 +246,16 @@ class TestPipeline:
         assert run_cli("infer", "--ckpt", run, "--data", other, "--out", det) == 1
         assert not os.path.exists(det)
 
+    @pytest.mark.parametrize("iou", ["0.5,0.5", "0.5,0.5000001"])
+    def test_eval_thresholds_with_one_label_fail_cleanly(self, tmp_path, capsys, iou):
+        ds = make_dataset(str(tmp_path / "ds"))
+        det = tmp_path / "det.jsonl"
+        det.write_text("")
+        out = str(tmp_path / "report.json")
+        assert run_cli("eval", "--det", str(det), "--gt", os.path.join(ds, "manifest.json"), "--iou", iou, "--out", out) == 1
+        assert "share report labels" in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(tmp_path / "report.csv")
+
     def test_eval_unknown_video_fails_cleanly(self, tmp_path):
         ds = make_dataset(str(tmp_path / "ds"))
         det = tmp_path / "det.jsonl"
@@ -325,6 +335,33 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"warmup": 10}))
         ds = make_dataset(str(tmp_path / "ds"))
         assert run_cli("train", "--data", ds, "--config", str(cfg), "--out", str(tmp_path / "run")) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, content, message",
+        [
+            ("train", "--config", {"learning_rate": 10**400}, "train config: learning_rate is out of range"),
+            ("train", "--config", {"loss": {"loc_weight": 10**400}}, "train config: loss: loc_weight is out of range"),
+            ("synth", "--spec", {"noise_scale": 10**400}, "synth config: noise_scale is out of range"),
+        ],
+    )
+    def test_integer_beyond_the_float_range_fails_cleanly(self, tmp_path, capsys, command, flag, content, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(content))
+        out = str(tmp_path / "out")
+        argv = [command, flag, str(cfg), "--out", out]
+        if command == "train":
+            argv += ["--data", make_dataset(str(tmp_path / "ds")), "--iterations", "1", "--hidden-dim", "4"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_clip_cap_beyond_every_video_trains(self, tmp_path):
+        ds = make_dataset(str(tmp_path / "ds"))
+        run = str(tmp_path / "run")
+        argv = ["--max-clip-len", str(10**12), "--iterations", "2", "--hidden-dim", "4"]
+        assert run_cli("train", "--data", ds, *argv, "--out", run) == 0
+        assert json.loads(open(os.path.join(run, cli.TRAIN_CONFIG_NAME)).read())["max_clip_len"] == 10**12
 
     def test_numerical_error_exit(self, tmp_path, monkeypatch):
         ds = make_dataset(str(tmp_path / "ds"))
@@ -532,7 +569,9 @@ class TestInferFollowsTrainingConfig:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda cfg: cfg.update(loss=5), "'loss' must be an object"),
+            (lambda cfg: cfg.update(loss=5), "loss must be an object"),
+            (lambda cfg: cfg.update(learning_rate=10**400), "learning_rate is out of range"),
+            (lambda cfg: cfg["loss"].update(loc_weight=10**400), "loc_weight is out of range"),
             (lambda cfg: cfg.update(gating=[]), "gating must be a string"),
             (lambda cfg: cfg.update(warmup=10), "unknown keys ['warmup']"),
             (lambda cfg: cfg.update(train_localization="none"), "requires the topk_eighth aggregator"),
@@ -540,7 +579,17 @@ class TestInferFollowsTrainingConfig:
             (lambda cfg: cfg.update(hidden_dim=16), "hidden_dim 16"),
             (lambda cfg: cfg.clear() or cfg.update(x=1), "unknown keys ['x']"),
         ],
-        ids=["loss-number", "gating-list", "unknown-key", "none-with-gated", "unknown-aggregator", "hidden-dim", "only-unknown"],
+        ids=[
+            "loss-number",
+            "huge-learning-rate",
+            "huge-loc-weight",
+            "gating-list",
+            "unknown-key",
+            "none-with-gated",
+            "unknown-aggregator",
+            "hidden-dim",
+            "only-unknown",
+        ],
     )
     def test_bad_sidecar_fails_cleanly(self, trained, tmp_path, capsys, edit, message):
         assert self.infer_with_sidecar(trained, tmp_path, edit) == 1

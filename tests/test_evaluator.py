@@ -146,6 +146,14 @@ class TestEvaluate:
             with pytest.raises(ValidationError):
                 evaluate_records([], gt, bad)
 
+    @pytest.mark.parametrize("thresholds", [(0.5, 0.5), (0.5, 0.5000001), (0.3, 0.7, 0.30000001)])
+    def test_thresholds_with_one_report_label_rejected(self, thresholds):
+        # the report keys each threshold by its label, which would keep only one of them
+        gt = gt_index([("v1", 0, 0.0, 5.0)])
+        for scorer in (evaluate_records, oracle_evaluate):
+            with pytest.raises(ValidationError, match="share report labels"):
+                scorer([det()], gt, thresholds)
+
     def test_three_fixtures(self):
         gt = gt_index([("v1", 0, 0.0, 10.0)], num_classes=1)
         r1 = evaluate_records([det(start=0.0, end=10.0, score=0.9)], gt, (0.5,))

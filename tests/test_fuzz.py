@@ -49,6 +49,7 @@ leaves = (
     | st.booleans()
     | st.integers()
     | st.integers(-2, 2)
+    | st.sampled_from([10**400, -(10**400)])  # beyond the float range
     | st.floats()
     | st.floats(-2.0, 2.0)
     | st.text(max_size=6)
@@ -72,6 +73,7 @@ train_dicts = config_dicts(TrainConfig, json_values | config_dicts(LossConfig))
 @example({"loss": 5})
 @example({"gating": []})
 @example({"train_localization": "none"})
+@example({"learning_rate": 10**400})
 def test_build_train_config(file_cfg):
     try:
         config = cli.build_train_config(file_cfg, {}, {})
@@ -85,6 +87,7 @@ def test_build_train_config(file_cfg):
 @FUZZ
 @given(st.none() | st.sampled_from(sorted(PRESETS)), config_dicts(SynthSpec))
 @example(None, {"num_classes": "x"})
+@example(None, {"noise_scale": 10**400})
 def test_build_synth_spec(preset, file_cfg):
     try:
         spec = cli.build_synth_spec(preset, file_cfg, {})
@@ -152,6 +155,7 @@ def expected_exit(blob: bytes) -> int:
 @example(blob=b"\xff\xfe{}")
 @example(blob=b"[" * 100000)
 @example(blob=b'{"hidden_dim": 8}')
+@example(blob=b'{"hidden_dim": 8, "adam_eps": 1' + b"0" * 400 + b"}")
 def test_infer_on_arbitrary_sidecar(trained, blob):
     ds, run, root = trained
     sidecar = os.path.join(run, cli.TRAIN_CONFIG_NAME)

@@ -1,7 +1,10 @@
-"""Every name that a module of the package or of the tests imports is used.
+"""Every name that a module of the package or of the tests imports is used,
+and every parameter of a package function is read.
 
-A name counts as used when it is read anywhere in the same file; the check
-is by name, not by scope.  No linter is assumed to be installed.
+A name counts as used when it is read anywhere in the same file, a
+parameter when it is read anywhere in its function's body (nested
+functions included); the checks are by name, not by scope.  No linter is
+assumed to be installed.
 """
 
 import ast
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/ttcloc/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/ttcloc/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +40,41 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that their function's body never reads, with their lines.
+
+    ``self``, ``cls``, names starting with ``_`` and the parameters of
+    dunder methods, whose signatures a protocol fixes, are exempt; so are
+    lambdas.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for param in params:
+            name = param.arg
+            if name not in read and name not in ("self", "cls") and not name.startswith("_"):
+                found.append(f"{node.name}({name}) (line {node.lineno})")
+    return found
+
+
+def test_guard_sees_unread_parameters():
+    source = (
+        "def f(a, b, _c, *args, d=1, **kw):\n    return a + kw['x']\n"
+        "class K:\n    def m(self, x):\n        def inner():\n            return x\n        return inner\n"
+        "    def __exit__(self, *exc):\n        pass\n"
+        "def g(y):\n    y = 2\n    return lambda z: 0\n"
+    )
+    assert unread_parameters(source) == ["f(b) (line 1)", "f(d) (line 1)", "f(args) (line 1)", "g(y) (line 10)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

@@ -392,6 +392,23 @@ class TestWorkspaceReuse:
         train_step(state, samples[:5], cfg)
         assert state.workspace.clips == 5
 
+    def test_workspace_is_sized_by_the_clips_not_the_cap(self):
+        # a cap far beyond any video: sized by the cap, the workspace would be a refused allocation
+        rng = np.random.default_rng(20)
+        cfg = tiny_config(max_clip_len=10**12)
+        state = init_state(cfg, 3, 2)
+
+        def rows(ws):
+            return {ws.forward.x.shape[0], ws.forward.out.shape[0], ws.keep.shape[0], ws.objective.shape[1]}
+
+        train_step(state, make_dataset(rng, t=12)[:4], cfg)
+        first = state.workspace
+        assert rows(first) == {4 * 12}
+        train_step(state, make_dataset(rng, t=7)[:4], cfg)  # shorter clips fit
+        assert state.workspace is first
+        train_step(state, make_dataset(rng, t=30)[:4], cfg)  # a longer clip regrows it
+        assert rows(state.workspace) == {4 * 30}
+
     def test_step_allocates_under_a_megabyte(self):
         # the acceptance shape: hidden 128, batch 10, clips of 64 snippets, dropout
         rng = np.random.default_rng(19)
