@@ -22,11 +22,11 @@ from . import gradcheck as gradcheck_mod
 from . import network
 from .data import DatasetManifest, VideoSample, load_dataset, load_manifest, write_dataset
 from .errors import NumericalError, ValidationError, field_types, load_json_object, read_object, replacing
-from .evaluator import evaluate, index_from_videos, render_report_csv, render_report_json
+from .evaluator import check_iou_thresholds, evaluate, index_from_videos, render_report_csv, render_report_json
 from .localizer import infer_dataset, iter_detections, load_detections, write_detections
-from .objectives import AGGREGATORS, LossConfig, REG_FORMS, TRAIN_LOCALIZATION
+from .objectives import AGGREGATORS, LossConfig, REG_FORMS
 from .synth import PRESETS, SynthSpec, generate, preset_spec
-from .trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig, run_training
+from .trainer import STRATEGIES, TrainConfig, run_training
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,30 +67,34 @@ def parse_iou_spec(text: str) -> tuple[float, ...]:
     """Thresholds as a single value, comma list, or start:stop:step range.
 
     Every value must be finite, and a range may hold at most
-    ``IOU_MAX_THRESHOLDS`` thresholds.
+    ``IOU_MAX_THRESHOLDS`` thresholds.  The thresholds must then pass
+    :func:`~ttcloc.evaluator.check_iou_thresholds`, so a bad spec fails
+    before any file is read or any model trained.
     """
     text = text.strip()
     try:
         parts = [float(p) for p in text.split(":" if ":" in text else ",")]
         if not all(math.isfinite(p) for p in parts):
             raise ValueError("values must be finite")
-        if ":" not in text:
-            return tuple(round(p, 10) for p in parts)
-        if len(parts) != 3:
-            raise ValueError("range must be start:stop:step")
-        start, stop, step = parts
-        if step <= 0 or stop < start:
-            raise ValueError("range needs step > 0 and stop >= start")
-        # bounded by count, not by value: start + i * step need not grow in floats
-        values = []
-        for i in range(IOU_MAX_THRESHOLDS + 1):
-            v = round(start + i * step, 10)
-            if v > stop + 1e-9:
-                return tuple(values)
-            values.append(v)
-        raise ValueError(f"range holds more than {IOU_MAX_THRESHOLDS} thresholds")
+        if ":" in text:
+            if len(parts) != 3:
+                raise ValueError("range must be start:stop:step")
+            start, stop, step = parts
+            if step <= 0 or stop < start:
+                raise ValueError("range needs step > 0 and stop >= start")
+            # bounded by count, not by value: start + i * step need not grow in floats
+            parts = []
+            for i in range(IOU_MAX_THRESHOLDS + 1):
+                if round(start + i * step, 10) > stop + 1e-9:
+                    break
+                parts.append(start + i * step)
+            else:
+                raise ValueError(f"range holds more than {IOU_MAX_THRESHOLDS} thresholds")
     except ValueError as exc:
         raise ValidationError(f"bad IoU spec {text!r}: {exc}") from exc
+    thresholds = tuple(round(p, 10) for p in parts)
+    check_iou_thresholds(thresholds)
+    return thresholds
 
 
 def _overrides_from_args(args, names) -> dict:
@@ -219,8 +223,8 @@ def _ablate_rows(lambda_sweep: bool) -> list[tuple[str, str, dict]]:
     semi = {"supervision": "semi", "semi_k": 1}
     # threshold strategy grid: the four trained variants x both test rules
     trained = ({"train_localization": "none", "aggregator": "topk_eighth"}, {}, {"train_localization": "manual", **semi}, semi)
-    rows = [("threshold_strategy", mode, fields) for fields in trained for mode in ("manual", "predicted")]
-    rows += [("gating", "predicted", {"gating": gating}) for gating in ("sigmoid", "softsign", "binarize")]
+    rows = [("threshold_strategy", mode, fields) for fields in trained for mode in reversed(network.THRESHOLD_RULES)]
+    rows += [("gating", "predicted", {"gating": gating}) for gating in network.GATING_KINDS]
     rows += [("regularizer", "predicted", {"reg_form": reg_form}) for reg_form in REG_FORMS]
     rows += [("training_strategy", "predicted", {"strategy": strategy, **semi}) for strategy in STRATEGIES]
     for aggregator in AGGREGATORS:
@@ -317,16 +321,8 @@ def cmd_ablate(args) -> int:
 # Parser
 
 
-# choices of the string fields: the tuples their validate methods check
-_CHOICES = {
-    "gating": network.GATING_KINDS,
-    "supervision": SUPERVISION_MODES,
-    "strategy": STRATEGIES,
-    "train_localization": TRAIN_LOCALIZATION,
-    "reg_form": REG_FORMS,
-    "aggregator": AGGREGATORS,
-    "preset": sorted(PRESETS),
-}
+# choices of the string fields: the tables their validate methods check
+_CHOICES = {**TrainConfig.CHOICES, **LossConfig.CHOICES, "preset": sorted(PRESETS)}
 
 
 def _add_field_flags(parser, types: dict) -> None:
@@ -409,6 +405,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, OSError) as exc:  # OSError: a path given cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # a size given asks for more memory than the system grants
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

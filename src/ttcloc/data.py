@@ -218,10 +218,6 @@ def crop_clip(sample: VideoSample, max_len: int, rng: np.random.Generator) -> Vi
 # On-disk format
 
 
-def _segment_to_json(seg: GroundTruthSegment) -> dict:
-    return {"class_id": seg.class_id, "start": seg.start, "end": seg.end}
-
-
 _MANIFEST_TYPES = {"num_classes": int, "class_names": tuple[str, ...], "videos": tuple[VideoRecord, ...]}
 
 
@@ -298,23 +294,10 @@ def manifest_from_samples(
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
-    videos = []
-    for r in manifest.records:
-        entry = {
-            "id": r.id,
-            "num_snippets": r.num_snippets,
-            "feature_dim": r.feature_dim,
-            "labels": list(r.labels),
-            "snippet_duration": r.snippet_duration,
-            "segments": None if r.segments is None else [_segment_to_json(s) for s in r.segments],
-        }
-        videos.append(entry)
-    obj = {
-        "num_classes": manifest.num_classes,
-        "class_names": list(manifest.class_names),
-        "videos": videos,
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The text of ``manifest.json``: each record and segment is written as
+    the object of its own fields, the form :func:`load_manifest` reads."""
+    obj = {"num_classes": manifest.num_classes, "class_names": manifest.class_names, "videos": manifest.records}
+    return json.dumps(obj, default=vars, indent=2, sort_keys=True)
 
 
 def write_dataset(

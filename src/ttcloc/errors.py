@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the JSON type rule, the one
-reader that every JSON object ttcloc loads goes through, and the helper that
-writes an output file through a tmp file."""
+"""Exception types shared across the package, the JSON type rule, the check
+of a config's choice fields, the one reader that every JSON object ttcloc
+loads goes through, and the helper that writes an output file through a tmp
+file."""
 
 import contextlib
 import dataclasses
@@ -51,6 +52,14 @@ def type_error(what: str, kinds: tuple[type, ...], value) -> ValidationError:
     """The error for ``value`` at ``what`` when its type is not in ``kinds``, a :func:`json_types` tuple."""
     names = [_JSON_NAMES.get(k, k.__name__) for k in kinds if not (k is int and float in kinds)]
     return ValidationError(f"{what} must be {' or '.join(names)}, got {value!r}")
+
+
+def check_choices(config, choices: typing.Mapping[str, tuple]) -> None:
+    """Reject a field of ``config`` named in ``choices`` whose value is not one of its tuple."""
+    for name, allowed in choices.items():
+        value = getattr(config, name)
+        if value not in allowed:
+            raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,9 @@ def _sorted_dets(dets: list[Detection]) -> list[Detection]:
     return sorted(dets, key=lambda d: (-d.score, d.start, d.video_id))
 
 
-def _validate_inputs(detections: Detections, gt: GroundTruthIndex, iou_thresholds) -> None:
+def check_iou_thresholds(iou_thresholds) -> None:
+    """Reject an empty threshold list, a threshold outside (0, 1], and two
+    thresholds that share a report label."""
     if not iou_thresholds:
         raise ValidationError("need at least one IoU threshold")
     for t in iou_thresholds:
@@ -85,6 +87,10 @@ def _validate_inputs(detections: Detections, gt: GroundTruthIndex, iou_threshold
     labels = [_fmt_thresh(t) for t in iou_thresholds]
     if len(set(labels)) != len(labels):
         raise ValidationError(f"IoU thresholds {list(iou_thresholds)} share report labels {labels}")
+
+
+def _validate_inputs(detections: Detections, gt: GroundTruthIndex, iou_thresholds) -> None:
+    check_iou_thresholds(iou_thresholds)
     if gt.total_segments() == 0:
         raise ValidationError("ground truth contains no segments; mAP is undefined")
     unknown = np.array([v not in gt.video_ids for v in detections.video_ids], dtype=bool)[detections.video_index]

@@ -8,6 +8,7 @@ intentionally not the true derivative of the step function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import network
+from .errors import ValidationError
 
 FD_STEP = 1e-5
 STRICT_TOLERANCE = 1e-5
@@ -166,45 +168,40 @@ def check_total_loss(
 
 
 def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
-    """Full sweep: network backward, gates, and the objective configurations.
+    """Full sweep: network backward, gates, and each objective configuration
+    that :meth:`~ttcloc.trainer.TrainConfig.validate` accepts.
 
     Differentiable configurations are strict (enforced at 1e-5); the
-    binarize gate's straight-through surrogate is reported but exempt.
+    binarize gate's straight-through surrogate is reported but exempt, and
+    the objective is checked under the differentiable gates only.
     """
-    from .objectives import REG_FORMS
+    from .objectives import AGGREGATORS, REG_FORMS, TRAIN_LOCALIZATION, LossConfig
+    from .trainer import TrainConfig
+
+    # component name -> (strict, check)
+    components = {
+        "network_backward": (True, lambda: max(check_network_backward(seed), check_network_backward(seed + 1))),
+        "network_backward_dropout": (True, lambda: check_network_backward(seed, t=4, dropout=True)),
+    }
+    for kind in network.GATING_KINDS:
+        components[f"gate_{kind}"] = (kind not in network.SURROGATE_GATES, functools.partial(check_gate_gradient, kind, seed))
+    gates = [kind for kind in network.GATING_KINDS if kind not in network.SURROGATE_GATES]
+    sweep = itertools.product(TRAIN_LOCALIZATION, gates, AGGREGATORS, REG_FORMS, (False, True))
+    for rule, gating, aggregator, reg_form, with_loc in sweep:
+        loss = LossConfig(reg_form=reg_form, aggregator=aggregator)
+        try:
+            TrainConfig(gating=gating, train_localization=rule, loss=loss).validate()
+        except ValidationError:
+            continue
+        # "none" computes no gate, so the gating kind is irrelevant: the name leaves it out and the first gate runs
+        which = gating if rule == "predicted" else rule if rule == "none" else f"{rule}_{gating}"
+        name = f"loss_{which}_{aggregator}_{reg_form}_{'loc' if with_loc else 'noloc'}"
+        check = functools.partial(check_total_loss, gating, aggregator, reg_form, with_loc, seed, train_localization=rule)
+        components.setdefault(name, (True, check))
 
     checks = []
-
-    start = time.perf_counter()
-    err = max(check_network_backward(seed), check_network_backward(seed + 1))
-    checks.append(ComponentCheck("network_backward", err, True, time.perf_counter() - start))
-
-    start = time.perf_counter()
-    err = check_network_backward(seed, t=4, dropout=True)
-    checks.append(ComponentCheck("network_backward_dropout", err, True, time.perf_counter() - start))
-
-    for kind in ("sigmoid", "softsign", "binarize"):
+    for name, (strict, check) in components.items():
         start = time.perf_counter()
-        err = check_gate_gradient(kind, seed)
-        checks.append(ComponentCheck(f"gate_{kind}", err, kind != "binarize", time.perf_counter() - start))
-
-    for rule in ("predicted", "manual"):
-        prefix = "" if rule == "predicted" else f"{rule}_"
-        for gating in ("sigmoid", "softsign"):
-            for aggregator in ("gated", "topk_eighth"):
-                for reg_form in REG_FORMS:
-                    for with_loc in (False, True):
-                        start = time.perf_counter()
-                        err = check_total_loss(gating, aggregator, reg_form, with_loc, seed, train_localization=rule)
-                        name = f"loss_{prefix}{gating}_{aggregator}_{reg_form}_{'loc' if with_loc else 'noloc'}"
-                        checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
-
-    # "none" computes no gate, so the gating kind is irrelevant
-    for reg_form in REG_FORMS:
-        for with_loc in (False, True):
-            start = time.perf_counter()
-            err = check_total_loss("sigmoid", "topk_eighth", reg_form, with_loc, seed, train_localization="none")
-            name = f"loss_none_topk_eighth_{reg_form}_{'loc' if with_loc else 'noloc'}"
-            checks.append(ComponentCheck(name, err, True, time.perf_counter() - start))
-
+        err = check()
+        checks.append(ComponentCheck(name, err, strict, time.perf_counter() - start))
     return checks

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError, replacing
 
 GATING_KINDS = ("sigmoid", "softsign", "binarize")
+SURROGATE_GATES = ("binarize",)  # gates whose input gradient is a straight-through surrogate, not the derivative
 THRESHOLD_RULES = ("predicted", "manual")  # what a score is compared against
 
 

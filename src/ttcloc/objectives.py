@@ -8,13 +8,14 @@ through manually-set thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import network
 from .data import VideoSample, rasterize
-from .errors import ValidationError
+from .errors import ValidationError, check_choices
 from .network import NetworkParams, ScoreMap
 
 EPS = 1e-8  # stabilizer for gate-sum and norm denominators
@@ -41,17 +42,17 @@ class LossConfig:
     reg_form: str = "inner_product"
     aggregator: str = "gated"
 
+    # the values each string field may take
+    CHOICES = {"reg_form": REG_FORMS, "aggregator": AGGREGATORS}
+
     def validate(self) -> None:
         if not 0.0 <= self.clas_weight <= 1.0:
             raise ValidationError(f"clas_weight must be in [0, 1], got {self.clas_weight}")
-        if not self.loc_weight >= 0:
-            raise ValidationError(f"loc_weight must be >= 0, got {self.loc_weight}")
-        if self.background_weight is not None and not self.background_weight > 0:
-            raise ValidationError(f"background_weight must be positive, got {self.background_weight}")
-        if self.reg_form not in REG_FORMS:
-            raise ValidationError(f"reg_form must be one of {REG_FORMS}, got {self.reg_form!r}")
-        if self.aggregator not in AGGREGATORS:
-            raise ValidationError(f"aggregator must be one of {AGGREGATORS}, got {self.aggregator!r}")
+        if not (self.loc_weight >= 0 and math.isfinite(self.loc_weight)):
+            raise ValidationError(f"loc_weight must be finite and >= 0, got {self.loc_weight}")
+        if self.background_weight is not None and not (self.background_weight > 0 and math.isfinite(self.background_weight)):
+            raise ValidationError(f"background_weight must be finite and positive, got {self.background_weight}")
+        check_choices(self, self.CHOICES)
 
     def resolved_background_weight(self, num_classes: int) -> float:
         return self.background_weight if self.background_weight is not None else 1.0 / num_classes

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import network
 from .data import VideoSample, crop_clip
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_choices
 from .network import NetworkParams
 from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, Workspace, total_loss
 
@@ -44,6 +44,14 @@ class TrainConfig:
     strategy: str = "joint"
     train_localization: str = "predicted"
 
+    # the values each string field may take
+    CHOICES = {
+        "gating": network.GATING_KINDS,
+        "supervision": SUPERVISION_MODES,
+        "strategy": STRATEGIES,
+        "train_localization": TRAIN_LOCALIZATION,
+    }
+
     def validate(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
@@ -59,18 +67,9 @@ class TrainConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.gating not in network.GATING_KINDS:
-            raise ValidationError(f"gating must be one of {network.GATING_KINDS}, got {self.gating!r}")
-        if self.supervision not in SUPERVISION_MODES:
-            raise ValidationError(f"supervision must be one of {SUPERVISION_MODES}, got {self.supervision!r}")
         if self.semi_k < 0:
             raise ValidationError(f"semi_k must be >= 0, got {self.semi_k}")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.train_localization not in TRAIN_LOCALIZATION:
-            raise ValidationError(
-                f"train_localization must be one of {TRAIN_LOCALIZATION}, got {self.train_localization!r}"
-            )
+        check_choices(self, self.CHOICES)
         self.loss.validate()
         if self.train_localization == "none" and self.loss.aggregator == "gated":
             raise ValidationError("train_localization='none' requires the topk_eighth aggregator")

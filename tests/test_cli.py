@@ -72,7 +72,8 @@ class TestParseIouSpec:
             cli.parse_iou_spec(bad)
 
     def test_range_size_limit(self):
-        assert len(cli.parse_iou_spec(f"1:{cli.IOU_MAX_THRESHOLDS}:1")) == cli.IOU_MAX_THRESHOLDS
+        step = 1 / cli.IOU_MAX_THRESHOLDS
+        assert len(cli.parse_iou_spec(f"{step}:1:{step}")) == cli.IOU_MAX_THRESHOLDS
 
     def test_unbounded_ranges_are_rejected_without_hanging(self):
         # run in a child with a memory cap and a timeout, so a parser that
@@ -329,6 +330,37 @@ class TestExitCodes:
             assert run_cli("train", "--data", ds, flag, "inf", "--iterations", "2", "--hidden-dim", "4", "--out", run) == 1
             assert "must be finite" in capsys.readouterr().err
             assert not os.path.exists(run)
+
+    @pytest.mark.parametrize("name", ["loc_weight", "background_weight"])
+    def test_infinite_loss_weights_fail_cleanly(self, tmp_path, capsys, name):
+        ds = make_dataset(str(tmp_path / "ds"))
+        cfg = tmp_path / "train.json"
+        cfg.write_text(f'{{"loss": {{"{name}": Infinity}}}}')  # Python's JSON reader accepts Infinity
+        run = str(tmp_path / "run")
+        for source in (["--" + name.replace("_", "-"), "inf"], ["--config", str(cfg)]):
+            assert run_cli("train", "--data", ds, *source, "--iterations", "2", "--hidden-dim", "4", "--out", run) == 1
+            assert f"{name} must be finite" in capsys.readouterr().err
+            assert not os.path.exists(run)
+
+    # each size asks for more than the 128 TiB a process can map, so the
+    # request is refused at once whatever the system's overcommit policy
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--hidden-dim", str(10**13)],
+            ["train", "--batch-size", str(10**14)],
+            ["synth", "--preset", "easy", "--feature-dim", str(10**13)],
+        ],
+        ids=["hidden-dim", "batch-size", "feature-dim"],
+    )
+    def test_refused_allocation_fails_cleanly(self, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = [*argv, "--data", make_dataset(str(tmp_path / "ds")), "--iterations", "2"]
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_unknown_config_key_exit(self, tmp_path):
         cfg = tmp_path / "train.json"
@@ -703,6 +735,15 @@ class TestAblateCommand:
         lines = open(tmp_path / "s" / "ablation.csv").read().strip().split("\n")
         assert len(lines) == 1 + 20 + 9
         assert sum(1 for line in lines if line.startswith("lambda_sweep")) == 9
+
+    @pytest.mark.parametrize("iou", ["0.5,0.5", "0.5,0.5000001"])
+    def test_thresholds_with_one_label_rejected_before_training(self, tmp_path, capsys, monkeypatch, iou):
+        trained = []
+        monkeypatch.setattr(cli, "run_training", lambda *args: trained.append(args))
+        code = run_cli("ablate", "--iou", iou, "--iterations", "1", "--hidden-dim", "4", "--out", str(tmp_path / "a"))
+        assert code == 1 and trained == []
+        assert "share report labels" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seed_count_below_one_rejected(self, tmp_path, seeds, capsys):

@@ -11,6 +11,7 @@ from ttcloc.data import (
     crop_clip,
     load_dataset,
     load_manifest,
+    manifest_to_json,
     rasterize,
     write_dataset,
 )
@@ -161,6 +162,40 @@ class TestOnDiskFormat:
             assert back.segments == orig.segments
             assert not back.fully_annotated  # supervision is the trainer's choice, not stored
             assert back.snippet_duration == orig.snippet_duration
+
+    def test_manifest_round_trip(self, tmp_path):
+        # segments absent, empty, and at times that are not whole numbers
+        feats = np.zeros((3, 2), dtype=np.float32)
+        frac = (GroundTruthSegment(1, 0.1, 0.30000000000000004), GroundTruthSegment(1, 1.25, 1.92))
+        samples = [
+            VideoSample("absent", feats, frozenset({1, 0}), 0.64, None),
+            VideoSample("empty", feats, frozenset({0}), 0.5, ()),
+            VideoSample("frac", feats, frozenset({1}), 0.64, frac),
+        ]
+        path = write_dataset(samples, 2, ["a", "b"], str(tmp_path / "ds"))
+        text = open(path, encoding="utf-8").read()
+        assert json.loads(text) == {
+            "num_classes": 2,
+            "class_names": ["a", "b"],
+            "videos": [
+                {"id": "absent", "num_snippets": 3, "feature_dim": 2, "labels": [0, 1], "snippet_duration": 0.64, "segments": None},
+                {"id": "empty", "num_snippets": 3, "feature_dim": 2, "labels": [0], "snippet_duration": 0.5, "segments": []},
+                {
+                    "id": "frac",
+                    "num_snippets": 3,
+                    "feature_dim": 2,
+                    "labels": [1],
+                    "snippet_duration": 0.64,
+                    "segments": [
+                        {"class_id": 1, "start": 0.1, "end": 0.30000000000000004},
+                        {"class_id": 1, "start": 1.25, "end": 1.92},
+                    ],
+                },
+            ],
+        }
+        manifest = load_manifest(path)
+        assert manifest.records == tuple(s.record for s in samples)
+        assert manifest_to_json(manifest) + "\n" == text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_small_manifest_loads(self, tmp_path):
         feats = np.arange(8, dtype=np.float32).reshape(4, 2)

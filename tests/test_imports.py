@@ -1,5 +1,6 @@
 """Every name that a module of the package or of the tests imports is used,
-and every parameter of a package function is read.
+every parameter of a package function is read, and no module of the
+package copies out the values of a choice tuple by hand.
 
 A name counts as used when it is read anywhere in the same file, a
 parameter when it is read anywhere in its function's body (nested
@@ -7,10 +8,14 @@ functions included); the checks are by name, not by scope.  No linter is
 assumed to be installed.
 """
 
+import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from ttcloc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/ttcloc/*.py"))
@@ -78,3 +83,60 @@ def test_guard_sees_unread_parameters():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+
+def _strings(node) -> frozenset | None:
+    """The members of a tuple or list literal of strings; None for any other node."""
+    if isinstance(node, (ast.Tuple, ast.List)) and node.elts:
+        if all(isinstance(e, ast.Constant) and type(e.value) is str for e in node.elts):
+            return frozenset(e.value for e in node.elts)
+    return None
+
+
+def copied_choices(source: str, choices, declared=()) -> list[str]:
+    """Tuple and list literals whose strings are exactly the members of one
+    of the tuples ``choices``, with their lines.
+
+    The first module-level assignment of a tuple's members to a name in
+    ``declared`` is its declaration and is exempt.  A literal holding only
+    some of a tuple's members is a subset, which is legal.
+    """
+    tree = ast.parse(source)
+    members = {frozenset(choice) for choice in choices}
+    exempt, declared_members = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in declared:
+            strings = _strings(node.value)
+            if strings in members and strings not in declared_members:
+                declared_members.add(strings)
+                exempt.add(node.value)
+    return [
+        f"line {node.lineno}: {sorted(_strings(node))}"
+        for node in ast.walk(tree)
+        if _strings(node) in members and node not in exempt
+    ]
+
+
+def test_guard_sees_copied_choices():
+    source = (
+        'KINDS = ("a", "b", "c")\nCOPY = ("c", "b", "a")\nKINDS = ("a", "b", "c")\n'
+        'for k in ["b", "a", "c"]:\n    pair = ("a", "b")\n    more = ("a", "b", "c", "d")\n'
+        'def f():\n    KINDS = ("a", "b", "c")\n'
+    )
+    found = copied_choices(source, [("a", "b", "c")], declared={"KINDS"})
+    assert found == [f"line {n}: ['a', 'b', 'c']" for n in (2, 3, 4, 8)]
+
+
+def flag_choices() -> list:
+    """The choices of every flag of every subcommand: the declared choice tuples."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a.choices for parser in sub.choices.values() for a in parser._actions if isinstance(a.choices, (tuple, list))]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_hand_copied_choices(path):
+    choices = flag_choices()
+    module = importlib.import_module(f"ttcloc.{path.stem}")
+    declared = {name for name, value in vars(module).items() if any(value is choice for choice in choices)}
+    assert copied_choices(path.read_text(encoding="utf-8"), choices, declared) == []

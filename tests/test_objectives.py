@@ -20,6 +20,7 @@ from ttcloc.objectives import (
     topk_count,
     total_loss,
 )
+from ttcloc.trainer import TrainConfig
 
 
 def random_scoremap(rng, t=5, c=3, scale=1.0):
@@ -463,6 +464,44 @@ class TestManualGradcheck:
         with pytest.raises(ValidationError, match="boom"):
             check_total_loss("sigmoid", "gated", "l2", True, train_localization="manual")
         assert network.manual_thresholds is real
+
+
+def accepted(rule: str, gating: str, aggregator: str) -> bool:
+    try:
+        TrainConfig(gating=gating, train_localization=rule, loss=LossConfig(aggregator=aggregator)).validate()
+    except ValidationError:
+        return False
+    return True
+
+
+class TestGradientSweep:
+    def test_components_follow_the_choice_tuples(self, monkeypatch):
+        """Every configuration training accepts is checked, under names derived
+        from the choice tuples; the checks are stubbed, so nothing is differenced."""
+        loss_calls = []
+        monkeypatch.setattr(gradcheck, "check_network_backward", lambda seed, **_: 0.0)
+        monkeypatch.setattr(gradcheck, "check_gate_gradient", lambda kind, seed: 0.0)
+        monkeypatch.setattr(gradcheck, "check_total_loss", lambda *args, **kwargs: loss_calls.append((args, kwargs)) or 0.0)
+        checks = gradcheck.run_gradient_checks(seed=3)
+
+        gates = [g for g in network.GATING_KINDS if g not in network.SURROGATE_GATES]
+        assert gates and "binarize" not in gates
+        expected = [("network_backward", True), ("network_backward_dropout", True)]
+        expected += [(f"gate_{g}", g in gates) for g in network.GATING_KINDS]
+        calls = []
+        for rule in objectives.TRAIN_LOCALIZATION:
+            # "none" computes no gate: one gate stands for all, and the name leaves it out
+            for gating in gates if rule != "none" else gates[:1]:
+                for aggregator in [a for a in objectives.AGGREGATORS if accepted(rule, gating, a)]:
+                    for reg_form in objectives.REG_FORMS:
+                        for with_loc in (False, True):
+                            words = [rule] * (rule != "predicted") + [gating] * (rule != "none")
+                            words += [aggregator, reg_form, "loc" if with_loc else "noloc"]
+                            expected.append(("_".join(["loss", *words]), True))
+                            calls.append(((gating, aggregator, reg_form, with_loc, 3), {"train_localization": rule}))
+        assert [(c.name, c.strict) for c in checks] == expected
+        assert loss_calls == calls
+        assert {call[1]["train_localization"] for call in calls} == set(objectives.TRAIN_LOCALIZATION)
 
 
 # ---------------------------------------------------------------------------
