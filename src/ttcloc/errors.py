@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the JSON type rule, the check
-of a config's choice fields, the one reader that every JSON object ttcloc
+"""Exception types shared across the package, the JSON type rule, the checks
+of a config's choice and size fields, the one reader that every JSON object ttcloc
 loads goes through, and the helper that writes an output file through a tmp
 file."""
 
@@ -11,6 +11,8 @@ import os
 import sys
 import typing
 from types import MappingProxyType, NoneType, UnionType
+
+import numpy as np
 
 
 class ValidationError(Exception):
@@ -60,6 +62,18 @@ def check_choices(config, choices: typing.Mapping[str, tuple]) -> None:
         value = getattr(config, name)
         if value not in allowed:
             raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+MAX_SIZE = int(np.iinfo(np.intp).max)  # NumPy's own limit on an array dimension or an index
+
+
+def check_sizes(config, names: tuple[str, ...]) -> None:
+    """Reject a size field of ``config`` named in ``names`` that NumPy
+    cannot index, which NumPy itself would only refuse once work had begun."""
+    for name in names:
+        value = getattr(config, name)
+        if value > MAX_SIZE:
+            raise ValidationError(f"{name} must be at most {MAX_SIZE}, the largest size NumPy can index, got {value}")
 
 
 # ---------------------------------------------------------------------------

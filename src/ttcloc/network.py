@@ -12,6 +12,20 @@ Architecture per snippet sequence (T, D):
 The first C output columns are per-class action scores; the last column is
 a learned per-snippet threshold that doubles as a background score.  All
 math is float64; relu'(0) is taken as 0.
+
+A pass may run a batch: the (N, D) rows of B clips laid back to back by
+their lengths, every (N, .) array in the same layout.  Each clip is its own
+sequence: the conv pads it with its own zero rows.  Every GEMM runs once per
+clip on that clip's rows, with the operands a clip alone would give it, and
+so does every sum over a clip (a bias gradient's column sum) and the sum of
+the clips' gradients, which adds them in clip order.  Everything elementwise
+runs once on the whole batch.  A batch therefore gives the bytes of its
+clips run one at a time.  With OpenBLAS 0.3.31 on one thread, each faster
+alternative was measured to change bits: one GEMM over the stacked rows of
+several clips (NT products at hidden >= 32, NN products with three output
+columns, and every 1-row clip, which takes the gemv path), the three conv
+taps as one GEMM three times as wide, a pre-transposed operand, and
+``np.add.reduceat`` or an axis-0 reduce over stacked clip gradients.
 """
 
 from __future__ import annotations
@@ -94,87 +108,100 @@ class NetworkParams:
 @dataclass
 class ScoreMap:
     """Per-snippet scores and thresholds; the rows may hold several clips
-    back to back, laid out by a sequence of clip lengths (see :func:`clip_spans`)."""
+    back to back, laid out by a sequence of clip lengths (see :func:`clip_layout`)."""
 
     scores: np.ndarray  # (T, C)
     thresholds: np.ndarray  # (T,)
 
 
-def clip_spans(lengths) -> list[tuple[int, int]]:
-    """Row ranges ``[start, stop)`` of clips of the given lengths laid back to back."""
+def clip_layout(lengths, rows: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The lengths of clips laid back to back over ``rows`` rows (``None``:
+    one clip of all of them) and each clip's row range ``[start, stop)``.
+    Every clip needs a row, and together they must cover the rows exactly."""
+    lengths = (rows,) if lengths is None else tuple(lengths)
+    if sum(lengths) != rows or min(lengths, default=0) < 1:
+        raise ValidationError(f"clip lengths {lengths} do not lay out {rows} rows")
     spans, start = [], 0
     for n in lengths:
         spans.append((start, start + n))
         start += n
-    return spans
+    return lengths, spans
+
+
+def _padded_rows(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rows of a batch go in its padded layout, which puts each clip
+    between two zero rows, clip after clip (so clip ``i`` of rows ``a:z``
+    takes rows ``a + 2 * i .. z + 2 * i + 2``), and where the zero rows go."""
+    t = np.asarray(lengths)
+    shift = 2 * np.arange(t.size)  # the zero rows before each clip's own
+    stops = np.cumsum(t) + shift
+    return np.arange(t.sum()) + np.repeat(shift + 1, t), np.concatenate([stops - t, stops + 1])
 
 
 @dataclass
 class ForwardCache:
-    features: np.ndarray
+    """What :func:`backward` reads of a forward pass over a batch of N rows in the clips ``lengths``."""
+
+    features: np.ndarray  # (N, D)
     z1: np.ndarray
-    h1_padded: np.ndarray  # (T + 2, H): relu(z1) between two zero rows
+    h1_padded: np.ndarray  # (N + 2B, H): each clip's relu(z1) between two zero rows, clip after clip
     pre_act: np.ndarray  # h1 + conv3(h1), before the second relu
-    h2: np.ndarray
-    h3: np.ndarray
+    h3: np.ndarray  # relu(pre_act), times the dropout mask and scale under dropout
     dropout_mask: np.ndarray | None
     dropout_scale: float
     params: NetworkParams
+    lengths: tuple[int, ...]
 
 
 @dataclass
 class ForwardBuffers:
-    """The arrays a forward pass writes, for clips of up to ``rows`` snippets.
+    """The arrays a forward pass writes, for batches of up to ``rows``
+    snippets in up to ``clips`` clips.
 
-    A clip of T snippets uses rows ``0 .. T`` of each array (``T + 2`` of
-    ``h1_padded``), so buffers sized for the longest clip serve every
-    shorter one.  Each pass overwrites what the last one wrote.
+    A batch of N rows in B clips uses rows ``0 .. N`` of each array
+    (``N + 2B`` of ``h1_padded``), so buffers sized for the largest batch
+    serve every smaller one.  Each pass overwrites what the last one wrote.
     """
 
     x: np.ndarray  # (rows, D): the features in float64
     z1: np.ndarray  # (rows, H)
     h1_padded: np.ndarray  # (rows + 2 * clips, H)
     pre_act: np.ndarray  # (rows, H)
-    h2: np.ndarray  # (rows, H)
-    h3: np.ndarray  # (rows, H); written only under dropout
+    h3: np.ndarray  # (rows, H): relu(z1) until the second relu overwrites it
+    scratch: np.ndarray  # (rows, H): one conv tap's products; no part of the cache
     out: np.ndarray  # (rows, C + 1): the scores, then the threshold
 
     @classmethod
     def empty(cls, params: NetworkParams, rows: int, clips: int = 1) -> "ForwardBuffers":
-        """Uninitialized buffers of ``rows`` rows, enough for ``clips`` clips laid out by :meth:`clip`."""
+        """Uninitialized buffers of ``rows`` rows, enough for ``clips`` clips."""
         d, h, c = params.feature_dim, params.hidden_dim, params.num_classes
         shapes = ((rows, d), (rows, h), (rows + 2 * clips, h), (rows, h), (rows, h), (rows, h), (rows, c + 1))
         return cls(*(np.empty(shape) for shape in shapes))
 
-    def clip(self, start: int, stop: int, index: int) -> "ForwardBuffers":
-        """Views for the ``index``-th clip of a batch laid out by :func:`clip_spans`,
-        rows ``start:stop``; its padded rows lie ``2 * index`` rows further on."""
-        pad = start + 2 * index
-        rows = (a[start:stop] for a in (self.x, self.z1, self.pre_act, self.h2, self.h3, self.out))
-        x, z1, pre_act, h2, h3, out = rows
-        return ForwardBuffers(x, z1, self.h1_padded[pad : pad + stop - start + 2], pre_act, h2, h3, out)
-
 
 @dataclass
 class BackwardBuffers:
-    """Scratch of a backward pass over clips of up to ``rows`` snippets.
+    """Scratch of a backward pass over batches of up to ``rows`` snippets in
+    clips of up to ``clip_rows``.
 
     ``grad`` has the size of the largest gradient array, each conv tap
-    counted alone: a pass that adds its gradient to a total computes one
-    array at a time into it.
+    counted alone: every clip after the first computes one array at a time
+    into it and adds it to the total.
     """
 
     d_out: np.ndarray  # (rows, C + 1)
-    d_pre: np.ndarray  # (rows, H)
-    d_padded: np.ndarray  # (rows + 2, H)
-    tap: np.ndarray  # (rows, H): one conv tap's product
+    d_pre: np.ndarray  # (rows, H): d h3, then d h2, d pre_act, d h1 and d z1, in place
+    d_padded: np.ndarray  # (clip_rows + 2, H)
+    tap: np.ndarray  # (clip_rows, H): one conv tap's product
     grad: np.ndarray  # flat
 
     @classmethod
-    def empty(cls, params: NetworkParams, rows: int) -> "BackwardBuffers":
+    def empty(cls, params: NetworkParams, rows: int, clip_rows: int, d_pre: np.ndarray | None = None) -> "BackwardBuffers":
+        """Uninitialized scratch; ``d_pre`` may be a (rows, H) array to share,
+        such as the ``scratch`` of the forward buffers that made the cache."""
         d, h, c = params.feature_dim, params.hidden_dim, params.num_classes
-        h_shapes = ((rows, h), (rows + 2, h), (rows, h))
-        return cls(np.empty((rows, c + 1)), *(np.empty(shape) for shape in h_shapes), np.empty(max(d, h, c + 1) * h))
+        d_pre = np.empty((rows, h)) if d_pre is None else d_pre
+        return cls(np.empty((rows, c + 1)), d_pre, np.empty((clip_rows + 2, h)), np.empty((clip_rows, h)), np.empty(max(d, h, c + 1) * h))
 
 
 def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num_classes: int) -> NetworkParams:
@@ -197,60 +224,73 @@ def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num
     )
 
 
-def _conv3(padded: np.ndarray, kernel: np.ndarray, bias: np.ndarray, out=None, tap=None) -> np.ndarray:
-    """Temporal width-3 convolution of the (T + 2, H) zero-padded input into
-    ``out`` (T, H); ``tap`` (T, H) holds one tap's product at a time.  Either
-    is allocated when not given."""
-    t = padded.shape[0] - 2
-    out = np.matmul(padded[0:t], kernel[0], out=out)
-    out += np.matmul(padded[1 : t + 1], kernel[1], out=tap)
-    out += np.matmul(padded[2 : t + 2], kernel[2], out=tap)
-    out += bias
-    return out
-
-
 def forward(
     params: NetworkParams,
     features: np.ndarray,
     dropout_mask: np.ndarray | None = None,
     drop_rate: float = 0.7,
     out: ForwardBuffers | None = None,
+    lengths=None,
 ) -> tuple[ScoreMap, ForwardCache]:
-    """Scores and the cache :func:`backward` reads, every array written into
+    """Scores of the (N, D) ``features`` of clips laid back to back by
+    ``lengths`` (``None``: one clip), and the cache :func:`backward` reads.
+
+    ``dropout_mask`` is (N, H) or ``None``.  Every array is written into
     ``out`` (allocated when not given): the score map and the cache are views
-    of it, valid until the next pass into the same buffers."""
+    of it, valid until the next pass into the same buffers.  Each GEMM runs
+    clip by clip on the clip's rows; everything elementwise runs once on the
+    batch (see the module docstring).
+    """
     features = np.asarray(features)
     if features.ndim != 2 or features.shape[1] != params.feature_dim:
         raise ValidationError(f"forward: features must be (T, {params.feature_dim}), got {features.shape}")
-    t = features.shape[0]
-    buf = out if out is not None else ForwardBuffers.empty(params, t)
-    if buf.x.shape[0] < t:
-        raise ValidationError(f"forward: buffers hold {buf.x.shape[0]} rows, the clip has {t}")
-    x = buf.x[:t]
-    x[...] = features  # float32 features convert to float64 exactly
-    z1 = np.matmul(x, params.w1, out=buf.z1[:t])
+    n = features.shape[0]
+    lengths, spans = clip_layout(lengths, n)
+    b = len(lengths)
+    buf = out if out is not None else ForwardBuffers.empty(params, n, b)
+    if buf.x.shape[0] < n or buf.h1_padded.shape[0] - buf.x.shape[0] < 2 * b:
+        raise ValidationError(f"forward: buffers hold {buf.x.shape[0]} rows, the batch has {n} in {b} clips")
+    if dropout_mask is not None and dropout_mask.shape != (n, params.hidden_dim):
+        raise ValidationError(f"forward: dropout mask shape {dropout_mask.shape} != {(n, params.hidden_dim)}")
+    x = buf.x[:n]
+    x[...] = features  # float32 features convert to float64 exactly; a no-op when features are these rows
+    z1 = buf.z1[:n]
+    for a, z in spans:
+        np.matmul(x[a:z], params.w1, out=z1[a:z])
     z1 += params.b1
-    padded = buf.h1_padded[: t + 2]
-    padded[0] = padded[t + 1] = 0.0
-    h1 = np.maximum(z1, 0.0, out=padded[1 : t + 1])
-    h2 = buf.h2[:t]  # holds the conv taps until h2 is written
-    pre_act = _conv3(padded, params.conv_kernel, params.conv_bias, buf.pre_act[:t], tap=h2)
-    pre_act += h1
-    np.maximum(pre_act, 0.0, out=h2)
+    h = np.maximum(z1, 0.0, out=buf.h3[:n])  # h1
+    padded = buf.h1_padded[: n + 2 * b]
+    rows, pads = _padded_rows(lengths)
+    padded[rows] = h
+    padded[pads] = 0.0
+
+    # conv3: per clip, each tap's GEMM on the clip's padded rows; the taps add up on the whole batch
+    kernel, pre_act, tap = params.conv_kernel, buf.pre_act[:n], buf.scratch[:n]
+    for i, (a, z) in enumerate(spans):
+        p = a + 2 * i
+        np.matmul(padded[p : p + z - a], kernel[0], out=pre_act[a:z])
+        np.matmul(padded[p + 1 : p + 1 + z - a], kernel[1], out=tap[a:z])
+    pre_act += tap
+    for i, (a, z) in enumerate(spans):
+        p = a + 2 * i
+        np.matmul(padded[p + 2 : p + 2 + z - a], kernel[2], out=tap[a:z])
+    pre_act += tap
+    pre_act += params.conv_bias
+    pre_act += h
+
+    h3 = np.maximum(pre_act, 0.0, out=h)  # h2, then h3 in place
+    scale = 1.0
     if dropout_mask is not None:
-        if dropout_mask.shape != h2.shape:
-            raise ValidationError(f"forward: dropout mask shape {dropout_mask.shape} != {h2.shape}")
         scale = 1.0 / (1.0 - drop_rate)
-        h3 = np.multiply(h2, dropout_mask, out=buf.h3[:t])
+        h3 *= dropout_mask
         h3 *= scale
-    else:
-        scale = 1.0
-        h3 = h2
-    rows = np.matmul(h3, params.w2, out=buf.out[:t])
-    rows += params.b2
+    result = buf.out[:n]
+    for a, z in spans:
+        np.matmul(h3[a:z], params.w2, out=result[a:z])
+    result += params.b2
     c = params.num_classes
-    smap = ScoreMap(scores=rows[:, :c], thresholds=rows[:, c])
-    cache = ForwardCache(x, z1, padded, pre_act, h2, h3, dropout_mask, scale, params)
+    smap = ScoreMap(scores=result[:, :c], thresholds=result[:, c])
+    cache = ForwardCache(x, z1, padded, pre_act, h3, dropout_mask, scale, params, lengths)
     return smap, cache
 
 
@@ -259,55 +299,69 @@ def backward(
     d_scores: np.ndarray,
     d_thresholds: np.ndarray,
     out: NetworkParams | None = None,
-    add: bool = False,
     scratch: BackwardBuffers | None = None,
 ) -> NetworkParams:
-    """Exact chain rule back to every parameter array, written into ``out``
-    (allocated when not given) and returned.  Each array overwrites its
-    slot, or with ``add`` is computed into ``scratch.grad`` and added to it,
-    so a sum over clips needs no second gradient vector.  Intermediates go
-    to ``scratch`` (allocated when not given).  The cache is only read, so
-    one forward pass can be differentiated twice."""
-    params = cache.params
-    t = cache.features.shape[0]
+    """Exact chain rule back to every parameter array, summed over the
+    cache's clips in clip order, written into ``out`` (allocated when not
+    given) and returned.
+
+    The first clip writes each array into ``out``; each later clip computes
+    it into ``scratch.grad`` and adds it, so the sum needs no second gradient
+    vector.  Intermediates go to ``scratch`` (allocated when not given).  The
+    cache is only read, so one forward pass can be differentiated twice.
+    """
+    params, lengths = cache.params, cache.lengths
+    n = cache.features.shape[0]
     c = params.num_classes
-    if d_scores.shape != (t, c) or d_thresholds.shape != (t,):
+    if d_scores.shape != (n, c) or d_thresholds.shape != (n,):
         raise ValidationError("backward: upstream gradient shapes do not match the forward pass")
     grads = out if out is not None else params.with_flat(np.empty_like(params.flat))
-    buf = scratch if scratch is not None else BackwardBuffers.empty(params, t)
+    buf = scratch if scratch is not None else BackwardBuffers.empty(params, n, max(lengths))
+    spans = clip_layout(lengths, n)[1]
 
-    def put(dest, fn, *args, **kwargs):
-        target = buf.grad[: dest.size].reshape(dest.shape) if add else dest
-        fn(*args, **kwargs, out=target)
-        if add:
-            dest += target
+    # each gradient array's spare view of buf.grad; a conv tap counts alone
+    spare_w2, spare_b2, spare_tap, spare_bias, spare_w1, spare_b1 = (
+        buf.grad[: a.size].reshape(a.shape) for a in (grads.w2, grads.b2, grads.conv_kernel[0], grads.conv_bias, grads.w1, grads.b1)
+    )
 
-    d_out = buf.d_out[:t]
+    def put(i, dest, spare, fn, *args):
+        """Clip ``i``'s part ``fn(*args)`` of the gradient array ``dest``: the
+        first clip writes it there, a later one into ``spare``, then adds it."""
+        if i == 0:
+            fn(*args, dest)
+        else:
+            dest += fn(*args, spare)
+
+    d_out = buf.d_out[:n]
     d_out[:, :c] = d_scores
     d_out[:, c] = d_thresholds
-    put(grads.w2, np.matmul, cache.h3.T, d_out)
-    put(grads.b2, np.sum, d_out, axis=0)
-    d_pre = np.matmul(d_out, params.w2.T, out=buf.d_pre[:t])  # d h3, then d h2, then d pre_act, in place
+    d_pre = buf.d_pre[:n]  # d h3, then d h2, d pre_act, d h1 and d z1, in place
+    for i, (a, z) in enumerate(spans):
+        put(i, grads.w2, spare_w2, np.matmul, cache.h3[a:z].T, d_out[a:z])
+        put(i, grads.b2, spare_b2, np.add.reduce, d_out[a:z], 0, None)  # a column sum, as np.sum does it
+        np.matmul(d_out[a:z], params.w2.T, out=d_pre[a:z])
     if cache.dropout_mask is not None:
         d_pre *= cache.dropout_mask
         d_pre *= cache.dropout_scale
     d_pre *= cache.pre_act > 0
 
-    # conv backward over the zero-padded sequence
+    # conv backward over each clip's zero-padded rows
     padded = cache.h1_padded
-    for k in range(3):
-        put(grads.conv_kernel[k], np.matmul, padded[k : k + t].T, d_pre)
-    put(grads.conv_bias, np.sum, d_pre, axis=0)
-    d_padded = buf.d_padded[: t + 2]
-    d_padded.fill(0.0)
-    for k in range(3):
-        d_padded[k : k + t] += np.matmul(d_pre, params.conv_kernel[k].T, out=buf.tap[:t])
-    d_z1 = d_padded[1 : t + 1]
-    d_z1 += d_pre  # residual path + conv path: d h1
-    d_z1 *= cache.z1 > 0
+    for i, (a, z) in enumerate(spans):
+        p, t, d_clip = a + 2 * i, z - a, d_pre[a:z]
+        for k in range(3):
+            put(i, grads.conv_kernel[k], spare_tap, np.matmul, padded[p + k : p + k + t].T, d_clip)
+        put(i, grads.conv_bias, spare_bias, np.add.reduce, d_clip, 0, None)
+        d_padded = buf.d_padded[: t + 2]
+        d_padded.fill(0.0)
+        for k in range(3):
+            d_padded[k : k + t] += np.matmul(d_clip, params.conv_kernel[k].T, out=buf.tap[:t])
+        np.add(d_padded[1 : t + 1], d_clip, out=d_clip)  # residual path + conv path: d h1, over the clip's spent d pre_act
+    d_pre *= cache.z1 > 0  # d z1
 
-    put(grads.w1, np.matmul, cache.features.T, d_z1)
-    put(grads.b1, np.sum, d_z1, axis=0)
+    for i, (a, z) in enumerate(spans):
+        put(i, grads.w1, spare_w1, np.matmul, cache.features[a:z].T, d_pre[a:z])
+        put(i, grads.b1, spare_b1, np.add.reduce, d_pre[a:z], 0, None)
     return grads
 
 
@@ -388,7 +442,7 @@ def gate_margins(score_map: ScoreMap, rule: str, lengths=None, out=None) -> np.n
         return np.subtract(s, score_map.thresholds[:, None], out=out)
     if rule == "manual":
         out = np.empty(s.shape) if out is None else out
-        for a, z in clip_spans((s.shape[0],) if lengths is None else lengths):
+        for a, z in clip_layout(lengths, s.shape[0])[1]:
             np.subtract(s[a:z], manual_thresholds(s[a:z]), out=out[a:z])
         return out
     raise ValidationError(f"threshold rule must be one of {THRESHOLD_RULES}, got {rule!r}")

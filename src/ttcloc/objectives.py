@@ -65,6 +65,7 @@ class VideoProbabilities:
     pooled_scores: np.ndarray  # (B, C)
     pooled_threshold: np.ndarray  # (B,)
     probs: np.ndarray  # (B, C + 1), last column is background
+    gate_mass: np.ndarray | None = None  # (B, C): the gate's column sums + EPS, under the gated aggregator
 
 
 def label_vector(labels, num_classes: int) -> np.ndarray:
@@ -91,13 +92,6 @@ def topk_count(num_snippets: int) -> int:
 # per-clip values spread over their rows by ``np.repeat``.
 
 
-def _layout(lengths, rows: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    lengths = (rows,) if lengths is None else tuple(lengths)
-    if sum(lengths) != rows or min(lengths, default=0) < 1:
-        raise ValidationError(f"clip lengths {lengths} do not lay out {rows} rows")
-    return lengths, network.clip_spans(lengths)
-
-
 def _column_sums(x: np.ndarray, spans) -> np.ndarray:
     return np.array([x[a:b].sum(axis=0) for a, b in spans])
 
@@ -121,12 +115,13 @@ def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: 
     mean and joins the softmax as the background logit.
     """
     s, b = score_map.scores, score_map.thresholds
-    lengths, spans = _layout(lengths, s.shape[0])
+    lengths, spans = network.clip_layout(lengths, s.shape[0])
+    mass = None
     if aggregator == "gated":
         if gate is None:
             raise ValidationError("gated aggregator requires a gate")
-        products = np.array([(gate[a:z] * s[a:z]).sum(axis=0) for a, z in spans])
-        pooled = products / (_column_sums(gate, spans) + EPS)
+        mass = _column_sums(gate, spans) + EPS
+        pooled = _column_sums(gate * s, spans) / mass
     elif aggregator == "topk_eighth":
         cols = np.arange(s.shape[1])[:, None]
         pooled = np.array([s[_topk_rows(s, a, z), cols].mean(axis=1) for a, z in spans])
@@ -136,14 +131,14 @@ def pool_and_classify(score_map: ScoreMap, gate: np.ndarray | None, aggregator: 
     logits = np.concatenate([pooled, pooled_threshold[:, None]], axis=1)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    return VideoProbabilities(pooled_scores=pooled, pooled_threshold=pooled_threshold, probs=probs)
+    return VideoProbabilities(pooled_scores=pooled, pooled_threshold=pooled_threshold, probs=probs, gate_mass=mass)
 
 
 def pool_backward(
     score_map: ScoreMap,
     gate: np.ndarray | None,
     aggregator: str,
-    pooled_scores: np.ndarray,
+    probs: VideoProbabilities,
     d_pooled_scores: np.ndarray,
     d_pooled_threshold: np.ndarray,
     lengths=None,
@@ -152,22 +147,23 @@ def pool_backward(
     """Gradients of the pooled quantities back to (scores, gate, thresholds);
     the first two are written into the pair ``out`` (allocated when not given).
 
-    ``pooled_scores`` is what :func:`pool_and_classify` returned for the
-    same inputs.  The gate is treated as an independent input here; chaining
+    ``probs`` is what :func:`pool_and_classify` returned for the same
+    inputs.  The gate is treated as an independent input here; chaining
     through the gate nonlinearity into the score map is the caller's job.
     """
     s = score_map.scores
-    lengths, spans = _layout(lengths, s.shape[0])
+    lengths, spans = network.clip_layout(lengths, s.shape[0])
     d_s, d_g = (np.empty(s.shape), np.empty(s.shape)) if out is None else out
     if aggregator == "gated":
-        # per clip: d_pooled * gate / denom and d_pooled * (s - pooled) / denom
-        denom = _column_sums(gate, spans) + EPS
-        for (a, z), d, den, pooled in zip(spans, d_pooled_scores, denom, pooled_scores):
-            np.multiply(d, gate[a:z], out=d_s[a:z])
-            d_s[a:z] /= den
-            np.subtract(s[a:z], pooled, out=d_g[a:z])
-            np.multiply(d, d_g[a:z], out=d_g[a:z])
-            d_g[a:z] /= den
+        # d_pooled * gate / mass and d_pooled * (s - pooled) / mass, each clip's values spread over its rows
+        clip = np.repeat(np.arange(len(lengths)), lengths)
+        np.subtract(s, np.take(probs.pooled_scores, clip, axis=0, out=d_g), out=d_g)
+        np.take(d_pooled_scores, clip, axis=0, out=d_s)
+        d_g *= d_s
+        d_s *= gate
+        mass = probs.gate_mass[clip]
+        d_s /= mass
+        d_g /= mass
     elif aggregator == "topk_eighth":
         d_s.fill(0.0)
         d_g.fill(0.0)
@@ -213,12 +209,12 @@ def classification_loss(
     return total / batch, (d_logits[:, :-1], d_logits[:, -1])
 
 
-def _gt_max_scores(s: np.ndarray, gt: np.ndarray, spans) -> tuple[np.ndarray, np.ndarray]:
+def _gt_max_scores(s: np.ndarray, gt: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Per-snippet max over ground-truth class scores and its argmax class;
     ``gt`` is the (B, C) boolean ground-truth mask of each clip."""
     if not gt.any(axis=1).all():
         raise ValidationError("threshold regularization needs at least one ground-truth class")
-    max_cls = np.concatenate([np.argmax(np.where(g, s[a:z], -np.inf), axis=1) for g, (a, z) in zip(gt, spans)])
+    max_cls = np.argmax(np.where(np.repeat(gt, lengths, axis=0), s, -np.inf), axis=1)
     return s[np.arange(s.shape[0]), max_cls], max_cls
 
 
@@ -253,10 +249,10 @@ def threshold_regularization_loss(
     if form not in REG_FORMS:
         raise ValidationError(f"unknown reg form {form!r}")
     s, b = score_map.scores, score_map.thresholds
-    lengths, spans = _layout(lengths, s.shape[0])
+    lengths, spans = network.clip_layout(lengths, s.shape[0])
     batch = len(lengths)
     t = np.array(lengths)
-    stilde, max_cls = _gt_max_scores(s, labels > 0, spans)
+    stilde, max_cls = _gt_max_scores(s, labels > 0, lengths)
     if form in ("inner_product", "cosine"):
         ns = _norms(stilde, spans)
         nb = _norms(np.ascontiguousarray(b), spans)
@@ -313,7 +309,7 @@ def localization_loss(
     with no gradient.  The gradient is written into ``out`` (allocated when
     not given).
     """
-    lengths, spans = _layout(lengths, gate.shape[0])
+    lengths, spans = network.clip_layout(lengths, gate.shape[0])
     if len(fully_annotated) != len(lengths):
         raise ValidationError("localization_loss: one fully_annotated flag per clip is needed")
     idx = [i for i, flag in enumerate(fully_annotated) if flag]
@@ -346,17 +342,16 @@ class Workspace:
     """Every array the size of a batch of up to ``clips`` clips of up to
     ``clip_rows`` snippets, or of the parameters, that :func:`total_loss`
     writes, allocated once so that the steps reusing it allocate none: the
-    forward buffers of all clips laid back to back (see
-    :func:`network.clip_spans`), the objective's (rows, C) arrays, one clip's
-    backward scratch, the gradient total, and room for the batch's boolean
-    dropout mask."""
+    forward buffers of the batch, the objective's (rows, C) arrays, the
+    backward scratch (whose (rows, H) array is the forward buffers' scratch),
+    the gradient total, and room for the batch's boolean dropout mask."""
 
     def __init__(self, params: NetworkParams, clips: int, clip_rows: int):
         self.clips, self.clip_rows = clips, clip_rows
         self.dims = _dims(params)
         rows = clips * clip_rows
         self.forward = network.ForwardBuffers.empty(params, rows, clips)
-        self.backward = network.BackwardBuffers.empty(params, clip_rows)
+        self.backward = network.BackwardBuffers.empty(params, rows, clip_rows, d_pre=self.forward.scratch)
         self.grads = params.with_flat(np.empty_like(params.flat))
         self.keep = np.empty((rows, params.hidden_dim), dtype=bool)
         self.objective = np.empty((len(_OBJECTIVE_ARRAYS), rows, params.num_classes))
@@ -387,17 +382,18 @@ def total_loss(
     config: LossConfig,
     gating: str,
     train_localization: str = "predicted",
-    dropout_masks: list[np.ndarray | None] | None = None,
+    dropout_masks: np.ndarray | list[np.ndarray] | None = None,
     drop_rate: float = 0.7,
     workspace: Workspace | None = None,
 ) -> tuple[LossBreakdown, NetworkParams]:
     """Weighted sum of the three losses with a full backward pass.
 
-    Runs the network forward per clip, then the gate, pooling,
-    probabilities, classification + threshold regularization (+ localization
-    over the fully annotated clips) and the weighted upstream gradients once
-    on the whole batch, and backpropagates each clip's rows of those
-    gradients through the network into one parameter gradient.
+    Runs the network forward on the whole batch, its clips laid back to back,
+    then the gate, pooling, probabilities, classification + threshold
+    regularization (+ localization over the fully annotated clips) and the
+    weighted upstream gradients, and backpropagates those through the
+    network into one parameter gradient.  ``dropout_masks`` is the batch's
+    (N, H) mask in the same layout, or one mask per clip.
 
     Every array the size of the batch or of the parameters goes to
     ``workspace`` (allocated for this batch when not given), the returned
@@ -412,23 +408,23 @@ def total_loss(
     if not clips:
         raise ValidationError("total_loss: empty batch")
     num_classes = params.num_classes
-    masks = dropout_masks if dropout_masks is not None else [None] * len(clips)
+    mask = dropout_masks
+    if mask is not None and not isinstance(mask, np.ndarray):
+        mask = np.concatenate(mask)
 
     lengths = [clip.num_snippets for clip in clips]
-    spans = network.clip_spans(lengths)
+    n = sum(lengths)
+    spans = network.clip_layout(lengths, n)[1]
     ws = workspace if workspace is not None else Workspace(params, len(clips), max(lengths))
     if not ws.fits(params, len(clips), max(lengths)):
         raise ValidationError(
             f"total_loss: the workspace holds {ws.clips} clips of {ws.clip_rows} snippets at (D, H, C) {ws.dims}; "
             f"the batch has {len(clips)} clips of up to {max(lengths)} at {_dims(params)}"
         )
-    caches = []
-    for i, (clip, mask, (a, z)) in enumerate(zip(clips, masks, spans)):
-        out = ws.forward.clip(a, z, i)
-        caches.append(network.forward(params, clip.features, dropout_mask=mask, drop_rate=drop_rate, out=out)[1])
-    n = spans[-1][1]
-    out = ws.forward.out[:n]  # the batch's (scores | threshold) rows, as the forwards wrote them
-    smap = ScoreMap(scores=out[:, :num_classes], thresholds=out[:, num_classes])
+    if any(clip.feature_dim != params.feature_dim for clip in clips):
+        raise ValidationError(f"total_loss: every clip needs {params.feature_dim}-dim features")
+    features = np.concatenate([clip.features for clip in clips], out=ws.forward.x[:n])
+    smap, cache = network.forward(params, features, mask, drop_rate, out=ws.forward, lengths=lengths)
     margins, gate, gate_grad, scratch, annotation, ds_reg, loc_grad, ds_pool, dg_pool, d_s, d_g = ws.objective[:, :n]
 
     if train_localization != "none":
@@ -464,7 +460,7 @@ def total_loss(
     d_g.fill(0.0)
     if lam > 0:
         ds_pool, dg_pool, db_pool = pool_backward(
-            smap, gate, config.aggregator, probs.pooled_scores, d_shat, d_bhat, lengths, out=(ds_pool, dg_pool)
+            smap, gate, config.aggregator, probs, d_shat, d_bhat, lengths, out=(ds_pool, dg_pool)
         )
         d_s += np.multiply(ds_pool, lam, out=ds_pool)
         d_b += lam * db_pool
@@ -480,10 +476,7 @@ def total_loss(
         if train_localization == "predicted":
             d_b -= d_x.sum(axis=1)
 
-    # the first clip's gradient becomes the total, which the others add to
-    total = ws.grads
-    for i, (cache, (a, z)) in enumerate(zip(caches, spans)):
-        network.backward(cache, d_s[a:z], d_b[a:z], out=total, add=i > 0, scratch=ws.backward)
+    total = network.backward(cache, d_s, d_b, out=ws.grads, scratch=ws.backward)
 
     breakdown = LossBreakdown(
         clas=clas_value,

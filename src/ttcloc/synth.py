@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DatasetManifest, GroundTruthSegment, VideoSample
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, ValidationError, check_sizes
 
 SNIPPET_DURATION = 1.0  # synthetic snippets use a unit clock
 _PROTOTYPE_ATTEMPTS = 100
@@ -41,6 +41,12 @@ class SynthSpec:
     amplitude_max: float = 1.0
     seed: int = 0
 
+    # the fields that size arrays or bound random draws
+    SIZES = (
+        "num_classes", "feature_dim", "videos_per_class", "snippets_min", "snippets_max",
+        "segments_min", "segments_max", "segment_len_min", "segment_len_max",
+    )
+
     def validate(self) -> None:
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -65,6 +71,7 @@ class SynthSpec:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        check_sizes(self, self.SIZES)
 
 
 PRESETS: dict[str, SynthSpec] = {

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import network
 from .data import VideoSample, crop_clip
-from .errors import NumericalError, ValidationError, check_choices
+from .errors import NumericalError, ValidationError, check_choices, check_sizes
 from .network import NetworkParams
 from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, Workspace, total_loss
 
@@ -51,6 +51,8 @@ class TrainConfig:
         "strategy": STRATEGIES,
         "train_localization": TRAIN_LOCALIZATION,
     }
+    # the fields that size arrays or bound random draws
+    SIZES = ("batch_size", "max_clip_len", "hidden_dim")
 
     def validate(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -63,6 +65,7 @@ class TrainConfig:
             raise ValidationError("batch_size/max_clip_len must be >= 1 and iterations >= 0")
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
+        check_sizes(self, self.SIZES)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
@@ -162,22 +165,20 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
         state.workspace = None  # the old buffers go before the new ones are allocated
         state.workspace = Workspace(state.params, len(clips), longest)
     ws = state.workspace
-    masks = None
+    keep = None
     if config.dropout > 0:
         # one draw for the batch, the same stream as one uniform(size=...) draw per clip,
-        # into the h3 rows, which the forward passes fill only after the mask is taken
-        lengths = [c.num_snippets for c in clips]
-        n = sum(lengths)
+        # into the h3 rows, which the forward pass fills only after the mask is taken
+        n = sum(c.num_snippets for c in clips)
         draw = state.rng.random(out=ws.forward.h3[:n])
         keep = np.greater_equal(draw, config.dropout, out=ws.keep[:n])
-        masks = [keep[a:b] for a, b in network.clip_spans(lengths)]
     breakdown, grads = total_loss(
         state.params,
         clips,
         config.loss,
         gating=config.gating,
         train_localization=config.train_localization,
-        dropout_masks=masks,
+        dropout_masks=keep,
         drop_rate=config.dropout,
         workspace=ws,
     )

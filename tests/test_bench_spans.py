@@ -4,8 +4,9 @@
 ``COUNTED`` with ``getattr`` on the ``ttcloc`` module, so a renamed or moved
 function would only fail a traced benchmark run.  This test reads
 ``bench/spans.py`` and fails first instead.  Its counters read what the
-wrapped functions return, so a traced ``infer`` must count every detection
-it writes.
+wrapped functions are given and return, so a traced ``infer`` must count
+every detection it writes, and a traced ``train`` the GEMM flops of every
+clip it trains on.
 """
 
 import contextlib
@@ -14,10 +15,12 @@ import importlib.util
 import inspect
 import io
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from ttcloc import cli
+from ttcloc import cli, network, trainer
 
 from test_cli import make_dataset, run_cli
 
@@ -57,3 +60,32 @@ def test_traced_infer_counts_the_detections_it_writes(tmp_path):
     assert written > 0
     assert tracer.counts["localizer.detections"] == written
     assert tracer.calls["localizer.infer_video"] == 9  # one call per video
+
+
+def test_traced_train_makes_one_network_pass_per_step_and_counts_every_clip(tmp_path, monkeypatch):
+    # the flop counter reads the (N, D) features of a pass and the cache's; the
+    # per-clip formula summed over each batch's clips must give the same count
+    ds = make_dataset(str(tmp_path / "ds"))
+    run = str(tmp_path / "run")
+    batches = []
+    real_total_loss = trainer.total_loss
+
+    def recording(params, clips, *args, **kwargs):
+        batches.append([clip.num_snippets for clip in clips])
+        return real_total_loss(params, clips, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "total_loss", recording)
+    spans = bench_spans()
+    tracer = spans.Tracer()
+    argv = ["train", "--data", ds, "--out", run, "--iterations", "3", "--hidden-dim", "8", "--batch-size", "5", "--max-clip-len", "18"]
+    with spans.traced(tracer), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert tracer.calls["network.forward"] == tracer.calls["network.backward"] == len(batches) == 3
+    assert len({t for lengths in batches for t in lengths}) > 1  # ragged batches
+    params = network.load_params(f"{run}/checkpoint.ttck")
+
+    def clip_flop(t):
+        features = np.empty((t, params.feature_dim))
+        return spans.forward_flop(params, features) + spans.backward_flop(SimpleNamespace(features=features, params=params))
+
+    assert tracer.counts["network.flop"] == sum(clip_flop(t) for lengths in batches for t in lengths)

@@ -362,6 +362,25 @@ class TestExitCodes:
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == before
 
+    # each size is one NumPy cannot index, so validation refuses it before any work
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["train", "--hidden-dim", str(10**19)], "hidden_dim"),
+            (["train", "--batch-size", str(10**19)], "batch_size"),
+            (["synth", "--preset", "easy", "--feature-dim", str(10**19)], "feature_dim"),
+        ],
+        ids=["hidden-dim", "batch-size", "feature-dim"],
+    )
+    def test_size_numpy_cannot_index_fails_cleanly(self, tmp_path, capsys, argv, name):
+        if argv[0] == "train":
+            argv = [*argv, "--data", make_dataset(str(tmp_path / "ds")), "--iterations", "2"]
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        limit = sys.maxsize  # numpy.intp's largest value
+        assert capsys.readouterr().err == f"error: {name} must be at most {limit}, the largest size NumPy can index, got {10**19}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unknown_config_key_exit(self, tmp_path):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"warmup": 10}))

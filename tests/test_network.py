@@ -2,11 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttcloc import network
 from ttcloc.errors import ValidationError
 from ttcloc.gradcheck import check_gate_gradient, check_network_backward
 from ttcloc.network import (
+    BackwardBuffers,
+    ForwardBuffers,
     NetworkParams,
     ScoreMap,
     backward,
@@ -100,16 +104,15 @@ class TestForward:
 
     def test_conv_identity_kernel_doubles_constant_rows(self):
         # Kernel summing the three taps as identity maps a constant-in-time
-        # h1 to 2*h1 at interior snippets; the zero padding removes exactly
-        # one tap's worth at each boundary snippet.
-        h = 3
-        eye = np.eye(h)
-        kernel = np.stack([eye, eye, eye])
-        h1 = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
-        out = network._conv3(np.pad(h1, ((1, 1), (0, 0))), kernel, np.zeros(h))
-        np.testing.assert_allclose(out[1:-1], 3.0 * h1[1:-1])
-        np.testing.assert_allclose(out[0], 2.0 * h1[0])
-        np.testing.assert_allclose(out[-1], 2.0 * h1[-1])
+        # h1 to 3*h1 at interior snippets; the zero padding removes exactly
+        # one tap's worth at each boundary snippet, each clip of a batch at its own.
+        eye = np.eye(3)
+        params = NetworkParams(eye, np.zeros(3), np.stack([eye, eye, eye]), np.zeros(3), eye, np.zeros(3))
+        h1 = np.tile(np.array([1.0, 2.0, 3.0]), (7, 1))
+        smap, _ = forward(params, h1, lengths=(5, 2))  # linear-1 and the head are identities here
+        conv = np.column_stack([smap.scores, smap.thresholds]) - h1  # less the residual path
+        np.testing.assert_allclose(conv[1:4], 3.0 * h1[1:4])
+        np.testing.assert_allclose(conv[[0, 4, 5, 6]], 2.0 * h1[[0, 4, 5, 6]])
 
     def test_dropout_mask_scales_surviving_units(self):
         params = tiny_params()
@@ -203,6 +206,51 @@ class TestBackward:
         d_z1 = d_h1 * (z1 > 0)
         np.testing.assert_allclose(grads.w1, x.T @ d_z1, atol=1e-12)
         np.testing.assert_allclose(grads.w2, h1.T @ d_out, atol=1e-12)
+
+
+@st.composite
+def ragged_batches(draw):
+    """Small (D, H, C), clip lengths of 1 row and more, a seed for the
+    arrays, and whether dropout is on."""
+    dims = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3, 8, 33, 40])), draw(st.integers(1, 4))
+    lengths = tuple(draw(st.lists(st.integers(1, 12) | st.just(1), min_size=1, max_size=6)))
+    return dims, lengths, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(ragged_batches())
+def test_a_batch_gives_the_bytes_of_its_clips_alone(case):
+    # forward on a batch: the bytes of one-clip passes laid end to end;
+    # backward: the bytes of one-clip gradients summed in clip order; and
+    # the cache keeps its bytes, in stale buffers larger than the batch
+    (d, h, c), lengths, seed, dropout = case
+    rng = np.random.default_rng(seed)
+    params = init_params(rng, d, h, c)
+    params.flat += rng.normal(scale=0.1, size=params.flat.size)
+    n = sum(lengths)
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    mask = rng.uniform(size=(n, h)) >= 0.5 if dropout else None
+    d_s, d_b = rng.normal(size=(n, c)), rng.normal(size=n)
+    buffers = ForwardBuffers.empty(params, n + 3, len(lengths) + 1)
+    scratch = BackwardBuffers.empty(params, n + 3, max(lengths) + 1, d_pre=buffers.scratch)
+    for array in (*vars(buffers).values(), *vars(scratch).values()):
+        array.fill(np.nan)
+    smap, cache = forward(params, x, mask, 0.5, out=buffers, lengths=lengths)
+    cached = {name: value.tobytes() for name, value in vars(cache).items() if isinstance(value, np.ndarray)}
+    grads = backward(cache, d_s, d_b, scratch=scratch).flat
+    assert {name: value.tobytes() for name, value in vars(cache).items() if isinstance(value, np.ndarray)} == cached
+
+    total = None
+    for a, z in network.clip_layout(lengths, n)[1]:
+        alone, clip_cache = forward(params, x[a:z], None if mask is None else mask[a:z], 0.5)
+        assert alone.scores.tobytes() == smap.scores[a:z].tobytes()
+        assert alone.thresholds.tobytes() == smap.thresholds[a:z].tobytes()
+        part = backward(clip_cache, d_s[a:z], d_b[a:z]).flat
+        if total is None:
+            total = part.copy()
+        else:
+            total += part
+    assert grads.tobytes() == total.tobytes()
 
 
 class TestGating:

@@ -111,7 +111,7 @@ class TestPooling:
                 vp = pool_and_classify(sm, gate, aggregator)  # gate held fixed
                 return float(d_pooled @ vp.pooled_scores[0] + d_bhat * vp.pooled_threshold[0])
 
-            pooled = pool_and_classify(smap, gate, aggregator).pooled_scores
+            pooled = pool_and_classify(smap, gate, aggregator)
             d_s, _, d_b = pool_backward(smap, gate, aggregator, pooled, d_pooled[None], np.array([d_bhat]))
             flat0 = np.concatenate([smap.scores.ravel(), smap.thresholds])
             numeric = numerical_gradient(value, flat0)
@@ -129,7 +129,7 @@ class TestPooling:
             vp = pool_and_classify(smap, g, "gated")
             return float(d_pooled @ vp.pooled_scores[0])
 
-        pooled = pool_and_classify(smap, gate, "gated").pooled_scores
+        pooled = pool_and_classify(smap, gate, "gated")
         _, d_g, _ = pool_backward(smap, gate, "gated", pooled, d_pooled[None], np.zeros(1))
         numeric = numerical_gradient(value, gate.ravel())
         assert relative_error(d_g.ravel(), numeric) < 1e-8
@@ -667,12 +667,14 @@ def ragged_batch(rng, lengths, num_classes=5, feature_dim=3, flagged=True):
 
 
 def assert_matches_reference(params, clips, config, gating, rule, masks, drop_rate=0.7, workspace=None):
-    breakdown, grads = total_loss(params, clips, config, gating, rule, masks, drop_rate)
+    # total_loss takes the batch's one (N, H) mask, the reference one mask per clip
+    batch_mask = None if masks is None else np.concatenate(masks)
+    breakdown, grads = total_loss(params, clips, config, gating, rule, batch_mask, drop_rate)
     ref_breakdown, ref_grads = reference_total_loss(params, clips, config, gating, rule, masks, drop_rate)
     assert np.array_equal(list(breakdown.as_dict().values()), list(ref_breakdown.as_dict().values()))
     assert np.array_equal(grads.flat, ref_grads)
     if workspace is not None:
-        # a reused workspace gives the bytes of buffers allocated for the batch
+        # a reused workspace, given the masks one per clip, gives the bytes of buffers allocated for the batch
         ws_breakdown, ws_grads = total_loss(params, clips, config, gating, rule, masks, drop_rate, workspace)
         assert np.shares_memory(ws_grads.flat, workspace.grads.flat)
         assert np.array(list(ws_breakdown.as_dict().values())).tobytes() == np.array(list(breakdown.as_dict().values())).tobytes()

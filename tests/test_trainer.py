@@ -1,6 +1,7 @@
 import copy
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,6 +223,19 @@ def _reference_backward(cache, d_scores, d_thresholds):
     return dict(w1=d_w1, b1=d_b1, conv_kernel=d_kernel, conv_bias=d_conv_bias, w2=d_w2, b2=d_b2)
 
 
+def _clip_caches(cache):
+    """Each clip's rows of a batch's forward cache, named as a forward pass
+    over that clip alone names them."""
+    clips = []
+    for i, (a, z) in enumerate(network.clip_layout(cache.lengths, cache.features.shape[0])[1]):
+        rows = dict(features=cache.features, z1=cache.z1, pre_act=cache.pre_act, h3=cache.h3)
+        clip = {name: value[a:z] for name, value in rows.items()}
+        clip["h1_padded"] = cache.h1_padded[a + 2 * i : z + 2 * i + 2]
+        clip["dropout_mask"] = None if cache.dropout_mask is None else cache.dropout_mask[a:z]
+        clips.append(SimpleNamespace(**clip, dropout_scale=cache.dropout_scale, params=cache.params))
+    return clips
+
+
 def _reference_adam(params, m, v, grads, t, config):
     """The per-array Adam loop that ran before the flat parameter buffer."""
     b1, b2 = config.beta1, config.beta2
@@ -248,20 +262,24 @@ class TestFlatPathMatchesPerArrayReference:
         ref_params = {name: arr.copy() for name, arr in state.params.as_dict().items()}
         ref_m = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
         ref_v = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
-        clip_grads = []
+        clip_grads, calls = [], []
         real_backward = network.backward
 
         def recording_backward(cache, d_scores, d_thresholds, **kwargs):
-            clip_grads.append(_reference_backward(cache, d_scores, d_thresholds))
+            # one call for the batch, split by clip lengths into per-clip references
+            calls.append(cache.lengths)
+            for clip, (a, z) in zip(_clip_caches(cache), network.clip_layout(cache.lengths, d_scores.shape[0])[1]):
+                clip_grads.append(_reference_backward(clip, d_scores[a:z], d_thresholds[a:z]))
             return real_backward(cache, d_scores, d_thresholds, **kwargs)
 
         monkeypatch.setattr(network, "backward", recording_backward)
         loc_steps = 0
         for step in range(1, 9):
             clip_grads.clear()
+            calls.clear()
             breakdown = train_step(state, _sample_batch(samples, cfg.batch_size, state.rng), cfg)
             loc_steps += breakdown.loc > 0
-            assert len(clip_grads) == cfg.batch_size
+            assert len(calls) == 1 and len(clip_grads) == cfg.batch_size
             total = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
             for bundle in clip_grads:
                 for name, arr in total.items():
@@ -272,6 +290,12 @@ class TestFlatPathMatchesPerArrayReference:
             assert state.m.tobytes() == np.concatenate([a.ravel() for a in ref_m.values()]).tobytes()
             assert state.v.tobytes() == np.concatenate([a.ravel() for a in ref_v.values()]).tobytes()
         assert loc_steps > 0
+
+
+def _split_by_clip(mask, clips):
+    """The batch's one (N, H) dropout mask, split into each clip's rows."""
+    assert isinstance(mask, np.ndarray)
+    return np.split(mask, np.cumsum([c.num_snippets for c in clips])[:-1])
 
 
 class TestTrainStep:
@@ -324,7 +348,7 @@ class TestTrainStep:
         real_total_loss = trainer.total_loss
 
         def recording(*args, **kwargs):
-            seen.extend(kwargs["dropout_masks"])
+            seen.extend(_split_by_clip(kwargs["dropout_masks"], args[1]))
             return real_total_loss(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "total_loss", recording)
@@ -344,7 +368,7 @@ class TestTrainStep:
         real_total_loss = trainer.total_loss
 
         def recording(*args, **kwargs):
-            seen.extend(kwargs["dropout_masks"])
+            seen.extend(_split_by_clip(kwargs["dropout_masks"], args[1]))
             return real_total_loss(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "total_loss", recording)
