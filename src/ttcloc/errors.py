@@ -1,7 +1,7 @@
 """Exception types shared across the package, the JSON type rule, the checks
-of a config's choice and size fields, the one reader that every JSON object ttcloc
-loads goes through, and the helper that writes an output file through a tmp
-file."""
+of a config's choice and size fields and of the arrays they ask for, the one
+reader that every JSON object ttcloc loads goes through, and the helper that
+writes an output file through a tmp file."""
 
 import contextlib
 import dataclasses
@@ -74,6 +74,15 @@ def check_sizes(config, names: tuple[str, ...]) -> None:
         value = getattr(config, name)
         if value > MAX_SIZE:
             raise ValidationError(f"{name} must be at most {MAX_SIZE}, the largest size NumPy can index, got {value}")
+
+
+def check_array_bytes(arrays: typing.Mapping[str, int]) -> None:
+    """Reject a config whose size fields ask for an array of more bytes than
+    NumPy can address; ``arrays`` maps each such array, named by the product
+    of the fields that size it, to its byte count."""
+    for what, nbytes in arrays.items():
+        if nbytes > MAX_SIZE:
+            raise ValidationError(f"{what} take {nbytes} bytes, more than the {MAX_SIZE} an array can hold")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from .objectives import pool_and_classify
 from .trainer import TrainConfig
 
 
-class _DetectionFields(NamedTuple):
+class Detection(NamedTuple):
+    """One row of a :class:`Detections` table, a plain immutable tuple; building one checks nothing."""
+
     video_id: str
     class_id: int
     start: float  # seconds
@@ -33,28 +35,8 @@ class _DetectionFields(NamedTuple):
     score: float
 
 
-class Detection(_DetectionFields):
-    """One scored segment, an immutable tuple; construction rejects a non-finite or empty one.
-
-    Every way to build one validates: the constructor, ``_make`` and
-    ``_replace`` (which calls ``_make``), and unpickling (which calls the
-    constructor).  Production code holds detections as a :class:`Detections`
-    table; a ``Detection`` is one of its rows.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, video_id: str, class_id: int, start: float, end: float, score: float):
-        _check_values(video_id, start, end, score)
-        return tuple.__new__(cls, (video_id, class_id, start, end, score))
-
-    @classmethod
-    def _make(cls, iterable) -> Detection:
-        return cls(*iterable)
-
-
 def _check_values(video_id, start, end, score) -> None:
-    """The value rule of a detection: finite times and score, and ``start < end``
+    """The value rule of a detection row: finite times and score, and ``start < end``
     as float64, the form in which a :class:`Detections` table holds them.
     The messages show the values as given."""
     if not (isfinite(start) and isfinite(end)):
@@ -65,25 +47,16 @@ def _check_values(video_id, start, end, score) -> None:
         raise ValidationError(f"detection in {video_id!r}: non-finite score")
 
 
-def _int64_or_object(values) -> np.ndarray:
-    # a JSON integer beyond int64 is kept exactly; no class space holds it, but messages name it
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 class Detections:
     """Scored segments as an immutable column table, the one form detections
     take between inference, the detection file and evaluation.
 
     ``video_ids`` holds each distinct video id once and ``video_index`` each
-    row's position in it.  ``class_id`` is int64 (an object array of Python
-    ints if a value lies beyond int64), and ``start``, ``end`` and ``score``
-    are float64.  Each column is a read-only view; the table takes arrays
-    without copying them, so an array passed in must not be written to
-    afterwards.  The table is validated once, when built, under the rule of
-    :class:`Detection`, and the first bad row raises that row's message.
+    row's position in it.  ``class_id`` is int64, and ``start``, ``end`` and
+    ``score`` are float64.  Each column is a read-only view; the table takes
+    arrays without copying them, so an array passed in must not be written to
+    afterwards.  The table is the one place that validates detections: once,
+    when built, and the first bad row raises that row's message.
     ``len()`` counts rows, iteration yields one :class:`Detection` per row,
     and :meth:`from_records` builds a table from them.
     """
@@ -93,7 +66,7 @@ class Detections:
     def __init__(self, video_ids: Iterable[str], video_index, class_id, start, end, score):
         values = (
             np.asarray(video_index, dtype=np.int64),
-            _int64_or_object(class_id),
+            np.asarray(class_id, dtype=np.int64),
             *(np.asarray(col, dtype=np.float64) for col in (start, end, score)),
         )
         object.__setattr__(self, "video_ids", tuple(video_ids))
@@ -110,7 +83,7 @@ class Detections:
             raise ValidationError(f"detection video index outside the {len(self.video_ids)} video ids")
         finite = np.isfinite(self.start) & np.isfinite(self.end) & np.isfinite(self.score)
         bad = np.flatnonzero(~(finite & (self.start < self.end)))
-        if len(bad):  # the record rule rejects the same rows and words the message
+        if len(bad):  # the row rule rejects the same rows and words the message
             i = bad[0]
             _check_values(self.video_ids[self.video_index[i]], self.start[i], self.end[i], self.score[i])
 
@@ -150,7 +123,7 @@ class Detections:
 
     def class_outside(self, num_classes: int) -> np.ndarray:
         """Per row, whether its class lies outside ``[0, num_classes)``."""
-        return np.asarray((self.class_id < 0) | (self.class_id >= num_classes), dtype=bool)
+        return (self.class_id < 0) | (self.class_id >= num_classes)
 
 
 def extract_segments(margins: np.ndarray) -> list[tuple[int, int]]:
@@ -329,8 +302,8 @@ def load_detections(path: str) -> Detections:
             index.append(ids.setdefault(vid, len(ids)))
             try:
                 classes.append(c)
-            except OverflowError:
-                classes = [*classes, c]
+            except OverflowError:  # no class space holds it
+                raise ValidationError(f"{path}:{lineno}: bad detection record: class_id {c} lies outside int64") from None
             starts.append(start)
             ends.append(stop)
             scores.append(score)

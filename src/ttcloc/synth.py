@@ -10,12 +10,13 @@ has to come from a per-video decision rule.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DatasetManifest, GroundTruthSegment, VideoSample
-from .errors import GenerationError, ValidationError, check_sizes
+from .errors import GenerationError, ValidationError, check_array_bytes, check_sizes
 
 SNIPPET_DURATION = 1.0  # synthetic snippets use a unit clock
 _PROTOTYPE_ATTEMPTS = 100
@@ -72,6 +73,17 @@ class SynthSpec:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         check_sizes(self, self.SIZES)
+        check_array_bytes({
+            "a video's snippets_max * feature_dim float64 draws": 8 * self.snippets_max * self.feature_dim,
+            "the prototype distances' (num_classes + 1)**2 * feature_dim float64 values": 8 * (self.num_classes + 1) ** 2 * self.feature_dim,
+            "the segment draw's segments_max + 1 float64 values": 8 * (self.segments_max + 1),
+            "the dataset's num_classes * videos_per_class * snippets_min * feature_dim float32 values": self.min_dataset_bytes,
+        })
+
+    @property
+    def min_dataset_bytes(self) -> int:
+        """The float32 features of a dataset of the shortest videos, all of which :func:`generate` holds at once."""
+        return 4 * self.num_classes * self.videos_per_class * self.snippets_min * self.feature_dim
 
 
 PRESETS: dict[str, SynthSpec] = {
@@ -137,6 +149,13 @@ def _place_segments(
 def generate(spec: SynthSpec) -> tuple:
     """Build the dataset: (manifest, samples), deterministic in the seed."""
     spec.validate()
+    # ask the system once for the least memory the dataset takes and release it
+    # untouched, so that a refusal comes before any work; a mapping of its own, unlike
+    # a freed np.empty, leaves the allocator's mmap threshold (and peak RSS) as it was
+    try:
+        mmap.mmap(-1, spec.min_dataset_bytes).close()
+    except OSError as exc:
+        raise MemoryError(f"cannot map the dataset's {spec.min_dataset_bytes} bytes") from exc
     rng = np.random.default_rng(spec.seed)
     protos = _prototypes(rng, spec)
     background = protos[spec.num_classes]

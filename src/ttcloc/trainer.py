@@ -17,7 +17,7 @@ import numpy as np
 
 from . import network
 from .data import VideoSample, crop_clip
-from .errors import NumericalError, ValidationError, check_choices, check_sizes
+from .errors import NumericalError, ValidationError, check_array_bytes, check_choices, check_sizes
 from .network import NetworkParams
 from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, Workspace, total_loss
 
@@ -66,6 +66,10 @@ class TrainConfig:
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
         check_sizes(self, self.SIZES)
+        check_array_bytes({
+            "the conv kernel's 3 * hidden_dim**2 float64 values": 24 * self.hidden_dim**2,
+            "a batch's batch_size int64 video draws": 8 * self.batch_size,
+        })
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:

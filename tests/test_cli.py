@@ -13,12 +13,19 @@ from pathlib import Path
 
 import pytest
 
-from ttcloc import cli, network, trainer
+from ttcloc import cli, network, synth, trainer
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.gradcheck import ComponentCheck
 from ttcloc.objectives import AGGREGATORS, REG_FORMS, TRAIN_LOCALIZATION, LossConfig
 from ttcloc.synth import PRESETS, SynthSpec
 from ttcloc.trainer import STRATEGIES, SUPERVISION_MODES, TrainConfig
+
+LIMIT = sys.maxsize  # numpy.intp's largest value
+
+
+def refuse_to_place(*args):
+    """Stands in for ``synth._place_segments`` where no video may be made."""
+    raise AssertionError("a video was generated")
 
 
 def run_cli(*argv):
@@ -347,11 +354,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["train", "--hidden-dim", str(10**13)],
             ["train", "--batch-size", str(10**14)],
             ["synth", "--preset", "easy", "--feature-dim", str(10**13)],
         ],
-        ids=["hidden-dim", "batch-size", "feature-dim"],
+        ids=["batch-size", "feature-dim"],
     )
     def test_refused_allocation_fails_cleanly(self, tmp_path, capsys, argv):
         if argv[0] == "train":
@@ -362,24 +368,66 @@ class TestExitCodes:
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == before
 
-    # each size is one NumPy cannot index, so validation refuses it before any work
+    # each size is one NumPy cannot index, or asks for an array of more bytes
+    # than NumPy can address, so validation refuses it before any work
     @pytest.mark.parametrize(
-        "argv, name",
+        "argv, message",
         [
-            (["train", "--hidden-dim", str(10**19)], "hidden_dim"),
-            (["train", "--batch-size", str(10**19)], "batch_size"),
-            (["synth", "--preset", "easy", "--feature-dim", str(10**19)], "feature_dim"),
+            (["train", "--hidden-dim", str(10**19)], f"hidden_dim must be at most {LIMIT}, the largest size NumPy can index, got {10**19}"),
+            (["train", "--batch-size", str(10**19)], f"batch_size must be at most {LIMIT}, the largest size NumPy can index, got {10**19}"),
+            (
+                ["synth", "--preset", "easy", "--feature-dim", str(10**19)],
+                f"feature_dim must be at most {LIMIT}, the largest size NumPy can index, got {10**19}",
+            ),
+            (["train", "--hidden-dim", str(LIMIT)], f"the conv kernel's 3 * hidden_dim**2 float64 values take {24 * LIMIT**2} bytes"),
+            (["train", "--hidden-dim", str(10**13)], f"the conv kernel's 3 * hidden_dim**2 float64 values take {24 * 10**26} bytes"),
+            (["train", "--batch-size", str(LIMIT)], f"a batch's batch_size int64 video draws take {8 * LIMIT} bytes"),
+            (
+                ["synth", "--preset", "easy", "--feature-dim", str(LIMIT)],
+                f"a video's snippets_max * feature_dim float64 draws take {8 * 60 * LIMIT} bytes",
+            ),
+            (
+                ["synth", "--preset", "easy", "--snippets-max", str(LIMIT)],
+                f"a video's snippets_max * feature_dim float64 draws take {8 * LIMIT * 16} bytes",
+            ),
+            (
+                ["synth", "--preset", "easy", "--num-classes", str(LIMIT)],
+                f"the prototype distances' (num_classes + 1)**2 * feature_dim float64 values take {8 * (LIMIT + 1) ** 2 * 16} bytes",
+            ),
+            (
+                ["synth", "--preset", "easy", "--segments-max", str(LIMIT)],
+                f"the segment draw's segments_max + 1 float64 values take {8 * (LIMIT + 1)} bytes",
+            ),
+            (
+                ["synth", "--preset", "easy", "--videos-per-class", str(LIMIT)],
+                "the dataset's num_classes * videos_per_class * snippets_min * feature_dim float32 values take "
+                f"{4 * 5 * LIMIT * 40 * 16} bytes",
+            ),
         ],
-        ids=["hidden-dim", "batch-size", "feature-dim"],
+        ids=[
+            "hidden-dim", "batch-size", "feature-dim", "hidden-dim-bytes", "hidden-dim-1e13", "batch-size-bytes",
+            "feature-dim-bytes", "snippets-max-bytes", "num-classes-bytes", "segments-max-bytes", "videos-per-class-bytes",
+        ],
     )
-    def test_size_numpy_cannot_index_fails_cleanly(self, tmp_path, capsys, argv, name):
+    def test_size_numpy_cannot_index_fails_cleanly(self, tmp_path, capsys, monkeypatch, argv, message):
         if argv[0] == "train":
             argv = [*argv, "--data", make_dataset(str(tmp_path / "ds")), "--iterations", "2"]
+        monkeypatch.setattr(synth, "_place_segments", refuse_to_place)  # so that a missed refusal ends at once
         before = sorted(tmp_path.rglob("*"))
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
-        limit = sys.maxsize  # numpy.intp's largest value
-        assert capsys.readouterr().err == f"error: {name} must be at most {limit}, the largest size NumPy can index, got {10**19}\n"
+        if "bytes" in message:
+            message += f", more than the {LIMIT} an array can hold"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_dataset_beyond_memory_fails_before_the_first_video(self, tmp_path, capsys, monkeypatch):
+        """12.8 PB of features, more than the 128 TiB a process can map: the
+        one request for them is refused before any video is made."""
+        monkeypatch.setattr(synth, "_place_segments", refuse_to_place)
+        assert run_cli("synth", "--preset", "easy", "--videos-per-class", str(10**12), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_config_key_exit(self, tmp_path):
         cfg = tmp_path / "train.json"

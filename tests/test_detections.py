@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ttcloc import cli
 from ttcloc.errors import ValidationError, json_types, type_error
 from ttcloc.evaluator import evaluate, index_from_rows, oracle_evaluate
 from ttcloc.localizer import Detection, Detections, load_detections
@@ -24,9 +25,23 @@ _STRING, _INTEGER, _NUMBER = (json_types(t) for t in (str, int, float))
 _FIELDS = (("video_id", _STRING), ("class_id", _INTEGER), ("start_s", _NUMBER), ("end_s", _NUMBER), ("score", _NUMBER))
 
 
+def reference_values(video_id, class_id, start, end, score) -> None:
+    """The value rule of a record, written out here: finite times and score,
+    ``start < end`` as float64, and a class id within int64."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValidationError(f"detection in {video_id!r}: non-finite start {start} or end {end}")
+    if not float(start) < float(end):
+        raise ValidationError(f"detection in {video_id!r}: start {start} must precede end {end}")
+    if not math.isfinite(score):
+        raise ValidationError(f"detection in {video_id!r}: non-finite score")
+    if not -(2**63) <= class_id < 2**63:
+        raise ValidationError(f"class_id {class_id} lies outside int64")
+
+
 def reference_load_detections(path: str) -> list[Detection]:
-    """The per-record loader: one validated ``Detection`` per line, kept as the
-    reference that the column loader must agree with."""
+    """The per-record loader: one ``Detection`` per line, each checked by
+    :func:`reference_values`, kept as the reference that the column loader
+    must agree with."""
     decode = json.JSONDecoder().raw_decode
     detections = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -46,6 +61,7 @@ def reference_load_detections(path: str) -> list[Detection]:
                 typed = type(vid) in _STRING and type(c) in _INTEGER and type(start) in _NUMBER
                 if not (typed and type(stop) in _NUMBER and type(score) in _NUMBER):
                     raise next(type_error(key, kinds, obj[key]) for key, kinds in _FIELDS if type(obj[key]) not in kinds)
+                reference_values(vid, c, start, stop, score)
                 detections.append(Detection(vid, c, start, stop, score))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad detection record: {exc}") from exc
@@ -164,7 +180,7 @@ def test_column_loader_matches_the_per_record_loader(scratch, blob):
 
 def test_times_are_judged_as_float64(tmp_path):
     """Integer times beyond 2**53 are read as their float64 values, so a record
-    whose times meet there is empty, in the file as in a ``Detection``."""
+    whose times meet there is empty, in the file as in a table."""
     path = tmp_path / "det.jsonl"
     path.write_text(json.dumps({"video_id": "v", "class_id": 0, "start_s": 2.0**53, "end_s": 2**53 + 1, "score": 0.5}) + "\n")
     message = f"{path}:1: bad detection record: detection in 'v': start 9007199254740992.0 must precede end 9007199254740993"
@@ -172,7 +188,7 @@ def test_times_are_judged_as_float64(tmp_path):
         load_detections(str(path))
     assert str(raised.value) == message
     with pytest.raises(ValidationError, match="must precede"):
-        Detection("v", 0, 2.0**53, 2**53 + 1, 0.5)
+        Detections.from_records([Detection("v", 0, 2.0**53, 2**53 + 1, 0.5)])
 
 
 # -- the table -----------------------------------------------------------------
@@ -207,16 +223,21 @@ class TestTable:
         assert len(Detections.concat([])) == 0
 
     @pytest.mark.parametrize(
-        "start, end, score",
-        [(0.0, math.inf, 0.5), (math.nan, 1.0, 0.5), (2.0, 2.0, 0.5), (3.0, 2.0, 0.5), (0.0, 1.0, math.nan), (0.0, 1.0, -math.inf)],
+        "start, end, score, message",
+        [
+            (0.0, math.inf, 0.5, "non-finite start 0.0 or end inf"),
+            (math.nan, 1.0, 0.5, "non-finite start nan or end 1.0"),
+            (2.0, 2.0, 0.5, "start 2.0 must precede end 2.0"),
+            (3.0, 2.0, 0.5, "start 3.0 must precede end 2.0"),
+            (0.0, 1.0, math.nan, "non-finite score"),
+            (0.0, 1.0, -math.inf, "non-finite score"),
+        ],
     )
-    def test_first_bad_row_raises_the_record_message(self, start, end, score):
-        with pytest.raises(ValidationError) as expected:
-            Detection("v9", 0, start, end, score)
+    def test_first_bad_row_raises_the_record_message(self, start, end, score, message):
         columns = ([0.0, start, 5.0], [1.0, end, 4.0], [0.5, score, math.nan])
         with pytest.raises(ValidationError) as raised:
             Detections(("v1", "v9"), [0, 1, 0], [0, 0, 0], *columns)
-        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"detection in 'v9': {message}"
 
     @pytest.mark.parametrize(
         "ids, index, match",
@@ -257,14 +278,27 @@ class TestEvaluateTable:
                 run(records, GT, (0.5,))
             assert str(raised.value) == message
 
-    def test_class_beyond_int64_named_exactly(self, tmp_path):
-        path = tmp_path / "det.jsonl"
-        path.write_text(json.dumps({"video_id": "v1", "class_id": 2**70, "start_s": 0, "end_s": 1, "score": 0.5}) + "\n")
-        table = load_detections(str(path))
-        assert [d.class_id for d in table] == [2**70]
-        with pytest.raises(ValidationError) as raised:
-            evaluate(table, GT, (0.5,))
-        assert str(raised.value) == f"detection class {2**70} outside 2 classes"
+
+# -- a class id beyond int64 -----------------------------------------------------
+
+
+@pytest.mark.parametrize("class_id", [2**63, 2**70, -(2**63) - 1])
+def test_class_beyond_int64_rejected_at_its_line(tmp_path, capsys, class_id):
+    """No class space holds such an id, so the file is refused where it says so."""
+    good = {"video_id": "v1", "class_id": 0, "start_s": 0, "end_s": 1, "score": 0.5}
+    path = tmp_path / "det.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "class_id": class_id}) + "\n")
+    message = f"{path}:2: bad detection record: class_id {class_id} lies outside int64"
+    with pytest.raises(ValidationError) as raised:
+        load_detections(str(path))
+    assert str(raised.value) == message
+    ds = str(tmp_path / "ds")
+    assert cli.main(["synth", "--preset", "easy", "--num-classes", "2", "--videos-per-class", "1", "--out", ds]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert cli.main(["eval", "--det", str(path), "--gt", os.path.join(ds, "manifest.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # -- memory ------------------------------------------------------------------------

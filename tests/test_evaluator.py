@@ -507,6 +507,20 @@ class TestColumnarMatcherEqualsPerRecordLoop:
         assert match_records(twins[::-1], gts, (0.5,))[0].tolist() == [True, False]
         assert per_record_match(twins[::-1], gts, (0.5,)) == [[True, False]]
 
+    def test_score_ties_rank_by_start_then_video_then_input_order(self):
+        gts = [("a", 0.0, 1.0), ("b", 0.0, 1.0)]
+        spans = [("a", 0.0, 3.0), ("a", 0.0, 1.0), ("b", 0.0, 3.0), ("b", 0.5, 1.0)]
+        r1, r2, r3, r4 = (det(vid=v, start=s, end=e) for v, s, e in spans)
+        # one score for all: r4 starts last; of the three that start at 0, r1 and
+        # r2 lie in video "a", before "b"; they tie on every key, so input order ranks r1 first
+        dets = [r4, r3, r1, r2]
+        expected = [False, True, False, True]  # ranks r1, r2, r3, r4
+        assert match_records(dets, gts, (0.5,))[0].tolist() == expected
+        assert per_record_match(dets, gts, (0.5,)) == [expected]
+        gt = gt_index([("a", 0, 0.0, 1.0), ("b", 0, 0.0, 1.0)], 1, ("a", "b"))
+        for report in (evaluate_records(dets, gt, (0.5,)), oracle_evaluate(dets, gt, (0.5,))):
+            assert report.per_class_ap[0][0] == (1 / 2 + 2 / 4) / 2
+
     def test_video_ids_rank_in_string_order(self):
         gts = [("v10", 0.0, 10.0), ("v2", 0.0, 10.0)]
         dets = [det(vid="v2", start=0.0, end=10.0, score=0.5), det(vid="v10", start=0.0, end=1.0, score=0.5)]
@@ -567,3 +581,32 @@ def tied_instances(draw):
 def test_evaluate_equals_oracle_on_tied_instances(instance):
     gt, dets, thresholds = instance
     assert_reports_equal(evaluate_records(dets, gt, thresholds), oracle_evaluate(dets, gt, thresholds))
+
+
+@st.composite
+def permuted_tables(draw):
+    """A table whose rows differ in (score, start, video id), the key that
+    ranks them, and a permutation of its rows.  Scores come from a small set
+    as well as a range, so ties in score are common; every table with
+    distinct scores is among those drawn."""
+    num_classes = draw(st.integers(1, 3))
+    videos = ("a", "B", "a0", "b")
+    starts, lengths = st.integers(0, 4).map(lambda k: 0.5 * k), st.integers(1, 4).map(lambda k: 0.5 * k)
+    span = st.tuples(st.sampled_from(videos), starts, lengths)
+    rows = [(v, draw(st.integers(0, num_classes - 1)), s, s + n) for v, s, n in draw(st.lists(span, min_size=1, max_size=8))]
+    key = st.tuples(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0.01, 1.0), starts, st.sampled_from(videos))
+    dets = [
+        Detection(v, draw(st.integers(0, num_classes - 1)), s, s + draw(lengths), score)
+        for score, s, v in draw(st.lists(key, max_size=30, unique=True))
+    ]
+    perm = np.array(draw(st.permutations(range(len(dets)))), dtype=np.int64)
+    thresholds = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]), min_size=1))))
+    return gt_index(rows, num_classes, videos), Detections.from_records(dets), perm, thresholds
+
+
+@TIES
+@given(permuted_tables())
+def test_evaluate_ignores_row_order(instance):
+    gt, table, perm, thresholds = instance
+    report = render_report_json(evaluate(table, gt, thresholds))
+    assert render_report_json(evaluate(table.take(perm), gt, thresholds)) == report
