@@ -23,7 +23,7 @@ from . import network
 from .data import DatasetManifest, VideoSample, load_dataset, load_manifest, write_dataset
 from .errors import NumericalError, ValidationError, field_types, load_json_object, read_object, replacing
 from .evaluator import check_iou_thresholds, evaluate, index_from_videos, render_report_csv, render_report_json
-from .localizer import infer_dataset, iter_detections, load_detections, write_detections
+from .localizer import Detections, iter_detections, load_detections, write_detections
 from .objectives import AGGREGATORS, LossConfig, REG_FORMS
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import STRATEGIES, TrainConfig, run_training
@@ -260,7 +260,7 @@ def _ablate_config(base: TrainConfig, overrides: dict, seed: int) -> TrainConfig
 
 def _run_ablate_cell(samples, num_classes, config: TrainConfig, test_mode: str, thresholds):
     state, _ = run_training(samples, num_classes, config)
-    detections = infer_dataset(state.params, samples, config, test_mode)
+    detections = Detections.concat(iter_detections(state.params, samples, config, test_mode))
     gt = index_from_videos(samples, num_classes)
     report = evaluate(detections, gt, thresholds)
     at_half = report.map_per_threshold[thresholds.index(0.5)] if 0.5 in thresholds else float("nan")

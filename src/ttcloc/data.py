@@ -71,10 +71,6 @@ class VideoSample:
         return self.features.shape[1]
 
     @property
-    def duration(self) -> float:
-        return self.num_snippets * self.snippet_duration
-
-    @property
     def record(self) -> VideoRecord:
         """This video's manifest entry."""
         return VideoRecord(
@@ -260,14 +256,9 @@ def _load_features(path: str, record: VideoRecord) -> np.ndarray:
     return raw.reshape(record.num_snippets, record.feature_dim)
 
 
-def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
-    """Load every video of a manifest, validating all invariants.
-
-    ``manifest`` is the path of ``manifest.json`` or a manifest already
-    parsed by :func:`load_manifest`.
-    """
-    if not isinstance(manifest, DatasetManifest):
-        manifest = load_manifest(manifest)
+def load_dataset(manifest: DatasetManifest) -> list[VideoSample]:
+    """Load every video of a manifest parsed by :func:`load_manifest`, which
+    has validated its records; each video's features are checked here."""
     samples = []
     for record in manifest.records:
         feats = _load_features(feature_path(manifest, record.id), record)
@@ -278,19 +269,9 @@ def load_dataset(manifest: str | DatasetManifest) -> list[VideoSample]:
             snippet_duration=record.snippet_duration,
             segments=record.segments,
         )
-        sample.validate(manifest.num_classes)
+        sample.validate_features()
         samples.append(sample)
     return samples
-
-
-def manifest_from_samples(
-    samples: list[VideoSample], num_classes: int, class_names: list[str] | tuple[str, ...]
-) -> DatasetManifest:
-    """The validated manifest of ``samples``."""
-    records = tuple(s.record for s in samples)
-    manifest = DatasetManifest(num_classes=num_classes, class_names=tuple(class_names), records=records)
-    manifest.validate()
-    return manifest
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
@@ -316,7 +297,8 @@ def write_dataset(
     """
     for s in samples:
         s.validate_features()
-    manifest = manifest_from_samples(samples, num_classes, class_names)
+    manifest = DatasetManifest(num_classes, tuple(class_names), tuple(s.record for s in samples))
+    manifest.validate()
     os.makedirs(out_dir, exist_ok=True)
     staged, created = [], []
     try:

@@ -47,6 +47,32 @@ def _check_values(video_id, start, end, score) -> None:
         raise ValidationError(f"detection in {video_id!r}: non-finite score")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_row(video_id, class_id, start, end, score) -> None:
+    """The row rule of a :class:`Detections` table, for values given in a
+    form its columns do not hold: a class id that is an integer within int64,
+    times and a score that are numbers within float64, and :func:`_check_values`."""
+    if type(class_id) is bool or not isinstance(class_id, (int, np.integer)) or not _INT64.min <= class_id <= _INT64.max:
+        raise ValidationError(f"detection in {video_id!r}: class_id {class_id!r} is not an integer within int64")
+    values = []
+    for name, value in zip(("start", "end", "score"), (start, end, score)):
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"detection in {video_id!r}: {name} is not a number within float64") from None
+    _check_values(video_id, *values)
+
+
+def _int64_column(values) -> np.ndarray:
+    """``values`` as int64; a TypeError unless the column is of integer kind within int64."""
+    column = np.asarray(values)
+    if column.size and not (column.dtype.kind == "i" or column.dtype.kind == "u" and column.max() <= _INT64.max):
+        raise TypeError(f"a class column of dtype {column.dtype}")
+    return column.astype(np.int64, copy=False)
+
+
 class Detections:
     """Scored segments as an immutable column table, the one form detections
     take between inference, the detection file and evaluation.
@@ -56,20 +82,26 @@ class Detections:
     ``score`` are float64.  Each column is a read-only view; the table takes
     arrays without copying them, so an array passed in must not be written to
     afterwards.  The table is the one place that validates detections: once,
-    when built, and the first bad row raises that row's message.
-    ``len()`` counts rows, iteration yields one :class:`Detection` per row,
-    and :meth:`from_records` builds a table from them.
+    when built, and the first bad row raises that row's message.  A class
+    id must be an integer within int64, not a float or a string that would
+    convert to one.  ``len()`` counts rows, iteration yields one
+    :class:`Detection` per row, and :meth:`from_records` builds a table from them.
     """
 
     __slots__ = ("video_ids", "video_index", "class_id", "start", "end", "score")
 
     def __init__(self, video_ids: Iterable[str], video_index, class_id, start, end, score):
-        values = (
-            np.asarray(video_index, dtype=np.int64),
-            np.asarray(class_id, dtype=np.int64),
-            *(np.asarray(col, dtype=np.float64) for col in (start, end, score)),
-        )
         object.__setattr__(self, "video_ids", tuple(video_ids))
+        try:
+            values = (
+                np.asarray(video_index, dtype=np.int64),
+                _int64_column(class_id),
+                *(np.asarray(col, dtype=np.float64) for col in (start, end, score)),
+            )
+        except (TypeError, ValueError, OverflowError):  # a value no column holds: the row rule names its row
+            for v, *row in zip(video_index, class_id, start, end, score):
+                _check_row(self.video_ids[v], *row)
+            raise ValidationError("detection columns must be 1-D columns of numbers") from None
         for name, value in zip(self.__slots__[1:], values):
             view = value.view()
             view.flags.writeable = False
@@ -213,50 +245,33 @@ def iter_detections(
         yield infer_video(params, sample, config, mode, buffers)
 
 
-def infer_dataset(
-    params: NetworkParams,
-    samples: list[VideoSample],
-    config: TrainConfig,
-    mode: str = "predicted",
-) -> Detections:
-    return Detections.concat(iter_detections(params, samples, config, mode))
+def write_detections(tables: Iterable[Detections], class_names: tuple[str, ...], path: str) -> int:
+    """Write the tables to ``path`` in order, one JSON object per line with
+    keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it, and return
+    the line count.
 
-
-def _jsonl_lines(tables: Detections | Iterable[Detections], class_names: tuple[str, ...]) -> Iterator[str]:
-    names = [json.dumps(name) for name in class_names]
-    for table in (tables,) if isinstance(tables, Detections) else tables:
-        outside = np.flatnonzero(table.class_outside(len(names)))
-        if len(outside):
-            raise ValidationError(f"detection class {table.class_id[outside[0]]} outside the {len(names)}-class space")
-        vids = [json.dumps(v) for v in table.video_ids]
-        columns = (table.video_index, table.class_id, table.end, table.score, table.start)
-        for v, c, end, score, start in zip(*(col.tolist() for col in columns)):
-            yield (
-                f'{{"class_id": {c}, "class_name": {names[c]}, "end_s": {end!r}, '
-                f'"score": {score!r}, "start_s": {start!r}, "video_id": {vids[v]}}}\n'
-            )
-
-
-def detections_to_jsonl(tables: Detections | Iterable[Detections], class_names: tuple[str, ...]) -> str:
-    """One JSON object per line, keys sorted, as ``json.dumps(..., sort_keys=True)`` writes it.
-
-    ``tables`` is one table or an iterable of them, written in order.  Each
-    class name and each table's video ids are encoded once.  Times and
-    scores are written as floats with ``repr``, which for the finite values
-    that a table admits is exactly what ``json.dumps`` writes.
+    The tables are written as they arrive (an iterator, such as
+    :func:`iter_detections`, is consumed once).  Each class name and each
+    table's video ids are encoded once.  Times and scores are written as
+    floats with ``repr``, which for the finite values that a table admits is
+    exactly what ``json.dumps`` writes.  On any error, ``path`` is left as it
+    was and no tmp file stays.
     """
-    return "".join(_jsonl_lines(tables, class_names))
-
-
-def write_detections(tables: Detections | Iterable[Detections], class_names: tuple[str, ...], path: str) -> int:
-    """Write the lines of :func:`detections_to_jsonl` to ``path`` as the
-    tables arrive (an iterator, such as :func:`iter_detections`, is consumed
-    once) and return their count.  On any error, ``path`` is left as it was
-    and no tmp file stays."""
+    names = [json.dumps(name) for name in class_names]
     count = 0
     with replacing(path) as fh:
-        for count, line in enumerate(_jsonl_lines(tables, class_names), start=1):
-            fh.write(line)
+        for table in tables:
+            outside = np.flatnonzero(table.class_outside(len(names)))
+            if len(outside):
+                raise ValidationError(f"detection class {table.class_id[outside[0]]} outside the {len(names)}-class space")
+            vids = [json.dumps(v) for v in table.video_ids]
+            columns = (table.video_index, table.class_id, table.end, table.score, table.start)
+            for v, c, end, score, start in zip(*(col.tolist() for col in columns)):
+                fh.write(
+                    f'{{"class_id": {c}, "class_name": {names[c]}, "end_s": {end!r}, '
+                    f'"score": {score!r}, "start_s": {start!r}, "video_id": {vids[v]}}}\n'
+                )
+            count += len(table)
     return count
 
 

@@ -101,9 +101,6 @@ class NetworkParams:
     def num_classes(self) -> int:
         return self.w2.shape[1] - 1
 
-    def copy(self) -> "NetworkParams":
-        return self.with_flat(self.flat.copy())
-
 
 @dataclass
 class ScoreMap:
@@ -214,14 +211,13 @@ def init_params(rng: np.random.Generator, feature_dim: int, hidden_dim: int, num
         return rng.uniform(-a, a, size=shape)
 
     d, h, c = feature_dim, hidden_dim, num_classes
-    return NetworkParams(
-        w1=glorot((d, h), d, h),
-        b1=np.zeros(h),
-        conv_kernel=glorot((3, h, h), 3 * h, 3 * h),
-        conv_bias=np.zeros(h),
-        w2=glorot((h, c + 1), h, c + 1),
-        b2=np.zeros(c + 1),
-    )
+    # the whole vector before any draw, so that a size the system cannot grant is refused first
+    params = object.__new__(NetworkParams)
+    params._bind(np.zeros(sum(map(math.prod, _param_shapes(d, h, c)))), d, h, c)
+    params.w1[...] = glorot((d, h), d, h)
+    params.conv_kernel[...] = glorot((3, h, h), 3 * h, 3 * h)
+    params.w2[...] = glorot((h, c + 1), h, c + 1)
+    return params
 
 
 def forward(

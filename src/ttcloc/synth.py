@@ -62,10 +62,10 @@ class SynthSpec:
         ):
             if lo < 1 or hi < lo:
                 raise ValidationError(f"{what} range [{lo}, {hi}] must satisfy 1 <= min <= max")
-        if not self.noise_scale >= 0:
-            raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if not self.prototype_scale > 0:
-            raise ValidationError(f"prototype_scale must be > 0, got {self.prototype_scale}")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValidationError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        if not 0 < self.prototype_scale < math.inf:
+            raise ValidationError(f"prototype_scale must be finite and > 0, got {self.prototype_scale}")
         if not 0 < self.amplitude_min <= self.amplitude_max < math.inf:
             raise ValidationError(
                 f"amplitude range [{self.amplitude_min}, {self.amplitude_max}] must satisfy 0 < min <= max < inf"

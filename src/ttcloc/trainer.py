@@ -107,14 +107,17 @@ def init_state(config: TrainConfig, feature_dim: int, num_classes: int) -> Train
     return TrainState(params=params, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), step=0, rng=rng)
 
 
-def select_semi_subset(samples: list[VideoSample], k: int) -> list[VideoSample]:
-    """Set fully_annotated flags: first k annotated videos per class.
+def apply_supervision(samples: list[VideoSample], config: TrainConfig) -> list[VideoSample]:
+    """Set the fully_annotated flags that decide which videos carry localization supervision.
 
-    Order is manifest order.  A class with fewer than k annotated
-    candidates keeps all of them and triggers a warning.
+    ``weak`` flags none and ``full`` every annotated video.  ``semi`` flags
+    the first ``config.semi_k`` annotated videos per class, in manifest
+    order; a class with fewer candidates keeps all of them and triggers a
+    warning.
     """
-    if k < 0:
-        raise ValidationError(f"semi-supervision k must be >= 0, got {k}")
+    if config.supervision == "full":
+        return [replace(s, fully_annotated=s.segments is not None) for s in samples]
+    k = config.semi_k if config.supervision == "semi" else 0
     flagged: set[str] = set()
     if k > 0:
         classes = sorted({c for s in samples for c in s.labels})
@@ -126,14 +129,6 @@ def select_semi_subset(samples: list[VideoSample], k: int) -> list[VideoSample]:
                 )
             flagged.update(candidates[:k])
     return [replace(s, fully_annotated=s.id in flagged) for s in samples]
-
-
-def apply_supervision(samples: list[VideoSample], config: TrainConfig) -> list[VideoSample]:
-    if config.supervision == "weak":
-        return select_semi_subset(samples, 0)
-    if config.supervision == "semi":
-        return select_semi_subset(samples, config.semi_k)
-    return [replace(s, fully_annotated=s.segments is not None) for s in samples]
 
 
 def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -> None:

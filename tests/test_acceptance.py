@@ -15,7 +15,7 @@ from ttcloc.evaluator import (
     oracle_evaluate,
 )
 from ttcloc.gradcheck import STRICT_TOLERANCE, run_gradient_checks
-from ttcloc.localizer import Detections, infer_dataset
+from ttcloc.localizer import Detections, iter_detections
 from ttcloc.network import ScoreMap, gate_values
 from ttcloc.objectives import (
     LossConfig,
@@ -87,7 +87,7 @@ def _medium_cell_map(
         state, _ = run_training(samples, spec.num_classes, config)
         _CELL_MAPS[train_key] = state, config
     state, config = _CELL_MAPS[train_key]
-    dets = infer_dataset(state.params, samples, config, test_mode)
+    dets = Detections.concat(iter_detections(state.params, samples, config, test_mode))
     return evaluate(dets, gt, MEDIUM_IOUS).average_map
 
 
@@ -206,7 +206,7 @@ def test_criterion_2_invariant_suite(capsys):
         bound = lr / (1.0 - config.beta1) + 1e-12
         for _ in range(int(rng.integers(1, 6))):
             before = {k: v.copy() for k, v in state.params.as_dict().items()}
-            grads = state.params.copy()
+            grads = state.params.with_flat(state.params.flat.copy())
             scale = float(10.0 ** rng.uniform(-3, 3))
             for arr in grads.as_dict().values():
                 arr[...] = rng.normal(scale=scale, size=arr.shape)
@@ -285,7 +285,7 @@ def test_criterion_4_easy_weak_training(capsys):
             seed=seed,
         )
         state, _ = run_training(samples, spec.num_classes, config)
-        dets = infer_dataset(state.params, samples, config, "predicted")
+        dets = Detections.concat(iter_detections(state.params, samples, config, "predicted"))
         maps.append(evaluate(dets, gt, (0.5,)).map_per_threshold[0])
     elapsed = time.perf_counter() - start
     mean_map = float(np.mean(maps))

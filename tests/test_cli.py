@@ -338,6 +338,22 @@ class TestExitCodes:
             assert "must be finite" in capsys.readouterr().err
             assert not os.path.exists(run)
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--noise-scale", "noise_scale must be finite and >= 0, got inf"),
+            ("--prototype-scale", "prototype_scale must be finite and > 0, got inf"),
+        ],
+        ids=["noise-scale", "prototype-scale"],
+    )
+    def test_infinite_synth_scale_fails_cleanly(self, tmp_path, capsys, monkeypatch, flag, message):
+        # validation refuses the spec before any video is drawn
+        monkeypatch.setattr(synth, "_prototypes", lambda *a: pytest.fail("generation started"))
+        out = str(tmp_path / "ds")
+        assert run_cli("synth", "--preset", "easy", flag, "inf", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("name", ["loc_weight", "background_weight"])
     def test_infinite_loss_weights_fail_cleanly(self, tmp_path, capsys, name):
         ds = make_dataset(str(tmp_path / "ds"))

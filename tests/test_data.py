@@ -115,7 +115,7 @@ class TestCropClip:
         for _ in range(50):
             clip = crop_clip(s, 4, rng)
             for seg in clip.segments:
-                assert 0.0 <= seg.start < seg.end <= clip.duration
+                assert 0.0 <= seg.start < seg.end <= clip.num_snippets * clip.snippet_duration
             if not clip.segments:
                 seen_empty = True
             else:
@@ -154,7 +154,7 @@ class TestOnDiskFormat:
             fully_annotated=True,
         )
         path = write_dataset(samples, 2, ["a", "b"], str(tmp_path / "ds"))
-        loaded = load_dataset(path)
+        loaded = load_dataset(load_manifest(path))
         assert [s.id for s in loaded] == [s.id for s in samples]
         for orig, back in zip(samples, loaded):
             assert back.features.tobytes() == orig.features.astype("<f4").tobytes()
@@ -202,8 +202,17 @@ class TestOnDiskFormat:
         s = VideoSample(id="one", features=feats, labels=frozenset({0}))
         path = write_dataset([s], 1, ["only"], str(tmp_path / "ds"))
         assert os.path.getsize(str(tmp_path / "ds" / "one.f32")) == 32
-        (loaded,) = load_dataset(path)
+        (loaded,) = load_dataset(load_manifest(path))
         np.testing.assert_array_equal(loaded.features, feats)
+
+    def test_load_checks_features_not_records(self, tmp_path, monkeypatch):
+        # load_manifest has checked every record; loading checks only the features
+        s = VideoSample(id="one", features=np.zeros((4, 2), np.float32), labels=frozenset({0}))
+        manifest = load_manifest(write_dataset([s], 1, ["only"], str(tmp_path / "ds")))
+        monkeypatch.setattr(VideoRecord, "validate", lambda *a: pytest.fail("record checked again"))
+        checked = []
+        monkeypatch.setattr(VideoSample, "validate_features", lambda self: checked.append(self.id))
+        assert [v.id for v in load_dataset(manifest)] == checked == ["one"]
 
     def test_size_mismatch_reports_video_id(self, tmp_path):
         s = VideoSample(id="bad", features=np.zeros((4, 2), np.float32), labels=frozenset({0}))
@@ -211,14 +220,14 @@ class TestOnDiskFormat:
         with open(tmp_path / "ds" / "bad.f32", "wb") as fh:
             fh.write(b"\x00" * 31)
         with pytest.raises(ValidationError, match="bad"):
-            load_dataset(path)
+            load_dataset(load_manifest(path))
 
     def test_missing_feature_file(self, tmp_path):
         s = VideoSample(id="gone", features=np.zeros((2, 2), np.float32), labels=frozenset({0}))
         path = write_dataset([s], 1, ["only"], str(tmp_path / "ds"))
         os.unlink(tmp_path / "ds" / "gone.f32")
         with pytest.raises(ValidationError, match="gone"):
-            load_dataset(path)
+            load_dataset(load_manifest(path))
 
     def test_segment_class_not_in_labels(self, tmp_path):
         seg = GroundTruthSegment(5, 0.0, 1.0)
@@ -261,7 +270,7 @@ class TestOnDiskFormat:
         bad = np.array([[np.inf, 0], [0, 0]], np.float32)
         bad.tofile(str(tmp_path / "ds" / "inf.f32"))
         with pytest.raises(ValidationError, match="inf"):
-            load_dataset(path)
+            load_dataset(load_manifest(path))
 
 
 # ids that would name a feature file outside the dataset directory; "<tmp>"
@@ -282,7 +291,7 @@ class TestVideoIdsStayInDirectory:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         with pytest.raises(ValidationError, match="not a plain file name"):
-            load_dataset(path)
+            load_dataset(load_manifest(path))
 
     @pytest.mark.parametrize("vid", ESCAPING_IDS)
     def test_write_writes_nothing(self, tmp_path, vid):

@@ -240,6 +240,40 @@ class TestTable:
         assert str(raised.value) == f"detection in 'v9': {message}"
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            # a class id that is not an integer within int64 is refused, not truncated or wrapped
+            (Detection("v9", 1.5, 0.0, 1.0, 0.5), "class_id 1.5 is not an integer within int64"),
+            (Detection("v9", "1", 0.0, 1.0, 0.5), "class_id '1' is not an integer within int64"),
+            (Detection("v9", True, 0.0, 1.0, 0.5), "class_id True is not an integer within int64"),
+            (Detection("v9", 2**63, 0.0, 1.0, 0.5), "class_id 9223372036854775808 is not an integer within int64"),
+            (Detection("v9", 2**70, 0.0, 1.0, 0.5), "class_id 1180591620717411303424 is not an integer within int64"),
+            (Detection("v9", -(2**63) - 1, 0.0, 1.0, 0.5), "class_id -9223372036854775809 is not an integer within int64"),
+            # as is a time or score beyond float64
+            (Detection("v9", 0, 10**400, 1.0, 0.5), "start is not a number within float64"),
+            (Detection("v9", 0, 0.0, 10**400, 0.5), "end is not a number within float64"),
+            (Detection("v9", 0, 0.0, 1.0, -(10**400)), "score is not a number within float64"),
+            # the first bad row decides, whatever makes the later one bad
+            (Detection("v9", 0, 3.0, 2.0, 0.5), "start 3.0 must precede end 2.0"),
+        ],
+    )
+    def test_value_no_column_holds_raises_its_row(self, row, message):
+        records = [Detection("v1", 0, 0.0, 1.0, 0.5), row, Detection("v1", 2.5, 0.0, 1.0, 0.5)]
+        with pytest.raises(ValidationError) as raised:
+            Detections.from_records(records)
+        assert str(raised.value) == f"detection in 'v9': {message}"
+
+    @pytest.mark.parametrize("column", [np.array([0.0, 1.0]), np.array(["0", "1"]), np.array([False, True]), np.array([0, 2**63], np.uint64)])
+    def test_class_column_not_of_int64_values_rejected(self, column):
+        with pytest.raises(ValidationError, match="class_id .* is not an integer within int64"):
+            Detections(("v1",), [0, 0], column, [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_class_column_of_any_integer_dtype_within_int64_accepted(self, dtype):
+        table = Detections(("v1",), [0, 0], np.array([0, 7], dtype), [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
+        assert table.class_id.dtype == np.int64 and table.class_id.tolist() == [0, 7]
+
+    @pytest.mark.parametrize(
         "ids, index, match",
         [(("v1", "v1"), [0, 1], "distinct"), (("v1",), [0, 1], "video index"), (("v1",), [-1, 0], "video index")],
     )
@@ -270,6 +304,8 @@ class TestEvaluateTable:
             # the first offending row decides, and in it the video is checked first
             ([Detection("v1", 7, 0.0, 1.0, 0.5), Detection("nope", 0, 0.0, 1.0, 0.5)], "detection class 7 outside 2 classes"),
             ([Detection("nope", 7, 0.0, 1.0, 0.5)], "detection references unknown video 'nope'"),
+            # both refuse a class id that would truncate to a ground-truth class
+            ([Detection("v2", 1.5, 0.0, 1.0, 0.5)], "detection in 'v2': class_id 1.5 is not an integer within int64"),
         ],
     )
     def test_first_offender_message(self, records, message):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -610,3 +613,65 @@ def test_evaluate_ignores_row_order(instance):
     gt, table, perm, thresholds = instance
     report = render_report_json(evaluate(table, gt, thresholds))
     assert render_report_json(evaluate(table.take(perm), gt, thresholds)) == report
+
+
+@st.composite
+def labeled_instances(draw):
+    """Videos with ground truth (at least one segment), a table of
+    detections on them, distinct class names and thresholds."""
+    num_classes = draw(st.integers(1, 4))
+    starts, lengths = st.integers(0, 6).map(lambda k: 0.5 * k), st.integers(1, 4).map(lambda k: 0.5 * k)
+    records = []
+    for vid in draw(st.lists(st.sampled_from(("a", "B", "a0", "b")), min_size=1, unique=True)):
+        spans = draw(st.lists(st.tuples(st.integers(0, num_classes - 1), starts, lengths), max_size=4))
+        segments = tuple(GroundTruthSegment(c, s, s + n) for c, s, n in spans)
+        labels = tuple(sorted({seg.class_id for seg in segments})) or (0,)
+        records.append(VideoRecord(vid, 8, 1, labels, 1.0, segments))
+    if not any(r.segments for r in records):
+        records[0] = replace(records[0], segments=(GroundTruthSegment(0, 0.0, 1.0),))
+    row = st.tuples(st.sampled_from([r.id for r in records]), st.integers(0, num_classes - 1), starts, lengths)
+    dets = [
+        Detection(v, c, s, s + n, draw(st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0.01, 1.0)))
+        for v, c, s, n in draw(st.lists(row, max_size=20))
+    ]
+    names = tuple(draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=num_classes, max_size=num_classes, unique=True)))
+    thresholds = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]), min_size=1))))
+    return records, Detections.from_records(dets), names, thresholds
+
+
+@TIES
+@given(labeled_instances(), st.data())
+def test_relabeling_classes_permutes_the_report(instance, data):
+    """Class c becomes class perm[c], in the ground truth, the detections and
+    the names: each class keeps its AP and counts exactly, under its name,
+    and mAP moves by rounding alone."""
+    records, table, names, thresholds = instance
+    n = len(names)
+    perm = data.draw(st.permutations(range(n)))
+    report = evaluate(table, index_from_videos(records, n), thresholds, class_names=names)
+    moved_records = [
+        replace(r, segments=tuple(replace(seg, class_id=perm[seg.class_id]) for seg in r.segments)) for r in records
+    ]
+    moved_table = Detections(
+        table.video_ids, table.video_index, np.array(perm, dtype=np.int64)[table.class_id], table.start, table.end, table.score
+    )
+    moved_names = tuple(names[perm.index(k)] for k in range(n))
+    moved = evaluate(moved_table, index_from_videos(moved_records, n), thresholds, class_names=moved_names)
+    for i in range(len(thresholds)):
+        assert [moved.per_class_ap[i][perm[c]] for c in range(n)] == list(report.per_class_ap[i])
+        assert [moved.per_class_counts[i][perm[c]] for c in range(n)] == list(report.per_class_counts[i])
+        assert abs(moved.map_per_threshold[i] - report.map_per_threshold[i]) <= 1e-12
+    assert abs(moved.average_map - report.average_map) <= 1e-12
+    assert json.loads(render_report_json(moved))["per_class"] == json.loads(render_report_json(report))["per_class"]
+
+
+@TIES
+@given(labeled_instances(), st.sampled_from([None, ()]))
+def test_appended_empty_video_changes_no_report_byte(instance, segments):
+    """A video with no ground truth (no segment list, or an empty one) and no
+    detections adds nothing to any AP."""
+    records, table, names, thresholds = instance
+    extra = VideoRecord("extra", 8, 1, (0,), 1.0, segments)
+    report = render_report_json(evaluate(table, index_from_videos(records, len(names)), thresholds, class_names=names))
+    appended = index_from_videos([*records, extra], len(names))
+    assert render_report_json(evaluate(table, appended, thresholds, class_names=names)) == report

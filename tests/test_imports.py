@@ -1,6 +1,7 @@
 """Every name that a module of the package or of the tests imports is used,
-every parameter of a package function is read, and no module of the
-package copies out the values of a choice tuple by hand.
+every parameter of a package function is read, every function, class and
+method of the package is referenced from the package or the benchmark, and
+no module of the package copies out the values of a choice tuple by hand.
 
 A name counts as used when it is read anywhere in the same file, a
 parameter when it is read anywhere in its function's body (nested
@@ -19,6 +20,7 @@ from ttcloc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/ttcloc/*.py"))
+BENCH = sorted(ROOT.glob("bench/*.py"))
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
@@ -58,7 +60,7 @@ def unread_parameters(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if node.name.startswith("__") and node.name.endswith("__"):
+        if _is_dunder(node.name):
             continue
         args = node.args
         params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
@@ -84,6 +86,50 @@ def test_guard_sees_unread_parameters():
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_definitions(defining: dict[str, str], referring: dict[str, str]) -> list[str]:
+    """Functions, classes and methods defined in the ``defining`` sources
+    whose name no source of either mapping (file name to text) reads, as
+    ``file:line name``.
+
+    A name is read as a variable, as an attribute, or as a string equal to
+    it (``getattr`` by name, as the benchmark's span table does).  Dunders,
+    which a protocol calls, are exempt.
+    """
+    definitions, read = [], set()
+    for name, source in [*defining.items(), *referring.items()]:
+        for node in ast.walk(ast.parse(source)):
+            if name in defining and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not _is_dunder(node.name):
+                    definitions.append((f"{name}:{node.lineno}", node.name))
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                read.add(node.value)
+    return [f"{where} {defined}" for where, defined in definitions if defined not in read]
+
+
+def test_guard_sees_unreferenced_definitions():
+    defining = (
+        "def used():\n    pass\ndef unused():\n    pass\n"
+        "class K:\n    def __len__(self):\n        return 0\n    def prop(self):\n        pass\n"
+        "    def named(self):\n        pass\n"
+    )
+    referring = "from m import K\nK().prop\nused()\ngetattr(K, 'named')\n"
+    assert unreferenced_definitions({"m.py": defining}, {"r.py": referring}) == ["m.py:3 unused"]
+    assert unreferenced_definitions({"m.py": defining}, {}) == ["m.py:1 used", "m.py:3 unused", "m.py:5 K", "m.py:8 prop", "m.py:10 named"]
+
+
+def test_every_package_definition_is_referenced():
+    """References from the tests do not count: code that only tests reach is dead."""
+    sources = lambda paths: {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    assert unreferenced_definitions(sources(PACKAGE), sources(BENCH)) == []
 
 
 def _strings(node) -> frozenset | None:

@@ -13,9 +13,7 @@ from ttcloc.errors import ValidationError
 from ttcloc.localizer import (
     Detection,
     Detections,
-    detections_to_jsonl,
     extract_segments,
-    infer_dataset,
     iter_detections,
     infer_video,
     load_detections,
@@ -139,7 +137,7 @@ class TestInferVideo:
             arr *= 2.0
         sample = make_sample(rng, t=10)
         base = infer_video(params, sample, CONFIG)
-        shifted_params = params.copy()
+        shifted_params = params.with_flat(params.flat.copy())
         shifted_params.b2 += 1.3  # shifts every score column and the threshold
         shifted = infer_video(shifted_params, sample, CONFIG)
         assert len(base) == len(shifted)
@@ -160,14 +158,14 @@ class TestInferVideo:
         assert manual_thresholds(s)[0] == 1.7
         assert extract_segments(gate_margins(ScoreMap(s, np.zeros(6)), "manual")[:, 0]) == []
 
-    def test_infer_dataset_concatenates(self):
+    def test_iter_detections_gives_each_video_its_table(self):
         # one set of buffers, sized for the longest video, serves videos of every length
         rng = np.random.default_rng(5)
         params = init_params(rng, 3, 4, 2)
         for arr in params.as_dict().values():
             arr *= 3.0
         samples = [make_sample(rng, t=t, vid=f"v{i}") for i, t in enumerate((8, 30, 1, 17))]
-        all_dets = infer_dataset(params, samples, CONFIG, "manual")
+        all_dets = Detections.concat(iter_detections(params, samples, CONFIG, "manual"))
         per_video = [infer_video(params, s, CONFIG, "manual") for s in samples]
         assert list(all_dets) == [d for group in per_video for d in group]
         assert len({d.video_id for d in all_dets}) == 3
@@ -275,6 +273,15 @@ class TestRunScores:
         assert longest > 128
 
 
+def written_text(tables, class_names, tmp_path) -> str:
+    """The text :func:`write_detections` writes for ``tables``."""
+    path = tmp_path / "written.jsonl"
+    count = write_detections(tables, class_names, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert count == text.count("\n")
+    return text
+
+
 class TestDetectionIO:
     RECORDS = (
         Detection("v1", 0, 0.0, 2.5, 0.75),
@@ -287,11 +294,11 @@ class TestDetectionIO:
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "det.jsonl")
-        write_detections(self.make_dets(), ("alpha", "beta"), path)
+        write_detections([self.make_dets()], ("alpha", "beta"), path)
         assert list(load_detections(path)) == list(self.RECORDS)
 
-    def test_jsonl_carries_class_names(self):
-        payload = detections_to_jsonl(self.make_dets(), ("alpha", "beta"))
+    def test_jsonl_carries_class_names(self, tmp_path):
+        payload = written_text([self.make_dets()], ("alpha", "beta"), tmp_path)
         lines = [json.loads(line) for line in payload.strip().split("\n")]
         assert [obj["class_name"] for obj in lines] == ["alpha", "beta", "alpha"]
 
@@ -300,10 +307,10 @@ class TestDetectionIO:
         params = init_params(rng, 3, 4, 2)
         params.flat *= 3.0
         samples = [make_sample(rng, t=t, vid=f"v{i}") for i, t in enumerate((12, 40, 5))]
-        dets = infer_dataset(params, samples, CONFIG, "manual")
+        dets = Detections.concat(iter_detections(params, samples, CONFIG, "manual"))
         path = str(tmp_path / "det.jsonl")
         assert write_detections(iter_detections(params, samples, CONFIG, "manual"), ("alpha", "beta"), path) == len(dets)
-        assert open(path, "rb").read() == detections_to_jsonl(dets, ("alpha", "beta")).encode()
+        assert open(path, "rb").read() == written_text([dets], ("alpha", "beta"), tmp_path).encode()
         assert len(dets) > 3
 
     def test_failed_stream_leaves_the_target_and_no_tmp(self, tmp_path):
@@ -321,8 +328,8 @@ class TestDetectionIO:
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        write_detections(self.make_dets(), ("alpha", "beta"), a)
-        write_detections(self.make_dets(), ("alpha", "beta"), b)
+        write_detections([self.make_dets()], ("alpha", "beta"), a)
+        write_detections([self.make_dets()], ("alpha", "beta"), b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_bad_line_names_location(self, tmp_path):
@@ -331,9 +338,10 @@ class TestDetectionIO:
         with pytest.raises(ValidationError, match="det.jsonl:1"):
             load_detections(str(path))
 
-    def test_class_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            detections_to_jsonl(Detections.from_records([Detection("v1", 5, 0.0, 1.0, 0.5)]), ("only",))
+    def test_class_out_of_range_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="detection class 5 outside the 1-class space"):
+            written_text([Detections.from_records([Detection("v1", 5, 0.0, 1.0, 0.5)])], ("only",), tmp_path)
+        assert os.listdir(tmp_path) == []
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValidationError, match="must precede"):
@@ -366,7 +374,7 @@ class TestDetectionIO:
         path.write_text("\n \t" + good + "  \n\n" + good + "\n")
         assert list(load_detections(str(path))) == [Detection("v1", 0, 0.0, 1.0, 0.5)] * 2
 
-    def test_lines_equal_json_dumps(self):
+    def test_lines_equal_json_dumps(self, tmp_path):
         """The direct formatting writes what ``json.dumps(sort_keys=True)`` writes."""
         names = ('plain', 'quo"te', "back\\slash", "caf\u00e9 \u52d5\u4f5c", "tab\tnew\nline", "\U0001f3c3")
         ids = ('v"1', "v\\2", "vid\u00e9o", "\u30d3\u30c7\u30aa", "v\x00\x7f")
@@ -392,11 +400,11 @@ class TestDetectionIO:
             + "\n"
             for d in dets
         )
-        assert detections_to_jsonl(Detections.from_records(dets), names) == expected
+        assert written_text([Detections.from_records(dets)], names, tmp_path) == expected
 
-    def test_numpy_scalars_written_as_plain_numbers(self):
+    def test_numpy_scalars_written_as_plain_numbers(self, tmp_path):
         det = Detection("v1", np.int64(1), np.float64(0.5), np.float64(1.5), np.float64(0.25))
-        line = detections_to_jsonl(Detections.from_records([det]), ("alpha", "beta"))
+        line = written_text([Detections.from_records([det])], ("alpha", "beta"), tmp_path)
         assert line == json.dumps(
             {"class_id": 1, "class_name": "beta", "end_s": 1.5, "score": 0.25, "start_s": 0.5, "video_id": "v1"},
             sort_keys=True,

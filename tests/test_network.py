@@ -64,6 +64,24 @@ class TestParamsLayout:
         with pytest.raises(ValidationError):
             params.with_flat(theta[:-1])
 
+    def test_init_draws_w1_then_the_kernel_then_w2(self):
+        # this order fixes the bytes of every checkpoint
+        d, h, c = 3, 5, 2
+        rng = np.random.default_rng(3)
+        expected = [rng.uniform(-np.sqrt(6.0 / (i + o)), np.sqrt(6.0 / (i + o)), size=shape)
+                    for shape, i, o in (((d, h), d, h), ((3, h, h), 3 * h, 3 * h), ((h, c + 1), h, c + 1))]
+        params = init_params(np.random.default_rng(3), d, h, c)
+        assert [params.w1.tobytes(), params.conv_kernel.tobytes(), params.w2.tobytes()] == [e.tobytes() for e in expected]
+        assert not (params.b1.any() or params.conv_bias.any() or params.b2.any())
+
+    def test_refused_size_draws_nothing(self):
+        # the 8.53 PiB vector is refused before the 160 MB w1 is drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(MemoryError):
+            init_params(rng, 1, 2 * 10**7, 2)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize(
         "name, shape",
         [("w2", (5, 3)), ("b2", (4,)), ("conv_kernel", (3, 4, 5)), ("b1", (3,)), ("w1", (8,))],

@@ -45,6 +45,8 @@ class TestSpecValidation:
             ("amplitude_max", 0.5),  # below amplitude_min
             ("amplitude_max", float("inf")),
             ("noise_scale", float("nan")),
+            ("noise_scale", float("inf")),
+            ("prototype_scale", float("inf")),
             ("seed", -1),
         ],
     )
@@ -174,7 +176,7 @@ class TestGenerate:
     def test_round_trip_through_disk(self, tmp_path):
         manifest, samples = generate(SMALL)
         path = write_dataset(samples, manifest.num_classes, manifest.class_names, str(tmp_path / "ds"))
-        loaded = load_dataset(path)
+        loaded = load_dataset(load_manifest(path))
         assert len(loaded) == len(samples)
         for a, b in zip(samples, loaded):
             assert a.id == b.id

@@ -19,7 +19,6 @@ from ttcloc.trainer import (
     apply_supervision,
     init_state,
     run_training,
-    select_semi_subset,
     train_step,
 )
 
@@ -89,21 +88,31 @@ class TestConfigValidation:
             TrainConfig(loss=LossConfig(loc_weight=float("nan"))).validate()
 
 
+def semi(k):
+    return TrainConfig(supervision="semi", semi_k=k)
+
+
 class TestSemiSubset:
     def test_k_zero_flags_none(self):
         rng = np.random.default_rng(0)
-        out = select_semi_subset(make_dataset(rng), 0)
+        out = apply_supervision(make_dataset(rng), semi(0))
+        assert not any(s.fully_annotated for s in out)
+
+    def test_weak_flags_none_whatever_k(self):
+        rng = np.random.default_rng(0)
+        samples = [replace(s, fully_annotated=True) for s in make_dataset(rng)]
+        out = apply_supervision(samples, TrainConfig(supervision="weak", semi_k=2))
         assert not any(s.fully_annotated for s in out)
 
     def test_first_k_per_class_in_order(self):
         rng = np.random.default_rng(0)
-        out = select_semi_subset(make_dataset(rng), 1)
+        out = apply_supervision(make_dataset(rng), semi(1))
         flagged = [s.id for s in out if s.fully_annotated]
         assert flagged == ["v0_0", "v1_0"]
 
     def test_two_classes_k2(self):
         rng = np.random.default_rng(0)
-        out = select_semi_subset(make_dataset(rng), 2)
+        out = apply_supervision(make_dataset(rng), semi(2))
         flagged = [s.id for s in out if s.fully_annotated]
         assert flagged == ["v0_0", "v0_1", "v1_0", "v1_1"]
 
@@ -112,14 +121,14 @@ class TestSemiSubset:
 
         rng = np.random.default_rng(0)
         samples = [replace(s, fully_annotated=True) for s in make_dataset(rng)]
-        out = select_semi_subset(samples, 1)
+        out = apply_supervision(samples, semi(1))
         assert sum(s.fully_annotated for s in out) == 2
 
     def test_warns_when_too_few(self):
         rng = np.random.default_rng(0)
         samples = make_dataset(rng, per_class=2)
         with pytest.warns(UserWarning, match="only 2 annotated"):
-            out = select_semi_subset(samples, 5)
+            out = apply_supervision(samples, semi(5))
         assert sum(s.fully_annotated for s in out) == 4
 
     def test_skips_unannotated_candidates(self):
@@ -128,7 +137,7 @@ class TestSemiSubset:
         rng = np.random.default_rng(0)
         samples = make_dataset(rng)
         samples[0] = replace(samples[0], segments=None)
-        out = select_semi_subset(samples, 1)
+        out = apply_supervision(samples, semi(1))
         flagged = [s.id for s in out if s.fully_annotated]
         assert flagged == ["v0_1", "v1_0"]
 
