@@ -48,16 +48,14 @@ def _write_text(path: str, text: str) -> None:
 
 def build_synth_spec(preset: str | None, file_cfg: dict, overrides: dict) -> SynthSpec:
     base = preset_spec(preset) if preset else SynthSpec()
-    spec = dataclasses.replace(base, **{**read_object(file_cfg, field_types(SynthSpec), "synth config"), **overrides})
-    spec.validate()
-    return spec
+    return dataclasses.replace(base, **{**read_object(file_cfg, field_types(SynthSpec), "synth config"), **overrides})
 
 
 def build_train_config(file_cfg: dict, overrides: dict, loss_overrides: dict) -> TrainConfig:
-    config = TrainConfig(**{**read_object(file_cfg, field_types(TrainConfig), "train config"), **overrides})
-    config.loss = dataclasses.replace(config.loss, **loss_overrides)
-    config.validate()
-    return config
+    loss_cfg = file_cfg.get("loss", {})
+    if loss_overrides and type(loss_cfg) is dict:  # the flags replace the file's loss entries, read for their types alone
+        file_cfg = {**file_cfg, "loss": {**read_object(loss_cfg, field_types(LossConfig), "train config: loss"), **loss_overrides}}
+    return TrainConfig(**{**read_object(file_cfg, field_types(TrainConfig), "train config"), **overrides})
 
 
 IOU_MAX_THRESHOLDS = 1000
@@ -108,10 +106,10 @@ def _overrides_from_args(args, names) -> dict:
 def cmd_synth(args) -> int:
     file_cfg = load_json_object(args.spec, "config") if args.spec else {}
     spec = build_synth_spec(args.preset, file_cfg, _overrides_from_args(args, field_types(SynthSpec)))
-    manifest, samples = generate(spec)
-    path = write_dataset(samples, manifest.num_classes, manifest.class_names, args.out)
+    samples = generate(spec)
+    path = write_dataset(samples, spec.num_classes, spec.class_names, args.out)
     _write_text(os.path.join(args.out, "synth_spec.json"), json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(samples)} videos, {manifest.num_classes} classes: {path}")
+    print(f"wrote {len(samples)} videos, {spec.num_classes} classes: {path}")
     return EXIT_OK
 
 
@@ -288,7 +286,7 @@ def cmd_ablate(args) -> int:
     thresholds = parse_iou_spec(cfg["iou"])
 
     spec = preset_spec(cfg["preset"], videos_per_class=cfg["videos_per_class"])
-    _, samples = generate(spec)
+    samples = generate(spec)
     train_base = TrainConfig(
         iterations=cfg["iterations"],
         hidden_dim=cfg["hidden_dim"],
@@ -321,7 +319,7 @@ def cmd_ablate(args) -> int:
 # Parser
 
 
-# choices of the string fields: the tables their validate methods check
+# choices of the string fields: the tables their configs check when built
 _CHOICES = {**TrainConfig.CHOICES, **LossConfig.CHOICES, "preset": sorted(PRESETS)}
 
 

@@ -23,19 +23,11 @@ DEFAULT_SNIPPET_DURATION = 0.64  # seconds covered by one feature vector
 
 @dataclass(frozen=True)
 class GroundTruthSegment:
-    """One annotated action interval ``[start, end)`` in seconds."""
+    """One annotated action interval ``[start, end)`` in seconds, checked by the record that holds it."""
 
     class_id: int
     start: float
     end: float
-
-    def validate(self, num_classes: int | None = None) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValidationError(f"segment times must be finite, got {self}")
-        if self.start < 0 or self.start >= self.end:
-            raise ValidationError(f"segment must satisfy 0 <= start < end, got {self}")
-        if self.class_id < 0 or (num_classes is not None and self.class_id >= num_classes):
-            raise ValidationError(f"segment class {self.class_id} out of range")
 
 
 @dataclass(frozen=True)
@@ -61,6 +53,8 @@ class VideoSample:
         object.__setattr__(self, "labels", frozenset(self.labels))
         if self.segments is not None:
             object.__setattr__(self, "segments", tuple(self.segments))
+        elif self.fully_annotated:
+            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
 
     @property
     def num_snippets(self) -> int:
@@ -72,7 +66,7 @@ class VideoSample:
 
     @property
     def record(self) -> VideoRecord:
-        """This video's manifest entry."""
+        """This video's manifest entry, checked when built."""
         return VideoRecord(
             id=self.id,
             num_snippets=self.num_snippets,
@@ -82,11 +76,10 @@ class VideoSample:
             segments=self.segments,
         )
 
-    def validate(self, num_classes: int | None = None) -> None:
+    def validate(self, num_classes: int) -> None:
+        """Check what building a sample leaves out: the features, the record and its labels against ``num_classes``."""
         self.validate_features()
-        self.record.validate(num_classes)
-        if self.fully_annotated and self.segments is None:
-            raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
+        _check_labels(self.record, num_classes)
 
     def validate_features(self) -> None:
         if self.features.ndim != 2:
@@ -97,7 +90,7 @@ class VideoSample:
 
 @dataclass(frozen=True)
 class VideoRecord:
-    """Manifest entry for one video; features stay on disk."""
+    """Manifest entry for one video, checked when built but for its labels' upper bound; features stay on disk."""
 
     id: str
     num_snippets: int
@@ -106,27 +99,32 @@ class VideoRecord:
     snippet_duration: float
     segments: tuple[GroundTruthSegment, ...] | None = None
 
-    def validate(self, num_classes: int | None = None) -> None:
+    def __post_init__(self) -> None:
         if self.num_snippets < 1 or self.feature_dim < 1:
             shape = (self.num_snippets, self.feature_dim)
             raise ValidationError(f"video {self.id!r}: num_snippets and feature_dim must be >= 1, got {shape}")
         if not self.labels:
             raise ValidationError(f"video {self.id!r}: label set is empty")
         for c in self.labels:
-            if c < 0 or (num_classes is not None and c >= num_classes):
+            if c < 0:
                 raise ValidationError(f"video {self.id!r}: label {c} out of range")
         if not (self.snippet_duration > 0 and math.isfinite(self.snippet_duration)):
             raise ValidationError(f"video {self.id!r}: snippet_duration must be a positive real")
-        if self.segments is not None:
-            for seg in self.segments:
-                try:
-                    seg.validate(num_classes)
-                except ValidationError as exc:
-                    raise ValidationError(f"video {self.id!r}: {exc}") from None
-                if seg.class_id not in self.labels:
-                    raise ValidationError(
-                        f"video {self.id!r}: segment class {seg.class_id} not in labels {sorted(self.labels)}"
-                    )
+        for seg in self.segments or ():
+            if not (math.isfinite(seg.start) and math.isfinite(seg.end)):
+                raise ValidationError(f"video {self.id!r}: segment times must be finite, got {seg}")
+            if seg.start < 0 or seg.start >= seg.end:
+                raise ValidationError(f"video {self.id!r}: segment must satisfy 0 <= start < end, got {seg}")
+            if seg.class_id not in self.labels:
+                raise ValidationError(
+                    f"video {self.id!r}: segment class {seg.class_id} not in labels {sorted(self.labels)}"
+                )
+
+
+def _check_labels(record: VideoRecord, num_classes: int) -> None:
+    for c in record.labels:
+        if c >= num_classes:
+            raise ValidationError(f"video {record.id!r}: label {c} out of range")
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class DatasetManifest:
     records: tuple[VideoRecord, ...]
     directory: str = field(default="", compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 1 or len(self.class_names) != self.num_classes:
             raise ValidationError("manifest: class_names length must equal num_classes")
         if not self.records:
@@ -153,7 +151,7 @@ class DatasetManifest:
         if len(dims) > 1:
             raise ValidationError(f"manifest: videos disagree on feature dim: {sorted(dims)}")
         for record in self.records:
-            record.validate(self.num_classes)
+            _check_labels(record, self.num_classes)
 
 
 def rasterize(
@@ -218,7 +216,7 @@ _MANIFEST_TYPES = {"num_classes": int, "class_names": tuple[str, ...], "videos":
 
 
 def load_manifest(manifest_path: str) -> DatasetManifest:
-    """Parse and validate ``manifest.json`` (features are not touched).
+    """Parse and check ``manifest.json`` (features are not touched).
 
     JSON types are checked by :func:`ttcloc.errors.read_object`: counts and
     class ids are integers, times and durations numbers (read as floats).
@@ -231,11 +229,9 @@ def load_manifest(manifest_path: str) -> DatasetManifest:
         if type(video) is dict:
             video.pop("fully_annotated", None)
     fields = read_object(obj, _MANIFEST_TYPES, f"manifest {manifest_path}", required=_MANIFEST_TYPES)
-    manifest = DatasetManifest(
+    return DatasetManifest(
         fields["num_classes"], fields["class_names"], fields["videos"], os.path.dirname(os.path.abspath(manifest_path))
     )
-    manifest.validate()
-    return manifest
 
 
 def feature_path(manifest: DatasetManifest, video_id: str) -> str:
@@ -257,8 +253,8 @@ def _load_features(path: str, record: VideoRecord) -> np.ndarray:
 
 
 def load_dataset(manifest: DatasetManifest) -> list[VideoSample]:
-    """Load every video of a manifest parsed by :func:`load_manifest`, which
-    has validated its records; each video's features are checked here."""
+    """Load every video of a manifest, whose records were checked when it
+    was built; each video's features are checked here."""
     samples = []
     for record in manifest.records:
         feats = _load_features(feature_path(manifest, record.id), record)
@@ -292,13 +288,12 @@ def write_dataset(
     Files are staged under a temporary name and renamed into place, the
     manifest last.  If any step fails, every staged file and every feature
     file that was not there before is removed, so no tmp file and no partial
-    new dataset stays behind.  Every sample is validated, its metadata once,
-    through the manifest.
+    new dataset stays behind.  Every sample's features are checked, and its
+    metadata once, as the manifest is built.
     """
     for s in samples:
         s.validate_features()
     manifest = DatasetManifest(num_classes, tuple(class_names), tuple(s.record for s in samples))
-    manifest.validate()
     os.makedirs(out_dir, exist_ok=True)
     staged, created = [], []
     try:

@@ -169,7 +169,7 @@ def check_total_loss(
 
 def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
     """Full sweep: network backward, gates, and each objective configuration
-    that :meth:`~ttcloc.trainer.TrainConfig.validate` accepts.
+    that a :class:`~ttcloc.trainer.TrainConfig` can be built with.
 
     Differentiable configurations are strict (enforced at 1e-5); the
     binarize gate's straight-through surrogate is reported but exempt, and
@@ -188,9 +188,8 @@ def run_gradient_checks(seed: int = 0) -> list[ComponentCheck]:
     gates = [kind for kind in network.GATING_KINDS if kind not in network.SURROGATE_GATES]
     sweep = itertools.product(TRAIN_LOCALIZATION, gates, AGGREGATORS, REG_FORMS, (False, True))
     for rule, gating, aggregator, reg_form, with_loc in sweep:
-        loss = LossConfig(reg_form=reg_form, aggregator=aggregator)
         try:
-            TrainConfig(gating=gating, train_localization=rule, loss=loss).validate()
+            TrainConfig(gating=gating, train_localization=rule, loss=LossConfig(reg_form=reg_form, aggregator=aggregator))
         except ValidationError:
             continue
         # "none" computes no gate, so the gating kind is irrelevant: the name leaves it out and the first gate runs

@@ -69,8 +69,16 @@ def _int64_column(values) -> np.ndarray:
     """``values`` as int64; a TypeError unless the column is of integer kind within int64."""
     column = np.asarray(values)
     if column.size and not (column.dtype.kind == "i" or column.dtype.kind == "u" and column.max() <= _INT64.max):
-        raise TypeError(f"a class column of dtype {column.dtype}")
+        raise TypeError(f"a column of dtype {column.dtype}")
     return column.astype(np.int64, copy=False)
+
+
+def _check_index(v, count: int) -> None:
+    """A row's video index must be an integer position among ``count`` video ids."""
+    if type(v) is bool or not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"detection video index {v!r} is not an integer")
+    if not 0 <= v < count:
+        raise ValidationError(f"detection video index outside the {count} video ids")
 
 
 class Detections:
@@ -83,8 +91,8 @@ class Detections:
     arrays without copying them, so an array passed in must not be written to
     afterwards.  The table is the one place that validates detections: once,
     when built, and the first bad row raises that row's message.  A class
-    id must be an integer within int64, not a float or a string that would
-    convert to one.  ``len()`` counts rows, iteration yields one
+    id and a video index must be integers within int64, not a float or a
+    string that would convert to one.  ``len()`` counts rows, iteration yields one
     :class:`Detection` per row, and :meth:`from_records` builds a table from them.
     """
 
@@ -94,12 +102,13 @@ class Detections:
         object.__setattr__(self, "video_ids", tuple(video_ids))
         try:
             values = (
-                np.asarray(video_index, dtype=np.int64),
+                _int64_column(video_index),
                 _int64_column(class_id),
                 *(np.asarray(col, dtype=np.float64) for col in (start, end, score)),
             )
         except (TypeError, ValueError, OverflowError):  # a value no column holds: the row rule names its row
             for v, *row in zip(video_index, class_id, start, end, score):
+                _check_index(v, len(self.video_ids))
                 _check_row(self.video_ids[v], *row)
             raise ValidationError("detection columns must be 1-D columns of numbers") from None
         for name, value in zip(self.__slots__[1:], values):

@@ -26,9 +26,9 @@ AGGREGATORS = ("gated", "topk_eighth")
 TRAIN_LOCALIZATION = (*network.THRESHOLD_RULES, "none")  # "none": no gate, no localization loss
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
-    """Weights and variants of the combined objective.
+    """Weights and variants of the combined objective, checked when built.
 
     ``clas_weight`` balances the classification loss against the threshold
     regularizer (which gets ``1 - clas_weight``); ``loc_weight`` scales the
@@ -45,7 +45,7 @@ class LossConfig:
     # the values each string field may take
     CHOICES = {"reg_form": REG_FORMS, "aggregator": AGGREGATORS}
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.clas_weight <= 1.0:
             raise ValidationError(f"clas_weight must be in [0, 1], got {self.clas_weight}")
         if not (self.loc_weight >= 0 and math.isfinite(self.loc_weight)):
@@ -400,7 +400,6 @@ def total_loss(
     gradient included: it is valid until the next call with the same
     workspace.
     """
-    config.validate()
     if train_localization not in TRAIN_LOCALIZATION:
         raise ValidationError(f"unknown train-time localization rule {train_localization!r}")
     if train_localization == "none" and config.aggregator == "gated":

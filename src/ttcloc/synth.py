@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DatasetManifest, GroundTruthSegment, VideoSample
+from .data import GroundTruthSegment, VideoSample
 from .errors import GenerationError, ValidationError, check_array_bytes, check_sizes
 
 SNIPPET_DURATION = 1.0  # synthetic snippets use a unit clock
@@ -25,7 +25,7 @@ _PLACEMENT_ATTEMPTS = 20
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Everything that determines a generated dataset, seed included."""
+    """Everything that determines a generated dataset, seed included; checked when built."""
 
     num_classes: int = 5
     feature_dim: int = 16
@@ -48,7 +48,7 @@ class SynthSpec:
         "segments_min", "segments_max", "segment_len_min", "segment_len_max",
     )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.feature_dim < 2:
@@ -81,6 +81,10 @@ class SynthSpec:
         })
 
     @property
+    def class_names(self) -> tuple[str, ...]:
+        return tuple(f"class{c:02d}" for c in range(self.num_classes))
+
+    @property
     def min_dataset_bytes(self) -> int:
         """The float32 features of a dataset of the shortest videos, all of which :func:`generate` holds at once."""
         return 4 * self.num_classes * self.videos_per_class * self.snippets_min * self.feature_dim
@@ -96,9 +100,7 @@ PRESETS: dict[str, SynthSpec] = {
 def preset_spec(name: str, **overrides) -> SynthSpec:
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    spec = replace(PRESETS[name], **overrides)
-    spec.validate()
-    return spec
+    return replace(PRESETS[name], **overrides)
 
 
 def _prototypes(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
@@ -113,7 +115,8 @@ def _prototypes(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     for _ in range(_PROTOTYPE_ATTEMPTS):
         protos = rng.normal(scale=draw_scale, size=(n, spec.feature_dim))
         diffs = protos[:, None, :] - protos[None, :, :]
-        dists = np.linalg.norm(diffs, axis=2)
+        with np.errstate(over="ignore"):  # a distance beyond float64 is inf, and so still far enough apart
+            dists = np.linalg.norm(diffs, axis=2)
         iu = np.triu_indices(n, k=1)
         if dists[iu].min() >= spec.prototype_scale:
             return protos
@@ -146,9 +149,10 @@ def _place_segments(
     )
 
 
-def generate(spec: SynthSpec) -> tuple:
-    """Build the dataset: (manifest, samples), deterministic in the seed."""
-    spec.validate()
+def generate(spec: SynthSpec) -> list[VideoSample]:
+    """Build the dataset's samples, deterministic in the seed.  Each video's
+    features are checked as it is made, so the first that is not finite in
+    float32 stops the run."""
     # ask the system once for the least memory the dataset takes and release it
     # untouched, so that a refusal comes before any work; a mapping of its own, unlike
     # a freed np.empty, leaves the allocator's mmap threshold (and peak RSS) as it was
@@ -173,23 +177,20 @@ def generate(spec: SynthSpec) -> tuple:
                 base[start : start + length] = protos[c]
             noise = rng.normal(scale=spec.noise_scale, size=(t, spec.feature_dim))
             alpha = float(rng.uniform(spec.amplitude_min, spec.amplitude_max))
-            features = ((base + noise) * alpha).astype(np.float32)
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, which the check below names
+                features = ((base + noise) * alpha).astype(np.float32)
 
             segments = tuple(
                 GroundTruthSegment(c, start * SNIPPET_DURATION, (start + length) * SNIPPET_DURATION)
                 for start, length in spans
             )
-            samples.append(
-                VideoSample(
-                    id=video_id,
-                    features=features,
-                    labels=frozenset({c}),
-                    snippet_duration=SNIPPET_DURATION,
-                    segments=segments,
-                )
+            sample = VideoSample(
+                id=video_id,
+                features=features,
+                labels=frozenset({c}),
+                snippet_duration=SNIPPET_DURATION,
+                segments=segments,
             )
-
-    class_names = tuple(f"class{c:02d}" for c in range(spec.num_classes))
-    # not validated here: write_dataset validates what it writes, run_training what it trains on
-    manifest = DatasetManifest(spec.num_classes, class_names, tuple(s.record for s in samples))
-    return manifest, samples
+            sample.validate_features()
+            samples.append(sample)
+    return samples

@@ -25,7 +25,7 @@ SUPERVISION_MODES = ("weak", "semi", "full")
 STRATEGIES = ("joint", "fully_annotated_only", "pretrain_finetune")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -54,7 +54,7 @@ class TrainConfig:
     # the fields that size arrays or bound random draws
     SIZES = ("batch_size", "max_clip_len", "hidden_dim")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
@@ -77,7 +77,6 @@ class TrainConfig:
         if self.semi_k < 0:
             raise ValidationError(f"semi_k must be >= 0, got {self.semi_k}")
         check_choices(self, self.CHOICES)
-        self.loss.validate()
         if self.train_localization == "none" and self.loss.aggregator == "gated":
             raise ValidationError("train_localization='none' requires the topk_eighth aggregator")
 
@@ -201,7 +200,6 @@ def run_training(
     config: TrainConfig,
 ) -> tuple[TrainState, list[dict]]:
     """Full training run; returns the final state and per-step loss records."""
-    config.validate()
     if not samples:
         raise ValidationError("run_training: empty dataset")
     for s in samples:

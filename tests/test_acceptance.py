@@ -52,7 +52,7 @@ def _dataset(preset: str, seed: int):
     key = (preset, seed)
     if key not in _DATASETS:
         spec = preset_spec(preset, seed=seed)
-        _, samples = generate(spec)
+        samples = generate(spec)
         _DATASETS[key] = (spec, samples, index_from_videos(samples, spec.num_classes))
     return _DATASETS[key]
 

@@ -124,6 +124,25 @@ class TestConfigBuilding:
         assert config.loss.clas_weight == 0.4
         assert config.loss.loc_weight == 7.0
 
+    def test_flags_replace_invalid_file_values(self, tmp_path):
+        # flags > config file, also for a file value that no config may hold
+        ds = make_dataset(str(tmp_path / "ds"))
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"dropout": 5, "loss": {"loc_weight": -1}}))
+        run = str(tmp_path / "run")
+        flags = ["--dropout", "0.5", "--loc-weight", "2", "--iterations", "1", "--hidden-dim", "4"]
+        assert run_cli("train", "--data", ds, "--config", str(cfg), "--out", run, *flags) == 0
+        recorded = json.loads(open(os.path.join(run, cli.TRAIN_CONFIG_NAME)).read())
+        assert (recorded["dropout"], recorded["loss"]["loc_weight"]) == (0.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "file_cfg, overrides, loss_overrides",
+        [({"dropout": "x"}, {"dropout": 0.5}, {}), ({"loss": {"loc_weight": "x"}}, {}, {"loc_weight": 2.0})],
+    )
+    def test_flags_do_not_excuse_a_file_value_of_the_wrong_type(self, file_cfg, overrides, loss_overrides):
+        with pytest.raises(ValidationError, match="must be a number"):
+            cli.build_train_config(file_cfg, overrides, loss_overrides)
+
     def test_unknown_train_key_rejected(self):
         with pytest.raises(ValidationError, match="learning_rte"):
             cli.build_train_config({"learning_rte": 1e-3}, {}, {})
@@ -854,7 +873,7 @@ FIELDS = {
 }
 # the flags that are not config fields: files, and the preset synth starts from
 OTHER_FLAGS = {"synth": {"preset", "spec", "out"}, "train": {"data", "config", "out"}, "ablate": {"config", "out"}}
-# the choices of each string field: the tuples its validate checks
+# the choices of each string field: the tuples its config checks when built
 CHOICES = {
     "gating": network.GATING_KINDS,
     "supervision": SUPERVISION_MODES,
@@ -911,12 +930,12 @@ class TestFieldFlags:
             assert (tuple(action.choices) if action.choices else None) == CHOICES.get(action.dest)
 
     @pytest.mark.parametrize("name", [n for n in CHOICES if n != "preset"])
-    def test_choices_are_what_validate_checks(self, name):
+    def test_choices_are_what_the_config_checks(self, name):
         config = TrainConfig(loss=LossConfig(aggregator="topk_eighth"))  # the one aggregator every rule accepts
         for value in CHOICES[name]:
-            edited(config, name, value).validate()
+            edited(config, name, value)
         with pytest.raises(ValidationError, match=name):
-            edited(config, name, "bogus").validate()
+            edited(config, name, "bogus")
 
     def test_adam_fields_are_flags(self, tmp_path, monkeypatch):
         ds = make_dataset(str(tmp_path / "ds"))

@@ -206,10 +206,10 @@ class TestOnDiskFormat:
         np.testing.assert_array_equal(loaded.features, feats)
 
     def test_load_checks_features_not_records(self, tmp_path, monkeypatch):
-        # load_manifest has checked every record; loading checks only the features
+        # each record was checked when the manifest was read; loading checks only the features
         s = VideoSample(id="one", features=np.zeros((4, 2), np.float32), labels=frozenset({0}))
         manifest = load_manifest(write_dataset([s], 1, ["only"], str(tmp_path / "ds")))
-        monkeypatch.setattr(VideoRecord, "validate", lambda *a: pytest.fail("record checked again"))
+        monkeypatch.setattr(VideoRecord, "__post_init__", lambda self: pytest.fail("record built again"))
         checked = []
         monkeypatch.setattr(VideoSample, "validate_features", lambda self: checked.append(self.id))
         assert [v.id for v in load_dataset(manifest)] == checked == ["one"]
@@ -404,12 +404,13 @@ class TestManifestValues:
         path = write_dataset([sample], 3, ["a", "b", "c"], str(tmp_path / "ds"))
         assert load_manifest(path).records == (sample.record,)
 
-    def test_record_validate_needs_a_snippet_and_a_dimension(self):
+    def test_record_needs_a_snippet_and_a_dimension(self):
         for t, d in ((0, 2), (2, 0)):
             with pytest.raises(ValidationError, match="must be >= 1"):
-                VideoRecord("v", t, d, (0,), 1.0, None).validate(1)
+                VideoRecord("v", t, d, (0,), 1.0, None)
 
     def test_flagged_sample_needs_segments(self):
-        with pytest.raises(ValidationError, match="fully_annotated requires segments"):
-            make_sample(flagged=True).validate(1)
+        # a flagged clip without segments would train toward an all-zero annotation
+        with pytest.raises(ValidationError, match="video 'v0': fully_annotated requires segments"):
+            make_sample(flagged=True)
         make_sample(segments=(), flagged=True).validate(1)

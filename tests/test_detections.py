@@ -281,6 +281,17 @@ class TestTable:
         with pytest.raises(ValidationError, match=match):
             Detections(ids, index, [0, 0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("index", [[0.5], np.array([0.0]), [True]])
+    def test_video_index_not_of_integers_rejected(self, index):
+        # video_index follows the class_id rule: a float is not truncated to a row of video 0
+        with pytest.raises(ValidationError, match="detection video index .* is not an integer"):
+            Detections(("v",), index, [1], [0.0], [1.0], [0.5])
+
+    def test_row_message_comes_after_its_index_check(self):
+        # the class id holds no column, so the row rule runs, and the index names no video id
+        with pytest.raises(ValidationError, match="detection video index outside the 1 video ids"):
+            Detections(("v",), [5], [1.5], [0.0], [1.0], [0.5])
+
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValidationError, match="one length"):
             Detections(("v1",), [0, 0], [0, 0], [0.0], [1.0, 1.0], [0.5, 0.5])

@@ -650,7 +650,12 @@ def test_relabeling_classes_permutes_the_report(instance, data):
     perm = data.draw(st.permutations(range(n)))
     report = evaluate(table, index_from_videos(records, n), thresholds, class_names=names)
     moved_records = [
-        replace(r, segments=tuple(replace(seg, class_id=perm[seg.class_id]) for seg in r.segments)) for r in records
+        replace(
+            r,
+            labels=tuple(sorted(perm[c] for c in r.labels)),
+            segments=tuple(replace(seg, class_id=perm[seg.class_id]) for seg in r.segments),
+        )
+        for r in records
     ]
     moved_table = Detections(
         table.video_ids, table.video_index, np.array(perm, dtype=np.int64)[table.class_id], table.start, table.end, table.score

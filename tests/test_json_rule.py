@@ -177,16 +177,12 @@ def ref_build_train_config(file_cfg: dict) -> TrainConfig:
     if not isinstance(loss_cfg, dict):
         raise ValidationError("train config: 'loss' must be an object")
     ref_check_config(loss_cfg, typing.get_type_hints(LossConfig), "train config loss")
-    config = TrainConfig(**file_cfg, loss=LossConfig(**loss_cfg))
-    config.validate()
-    return config
+    return TrainConfig(**file_cfg, loss=LossConfig(**loss_cfg))
 
 
 def ref_build_synth_spec(preset, file_cfg: dict) -> SynthSpec:
     ref_check_config(file_cfg, typing.get_type_hints(SynthSpec), "synth config")
-    spec = dataclasses.replace(preset_spec(preset) if preset else SynthSpec(), **file_cfg)
-    spec.validate()
-    return spec
+    return dataclasses.replace(preset_spec(preset) if preset else SynthSpec(), **file_cfg)
 
 
 _INTEGER, _NUMBER, _STRING, _LIST = (ref_kinds(t) for t in (int, float, str, list))
@@ -261,13 +257,11 @@ def ref_manifest(obj) -> DatasetManifest:
     for key in ("num_classes", "class_names", "videos"):
         if key not in obj:
             raise ValidationError(f"{context}: missing key {key!r}")
-    manifest = DatasetManifest(
+    return DatasetManifest(
         num_classes=ref_typed(obj, "num_classes", _INTEGER, context),
         class_names=tuple(ref_list_of(obj, "class_names", _STRING, context)),
         records=tuple(ref_record(v) for v in ref_typed(obj, "videos", _LIST, context)),
     )
-    manifest.validate()
-    return manifest
 
 
 def outcome(build, *args):

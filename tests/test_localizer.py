@@ -521,7 +521,7 @@ class TestEndToEnd:
             prototype_scale=6.0,
             seed=5,
         )
-        _, samples = generate(spec)
+        samples = generate(spec)
         cfg = TrainConfig(
             batch_size=4,
             max_clip_len=32,

@@ -468,7 +468,7 @@ class TestManualGradcheck:
 
 def accepted(rule: str, gating: str, aggregator: str) -> bool:
     try:
-        TrainConfig(gating=gating, train_localization=rule, loss=LossConfig(aggregator=aggregator)).validate()
+        TrainConfig(gating=gating, train_localization=rule, loss=LossConfig(aggregator=aggregator))
     except ValidationError:
         return False
     return True

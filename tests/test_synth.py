@@ -1,7 +1,10 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 
-from ttcloc import cli
+from ttcloc import cli, synth
 from ttcloc.data import VideoRecord, load_dataset, load_manifest, rasterize, write_dataset
 from ttcloc.errors import GenerationError, ValidationError
 from ttcloc.synth import PRESETS, SynthSpec, generate, preset_spec
@@ -21,7 +24,7 @@ SMALL = SynthSpec(
 class TestSpecValidation:
     def test_presets_are_valid(self):
         for name in PRESETS:
-            preset_spec(name).validate()
+            preset_spec(name)
 
     def test_preset_override(self):
         spec = preset_spec("medium", videos_per_class=3, seed=11)
@@ -54,15 +57,14 @@ class TestSpecValidation:
         from dataclasses import replace
 
         with pytest.raises(ValidationError):
-            replace(SynthSpec(), **{field: value}).validate()
+            replace(SynthSpec(), **{field: value})
 
 
 class TestGenerate:
     def test_shapes_and_counts(self):
-        manifest, samples = generate(SMALL)
+        samples = generate(SMALL)
         assert len(samples) == 12
-        assert manifest.num_classes == 3
-        assert len(manifest.class_names) == 3
+        assert SMALL.class_names == ("class00", "class01", "class02")
         for s in samples:
             assert s.features.dtype == np.float32
             assert 20 <= s.num_snippets <= 30
@@ -70,9 +72,9 @@ class TestGenerate:
             s.validate(3)
 
     def test_deterministic(self):
-        m1, s1 = generate(SMALL)
-        m2, s2 = generate(SMALL)
-        assert m1 == m2
+        s1 = generate(SMALL)
+        s2 = generate(SMALL)
+        assert [s.record for s in s1] == [s.record for s in s2]
         for a, b in zip(s1, s2):
             assert a.features.tobytes() == b.features.tobytes()
             assert a.segments == b.segments
@@ -80,12 +82,12 @@ class TestGenerate:
     def test_seed_changes_output(self):
         from dataclasses import replace
 
-        _, s1 = generate(SMALL)
-        _, s2 = generate(replace(SMALL, seed=8))
+        s1 = generate(SMALL)
+        s2 = generate(replace(SMALL, seed=8))
         assert s1[0].features.tobytes() != s2[0].features.tobytes()
 
     def test_single_label_matches_segments(self):
-        _, samples = generate(SMALL)
+        samples = generate(SMALL)
         for s in samples:
             assert len(s.labels) == 1
             (label,) = s.labels
@@ -93,7 +95,7 @@ class TestGenerate:
             assert {seg.class_id for seg in s.segments} == {label}
 
     def test_segments_in_bounds_and_separated(self):
-        _, samples = generate(SMALL)
+        samples = generate(SMALL)
         for s in samples:
             segs = sorted(s.segments, key=lambda g: g.start)
             for seg in segs:
@@ -106,7 +108,7 @@ class TestGenerate:
         from dataclasses import replace
 
         spec = replace(SMALL, noise_scale=0.0)
-        _, samples = generate(spec)
+        samples = generate(spec)
         # per class, every in-segment snippet across videos is the same vector
         for c in range(spec.num_classes):
             rows = []
@@ -123,7 +125,7 @@ class TestGenerate:
         from dataclasses import replace
 
         spec = replace(SMALL, noise_scale=0.0)
-        _, samples = generate(spec)
+        samples = generate(spec)
         protos = []
         for c in range(spec.num_classes):
             s = next(x for x in samples if c in x.labels)
@@ -137,7 +139,7 @@ class TestGenerate:
         from dataclasses import replace
 
         spec = replace(SMALL, amplitude_min=0.5, amplitude_max=2.0, noise_scale=0.0)
-        _, samples = generate(spec)
+        samples = generate(spec)
         c0 = [s for s in samples if 0 in s.labels]
         norms = {float(np.linalg.norm(s.features[0])) for s in c0}
         assert len(norms) == len(c0)
@@ -158,24 +160,39 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="v00_000"):
             generate(spec)
 
-    def test_synth_validates_each_record_once(self, tmp_path, monkeypatch):
+    def test_synth_builds_each_record_once(self, tmp_path, monkeypatch):
         checked = []
-        real = VideoRecord.validate
+        real = VideoRecord.__post_init__
 
-        def counting(self, num_classes=None):
+        def counting(self):
             checked.append(self.id)
-            return real(self, num_classes)
+            real(self)
 
-        monkeypatch.setattr(VideoRecord, "validate", counting)
+        monkeypatch.setattr(VideoRecord, "__post_init__", counting)
         args = ["synth", "--preset", "easy", "--num-classes", "2", "--videos-per-class", "3", "--out", str(tmp_path)]
         assert cli.main(args) == 0
         during_synth = sorted(checked)
         assert during_synth == sorted(r.id for r in load_manifest(str(tmp_path / "manifest.json")).records)
         assert len(during_synth) == 6
 
+    @pytest.mark.parametrize("scale", [["--noise-scale", "1e39"], ["--prototype-scale", "1e300"]])
+    def test_overflowing_features_stop_at_the_first_video(self, tmp_path, monkeypatch, capsys, scale):
+        # a finite scale whose features overflow float32: the first video stops the run
+        calls = []
+        real = synth._place_segments
+        monkeypatch.setattr(synth, "_place_segments", lambda *a: calls.append(a[1]) or real(*a))
+        args = ["--preset", "easy", *scale, "--num-classes", "2", "--videos-per-class", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["synth", *args, "--out", str(tmp_path / "ds")]) == 1
+        assert calls == ["v00_000"]
+        err = capsys.readouterr().err
+        assert err == "error: video 'v00_000': non-finite feature values\n"
+        assert not os.path.exists(tmp_path / "ds")
+
     def test_round_trip_through_disk(self, tmp_path):
-        manifest, samples = generate(SMALL)
-        path = write_dataset(samples, manifest.num_classes, manifest.class_names, str(tmp_path / "ds"))
+        samples = generate(SMALL)
+        path = write_dataset(samples, SMALL.num_classes, SMALL.class_names, str(tmp_path / "ds"))
         loaded = load_dataset(load_manifest(path))
         assert len(loaded) == len(samples)
         for a, b in zip(samples, loaded):

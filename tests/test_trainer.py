@@ -56,7 +56,7 @@ def make_dataset(rng, num_classes=2, per_class=4, t=12, d=3):
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -81,11 +81,11 @@ class TestConfigValidation:
         from dataclasses import replace
 
         with pytest.raises(ValidationError):
-            replace(TrainConfig(), **{field: value}).validate()
+            replace(TrainConfig(), **{field: value})
 
     def test_nan_loc_weight_rejected(self):
         with pytest.raises(ValidationError, match="loc_weight"):
-            TrainConfig(loss=LossConfig(loc_weight=float("nan"))).validate()
+            TrainConfig(loss=LossConfig(loc_weight=float("nan")))
 
 
 def semi(k):
@@ -536,7 +536,7 @@ class TestRunTraining:
             prototype_scale=6.0,
             seed=3,
         )
-        _, samples = generate(spec)
+        samples = generate(spec)
         cfg = tiny_config(iterations=150, hidden_dim=12, learning_rate=5e-3, dropout=0.1, batch_size=6)
         _, log = run_training(samples, 2, cfg)
         early = np.mean([rec["L"] for rec in log[:10]])
