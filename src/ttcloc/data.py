@@ -3,7 +3,8 @@
 A dataset is a ``manifest.json`` plus one raw feature file per video
 (``<id>.f32``, row-major little-endian float32, T rows x D columns).
 Segment annotations live in the manifest in seconds; :func:`rasterize`
-turns them into per-snippet binary matrices on demand.
+turns them into per-snippet binary matrices.  A sample checks itself when
+built; a training clip is the row window of a video that :func:`crop_clip` draws.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +33,10 @@ class GroundTruthSegment:
 
 @dataclass(frozen=True)
 class VideoSample:
-    """A feature sequence with its labels and optional segment annotations.
+    """A feature sequence with its labels and optional segment annotations,
+    checked when built, all but its labels' upper bound (:func:`check_labels`).
 
-    ``features`` is a read-only (T, D) float32 array.  ``fully_annotated``
+    ``features`` is a read-only, finite (T, D) float32 array.  ``fully_annotated``
     marks the sample as usable for localization supervision and requires
     ``segments``; training sets it (:func:`ttcloc.trainer.apply_supervision`), no manifest holds it.
     """
@@ -45,9 +47,16 @@ class VideoSample:
     snippet_duration: float = DEFAULT_SNIPPET_DURATION
     segments: tuple[GroundTruthSegment, ...] | None = None
     fully_annotated: bool = False
+    # this video's manifest entry, built (and so checked) with the sample
+    record: VideoRecord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
+            feats = np.asarray(self.features, dtype=np.float32)
+        if feats.ndim != 2:
+            raise ValidationError(f"video {self.id!r}: features must be a T x D matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValidationError(f"video {self.id!r}: non-finite feature values")
         feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", frozenset(self.labels))
@@ -55,6 +64,8 @@ class VideoSample:
             object.__setattr__(self, "segments", tuple(self.segments))
         elif self.fully_annotated:
             raise ValidationError(f"video {self.id!r}: fully_annotated requires segments")
+        labels = tuple(sorted(self.labels))
+        object.__setattr__(self, "record", VideoRecord(self.id, *feats.shape, labels, self.snippet_duration, self.segments))
 
     @property
     def num_snippets(self) -> int:
@@ -63,29 +74,6 @@ class VideoSample:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def record(self) -> VideoRecord:
-        """This video's manifest entry, checked when built."""
-        return VideoRecord(
-            id=self.id,
-            num_snippets=self.num_snippets,
-            feature_dim=self.feature_dim,
-            labels=tuple(sorted(self.labels)),
-            snippet_duration=self.snippet_duration,
-            segments=self.segments,
-        )
-
-    def validate(self, num_classes: int) -> None:
-        """Check what building a sample leaves out: the features, the record and its labels against ``num_classes``."""
-        self.validate_features()
-        _check_labels(self.record, num_classes)
-
-    def validate_features(self) -> None:
-        if self.features.ndim != 2:
-            raise ValidationError(f"video {self.id!r}: features must be a T x D matrix")
-        if not np.all(np.isfinite(self.features)):
-            raise ValidationError(f"video {self.id!r}: non-finite feature values")
 
 
 @dataclass(frozen=True)
@@ -121,10 +109,10 @@ class VideoRecord:
                 )
 
 
-def _check_labels(record: VideoRecord, num_classes: int) -> None:
-    for c in record.labels:
+def check_labels(video: VideoRecord | VideoSample, num_classes: int) -> None:  # the bound a record cannot check
+    for c in sorted(video.labels):
         if c >= num_classes:
-            raise ValidationError(f"video {record.id!r}: label {c} out of range")
+            raise ValidationError(f"video {video.id!r}: label {c} out of range")
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,7 @@ class DatasetManifest:
         if len(dims) > 1:
             raise ValidationError(f"manifest: videos disagree on feature dim: {sorted(dims)}")
         for record in self.records:
-            _check_labels(record, self.num_classes)
+            check_labels(record, self.num_classes)
 
 
 def rasterize(
@@ -166,8 +154,6 @@ def rasterize(
     inside some class-c segment.  Segments fully outside the grid simply
     contribute nothing.
     """
-    if num_snippets < 1 or num_classes < 1:
-        raise ValidationError("rasterize: num_snippets and num_classes must be >= 1")
     a = np.zeros((num_snippets, num_classes), dtype=np.float64)
     if not segments:
         return a
@@ -179,33 +165,17 @@ def rasterize(
     return a
 
 
-def crop_clip(sample: VideoSample, max_len: int, rng: np.random.Generator) -> VideoSample:
-    """Random clip of at most ``max_len`` snippets.
+def crop_clip(num_snippets: int, max_len: int, rng: np.random.Generator) -> slice:
+    """Rows of a random clip of at most ``max_len`` of a video's ``num_snippets``.
 
-    Videos already short enough are returned unchanged.  Segment
-    annotations are intersected with the clip window and shifted to
-    clip-local time; video-level labels are kept even when the labeled
-    action falls outside the clip.
+    A video already short enough is kept whole and draws nothing; a longer
+    one draws its clip's first row.  The clip keeps the video's labels even
+    when the labeled action falls outside it.
     """
-    if max_len < 1:
-        raise ValidationError("crop_clip: max_len must be >= 1")
-    t = sample.num_snippets
-    if t <= max_len:
-        return sample
-    offset = int(rng.integers(0, t - max_len + 1))
-    tau = sample.snippet_duration
-    window_start = offset * tau
-    window_end = (offset + max_len) * tau
-    segments = None
-    if sample.segments is not None:
-        kept = []
-        for seg in sample.segments:
-            start = max(seg.start, window_start)
-            end = min(seg.end, window_end)
-            if start < end:
-                kept.append(GroundTruthSegment(seg.class_id, start - window_start, end - window_start))
-        segments = tuple(kept)
-    return replace(sample, features=sample.features[offset : offset + max_len], segments=segments)
+    if num_snippets <= max_len:
+        return slice(0, num_snippets)
+    offset = int(rng.integers(0, num_snippets - max_len + 1))
+    return slice(offset, offset + max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +223,17 @@ def _load_features(path: str, record: VideoRecord) -> np.ndarray:
 
 
 def load_dataset(manifest: DatasetManifest) -> list[VideoSample]:
-    """Load every video of a manifest, whose records were checked when it
-    was built; each video's features are checked here."""
-    samples = []
-    for record in manifest.records:
-        feats = _load_features(feature_path(manifest, record.id), record)
-        sample = VideoSample(
+    """Load every video of a manifest; each sample checks its features when built."""
+    return [
+        VideoSample(
             id=record.id,
-            features=feats,
+            features=_load_features(feature_path(manifest, record.id), record),
             labels=frozenset(record.labels),
             snippet_duration=record.snippet_duration,
             segments=record.segments,
         )
-        sample.validate_features()
-        samples.append(sample)
-    return samples
+        for record in manifest.records
+    ]
 
 
 def manifest_to_json(manifest: DatasetManifest) -> str:
@@ -288,11 +254,9 @@ def write_dataset(
     Files are staged under a temporary name and renamed into place, the
     manifest last.  If any step fails, every staged file and every feature
     file that was not there before is removed, so no tmp file and no partial
-    new dataset stays behind.  Every sample's features are checked, and its
-    metadata once, as the manifest is built.
+    new dataset stays behind.  Each sample was checked when built; the
+    manifest checks what spans samples (ids, feature dims, label bounds).
     """
-    for s in samples:
-        s.validate_features()
     manifest = DatasetManifest(num_classes, tuple(class_names), tuple(s.record for s in samples))
     os.makedirs(out_dir, exist_ok=True)
     staged, created = [], []

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import network
-from .data import VideoSample, rasterize
+from .data import VideoSample, check_labels, rasterize
 from .errors import ValidationError, check_choices
 from .network import NetworkParams, ScoreMap
 
@@ -78,6 +79,33 @@ def label_vector(labels, num_classes: int) -> np.ndarray:
     y = np.zeros(num_classes)
     y[labels] = 1.0 / len(labels)
     return y
+
+
+class Clip(NamedTuple):
+    """What training reads of one video, built once by :meth:`of`: its read-only
+    (T, D) features, its (C,) label row and its (T, C) rasterized annotation,
+    ``None`` unless flagged for localization supervision; a crop is a row window."""
+
+    id: str
+    features: np.ndarray
+    label: np.ndarray
+    annotation: np.ndarray | None
+
+    @classmethod
+    def of(cls, sample: VideoSample, num_classes: int) -> Clip:
+        check_labels(sample, num_classes)
+        annotation = None
+        if sample.fully_annotated:
+            annotation = rasterize(sample.segments, sample.num_snippets, num_classes, sample.snippet_duration)
+        return cls(sample.id, sample.features, label_vector(sample.labels, num_classes), annotation)
+
+    @property
+    def num_snippets(self) -> int:
+        return self.features.shape[0]
+
+    def window(self, rows: slice) -> Clip:
+        annotation = None if self.annotation is None else self.annotation[rows]
+        return self._replace(features=self.features[rows], annotation=annotation)
 
 
 def topk_count(num_snippets: int) -> int:
@@ -378,7 +406,7 @@ class LossBreakdown:
 
 def total_loss(
     params: NetworkParams,
-    clips: list[VideoSample],
+    clips: list[Clip] | list[VideoSample],
     config: LossConfig,
     gating: str,
     train_localization: str = "predicted",
@@ -392,8 +420,9 @@ def total_loss(
     then the gate, pooling, probabilities, classification + threshold
     regularization (+ localization over the fully annotated clips) and the
     weighted upstream gradients, and backpropagates those through the
-    network into one parameter gradient.  ``dropout_masks`` is the batch's
-    (N, H) mask in the same layout, or one mask per clip.
+    network into one parameter gradient.  A sample among ``clips`` is taken
+    whole (:meth:`Clip.of`).  ``dropout_masks`` is the batch's (N, H) mask
+    in the same layout, or one mask per clip.
 
     Every array the size of the batch or of the parameters goes to
     ``workspace`` (allocated for this batch when not given), the returned
@@ -407,6 +436,7 @@ def total_loss(
     if not clips:
         raise ValidationError("total_loss: empty batch")
     num_classes = params.num_classes
+    clips = [clip if isinstance(clip, Clip) else Clip.of(clip, num_classes) for clip in clips]
     mask = dropout_masks
     if mask is not None and not isinstance(mask, np.ndarray):
         mask = np.concatenate(mask)
@@ -420,7 +450,7 @@ def total_loss(
             f"total_loss: the workspace holds {ws.clips} clips of {ws.clip_rows} snippets at (D, H, C) {ws.dims}; "
             f"the batch has {len(clips)} clips of up to {max(lengths)} at {_dims(params)}"
         )
-    if any(clip.feature_dim != params.feature_dim for clip in clips):
+    if any(clip.features.shape[1] != params.feature_dim for clip in clips):
         raise ValidationError(f"total_loss: every clip needs {params.feature_dim}-dim features")
     features = np.concatenate([clip.features for clip in clips], out=ws.forward.x[:n])
     smap, cache = network.forward(params, features, mask, drop_rate, out=ws.forward, lengths=lengths)
@@ -433,20 +463,19 @@ def total_loss(
     else:
         gate = gate_grad = None
     probs = pool_and_classify(smap, gate, config.aggregator, lengths)
-    labels = np.array([label_vector(clip.labels, num_classes) for clip in clips])
+    labels = np.array([clip.label for clip in clips])
 
     w_b = config.resolved_background_weight(num_classes)
     clas_value, (d_shat, d_bhat) = classification_loss(probs, labels, w_b)
     reg_value, (ds_reg, db_reg) = threshold_regularization_loss(smap, labels, config.reg_form, lengths, out=ds_reg)
 
-    flags = [clip.fully_annotated for clip in clips]
+    flags = [clip.annotation is not None for clip in clips]
     loc_active = train_localization != "none" and config.loc_weight > 0 and any(flags)
     loc_value = 0.0
     if loc_active:
-        annotation.fill(0.0)
         for clip, flag, (a, z) in zip(clips, flags, spans):
             if flag:
-                annotation[a:z] = rasterize(clip.segments, clip.num_snippets, num_classes, clip.snippet_duration)
+                annotation[a:z] = clip.annotation
         loc_value, loc_grad = localization_loss(gate, annotation, flags, lengths, out=loc_grad)
 
     # Upstream gradients of the whole batch.  They start at +0.0 and only

@@ -177,8 +177,6 @@ def generate(spec: SynthSpec) -> list[VideoSample]:
                 base[start : start + length] = protos[c]
             noise = rng.normal(scale=spec.noise_scale, size=(t, spec.feature_dim))
             alpha = float(rng.uniform(spec.amplitude_min, spec.amplitude_max))
-            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, which the check below names
-                features = ((base + noise) * alpha).astype(np.float32)
 
             segments = tuple(
                 GroundTruthSegment(c, start * SNIPPET_DURATION, (start + length) * SNIPPET_DURATION)
@@ -186,11 +184,10 @@ def generate(spec: SynthSpec) -> list[VideoSample]:
             )
             sample = VideoSample(
                 id=video_id,
-                features=features,
+                features=(base + noise) * alpha,  # cast to float32, and checked, as the sample is built
                 labels=frozenset({c}),
                 snippet_duration=SNIPPET_DURATION,
                 segments=segments,
             )
-            sample.validate_features()
             samples.append(sample)
     return samples

@@ -19,7 +19,7 @@ from . import network
 from .data import VideoSample, crop_clip
 from .errors import NumericalError, ValidationError, check_array_bytes, check_choices, check_sizes
 from .network import NetworkParams
-from .objectives import TRAIN_LOCALIZATION, LossBreakdown, LossConfig, Workspace, total_loss
+from .objectives import TRAIN_LOCALIZATION, Clip, LossBreakdown, LossConfig, Workspace, total_loss
 
 SUPERVISION_MODES = ("weak", "semi", "full")
 STRATEGIES = ("joint", "fully_annotated_only", "pretrain_finetune")
@@ -154,9 +154,9 @@ def _adam_update(state: TrainState, grads: NetworkParams, config: TrainConfig) -
         flat -= np.divide(step, denom, out=a)
 
 
-def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig) -> LossBreakdown:
-    """One gradient step on an already-sampled batch; mutates state."""
-    clips = [crop_clip(s, config.max_clip_len, state.rng) for s in batch]
+def train_step(state: TrainState, batch: list[Clip], config: TrainConfig) -> LossBreakdown:
+    """One gradient step on a sampled batch of whole videos, each cut to a random clip; mutates state."""
+    clips = [video.window(crop_clip(video.num_snippets, config.max_clip_len, state.rng)) for video in batch]
     # sized by the clips, not by the cap, which may be far beyond any video
     longest = max(c.num_snippets for c in clips)
     if state.workspace is None or not state.workspace.fits(state.params, len(clips), longest):
@@ -189,7 +189,7 @@ def train_step(state: TrainState, batch: list[VideoSample], config: TrainConfig)
     return breakdown
 
 
-def _sample_batch(pool: list[VideoSample], size: int, rng: np.random.Generator) -> list[VideoSample]:
+def _sample_batch(pool: list[Clip], size: int, rng: np.random.Generator) -> list[Clip]:
     idx = rng.integers(0, len(pool), size=size)
     return [pool[int(i)] for i in idx]
 
@@ -199,17 +199,21 @@ def run_training(
     num_classes: int,
     config: TrainConfig,
 ) -> tuple[TrainState, list[dict]]:
-    """Full training run; returns the final state and per-step loss records."""
+    """Full training run; returns the final state and per-step loss records.
+    Each video's arrays, labels and feature dim are built and checked before the first step."""
     if not samples:
         raise ValidationError("run_training: empty dataset")
-    for s in samples:
-        s.validate(num_classes)
     samples = apply_supervision(samples, config)
     feature_dim = samples[0].feature_dim
+    videos = []
+    for s in samples:
+        if s.feature_dim != feature_dim:
+            raise ValidationError(f"video {s.id!r}: {s.feature_dim}-dim features, video {samples[0].id!r} has {feature_dim}")
+        videos.append(Clip.of(s, num_classes))
     state = init_state(config, feature_dim, num_classes)
     metrics: list[dict] = []
 
-    def run_phase(pool: list[VideoSample], iterations: int, loss_config: LossConfig, phase: str) -> None:
+    def run_phase(pool: list[Clip], iterations: int, loss_config: LossConfig, phase: str) -> None:
         if not pool:
             raise ValidationError(f"{config.strategy}: no videos available for the {phase} phase")
         phase_config = replace(config, loss=loss_config)
@@ -221,15 +225,15 @@ def run_training(
                 record["phase"] = phase
             metrics.append(record)
 
-    flagged = [s for s in samples if s.fully_annotated]
+    flagged = [video for video in videos if video.annotation is not None]
     if config.strategy in ("fully_annotated_only", "pretrain_finetune") and not flagged:
         raise ValidationError(f"{config.strategy}: no fully annotated videos under supervision {config.supervision!r}")
     if config.strategy == "joint":
-        run_phase(samples, config.iterations, config.loss, "")
+        run_phase(videos, config.iterations, config.loss, "")
     elif config.strategy == "fully_annotated_only":
         run_phase(flagged, config.iterations, config.loss, "")
     else:  # pretrain_finetune
         half = config.iterations // 2
-        run_phase(samples, half, replace(config.loss, loc_weight=0.0), "pretrain")
+        run_phase(videos, half, replace(config.loss, loc_weight=0.0), "pretrain")
         run_phase(flagged, config.iterations - half, config.loss, "finetune")
     return state, metrics

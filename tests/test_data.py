@@ -1,8 +1,11 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttcloc.data import (
     GroundTruthSegment,
@@ -88,47 +91,71 @@ class TestRasterize:
 
 
 class TestCropClip:
-    def test_short_video_unchanged(self):
-        s = make_sample(t=100)
-        assert crop_clip(s, 320, np.random.default_rng(0)) is s
+    def test_short_video_kept_whole_without_a_draw(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert crop_clip(100, 320, rng) == slice(0, 100)
+        assert crop_clip(320, 320, rng) == slice(0, 320)
+        assert rng.bit_generator.state == before
 
-    def test_long_video_cropped_with_bounded_offset(self):
-        rng = np.random.default_rng(3)
-        full = make_sample(t=400)
-        for _ in range(20):
-            clip = crop_clip(full, 320, rng)
-            assert clip.num_snippets == 320
-            # clip rows must be a contiguous slice of the original
-            offsets = np.flatnonzero(np.all(full.features == clip.features[0], axis=1))
-            assert len(offsets) == 1 and 0 <= offsets[0] <= 80
-
-    def test_segment_covering_whole_video_spans_clip(self):
-        s = make_sample(t=10, segments=(GroundTruthSegment(0, 0.0, 10.0),), flagged=True)
-        clip = crop_clip(s, 4, np.random.default_rng(5))
-        assert clip.num_snippets == 4
-        assert clip.segments == (GroundTruthSegment(0, 0.0, 4.0),)
-
-    def test_segments_clipped_and_shifted(self):
-        s = make_sample(t=10, segments=(GroundTruthSegment(0, 1.0, 3.0),))
-        rng = np.random.default_rng(1)
-        seen_empty = seen_partial = False
+    def test_long_video_window_is_one_bounded_draw(self):
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        offsets = set()
         for _ in range(50):
-            clip = crop_clip(s, 4, rng)
-            for seg in clip.segments:
-                assert 0.0 <= seg.start < seg.end <= clip.num_snippets * clip.snippet_duration
-            if not clip.segments:
-                seen_empty = True
-            else:
-                seen_partial = True
-        assert seen_empty and seen_partial
+            rows = crop_clip(400, 320, rng)
+            assert rows == slice(rows.start, rows.start + 320)
+            assert rows.start == int(reference.integers(0, 81))
+            offsets.add(rows.start)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert len(offsets) > 1
 
-    def test_preserves_labels_dim_and_duration(self):
-        s = make_sample(t=50, labels=(0, 1), segments=None)
-        clip = crop_clip(s, 7, np.random.default_rng(2))
-        assert clip.labels == s.labels
-        assert clip.feature_dim == s.feature_dim
-        assert clip.snippet_duration == s.snippet_duration
-        assert clip.num_snippets == 7
+
+def cropped_segments(segments, offset, max_len, tau):
+    """The segments of the clip of ``max_len`` snippets from row ``offset``,
+    cut to it and shifted to clip time: the arithmetic a crop once ran, kept
+    as the reference for a row window of the whole video's raster."""
+    window_start, window_end = offset * tau, (offset + max_len) * tau
+    kept = []
+    for seg in segments:
+        start, end = max(seg.start, window_start), min(seg.end, window_end)
+        if start < end:
+            kept.append(GroundTruthSegment(seg.class_id, start - window_start, end - window_start))
+    return kept
+
+
+@st.composite
+def dyadic_crops(draw):
+    """A video with a power-of-two snippet duration, segment times on its
+    quarter-snippet grid (edges on snippet midpoints included), and a crop."""
+    tau = 2.0 ** draw(st.integers(-6, 3))
+    t = draw(st.integers(2, 40))
+    max_len = draw(st.integers(1, t - 1))
+    offset = draw(st.integers(0, t - max_len))
+    num_classes = draw(st.integers(1, 3))
+    segments = []
+    for _ in range(draw(st.integers(0, 5))):
+        start = draw(st.integers(0, 4 * t + 4))
+        end = draw(st.integers(start + 1, 4 * t + 8))
+        segments.append(GroundTruthSegment(draw(st.integers(0, num_classes - 1)), start * tau / 4, end * tau / 4))
+    return tau, t, max_len, offset, num_classes, segments
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(dyadic_crops())
+def test_window_of_the_video_raster_keeps_the_bytes_of_the_cropped_raster(case):
+    tau, t, max_len, offset, num_classes, segments = case
+    window = rasterize(segments, t, num_classes, tau)[offset : offset + max_len]
+    cropped = rasterize(cropped_segments(segments, offset, max_len, tau), max_len, num_classes, tau)
+    assert window.tobytes() == cropped.tobytes()
+
+
+def test_a_clip_snippet_is_labeled_as_in_its_video_at_any_tau():
+    # at tau = 0.1 the shifted edge 0.15 - 0.1 rounds above the clip midpoint
+    # 0.05, so the old per-crop raster left out a snippet the video's has
+    segments = [GroundTruthSegment(0, 3 * 0.1 / 2, 0.4)]
+    video = rasterize(segments, 2, 1, 0.1)
+    assert video[1:2].tolist() == [[1.0]]
+    assert rasterize(cropped_segments(segments, 1, 1, 0.1), 1, 1, 0.1).tolist() == [[0.0]]
 
 
 class TestOnDiskFormat:
@@ -205,14 +232,11 @@ class TestOnDiskFormat:
         (loaded,) = load_dataset(load_manifest(path))
         np.testing.assert_array_equal(loaded.features, feats)
 
-    def test_load_checks_features_not_records(self, tmp_path, monkeypatch):
-        # each record was checked when the manifest was read; loading checks only the features
-        s = VideoSample(id="one", features=np.zeros((4, 2), np.float32), labels=frozenset({0}))
+    def test_loaded_samples_carry_their_manifest_records(self, tmp_path):
+        seg = GroundTruthSegment(0, 1.0, 2.5)
+        s = VideoSample(id="one", features=np.zeros((4, 2), np.float32), labels=frozenset({0}), segments=(seg,))
         manifest = load_manifest(write_dataset([s], 1, ["only"], str(tmp_path / "ds")))
-        monkeypatch.setattr(VideoRecord, "__post_init__", lambda self: pytest.fail("record built again"))
-        checked = []
-        monkeypatch.setattr(VideoSample, "validate_features", lambda self: checked.append(self.id))
-        assert [v.id for v in load_dataset(manifest)] == checked == ["one"]
+        assert [v.record for v in load_dataset(manifest)] == list(manifest.records) == [s.record]
 
     def test_size_mismatch_reports_video_id(self, tmp_path):
         s = VideoSample(id="bad", features=np.zeros((4, 2), np.float32), labels=frozenset({0}))
@@ -413,4 +437,29 @@ class TestManifestValues:
         # a flagged clip without segments would train toward an all-zero annotation
         with pytest.raises(ValidationError, match="video 'v0': fully_annotated requires segments"):
             make_sample(flagged=True)
-        make_sample(segments=(), flagged=True).validate(1)
+        make_sample(segments=(), flagged=True)
+
+
+class TestSampleChecksItself:
+    def test_float64_beyond_float32_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^video 'a': non-finite feature values$"):
+                VideoSample("a", np.array([[1e39, 0.0]]), {0})
+
+    @pytest.mark.parametrize(
+        "features, labels, segments, message",
+        [
+            ([[np.nan, 0.0]], {0}, None, "video 'v': non-finite feature values"),
+            ([[np.inf, 0.0]], {0}, None, "video 'v': non-finite feature values"),
+            ([0.0, 1.0], {0}, None, "video 'v': features must be a T x D matrix"),
+            (np.zeros((0, 2)), {0}, None, "video 'v': num_snippets and feature_dim must be >= 1"),
+            ([[0.0]], set(), None, "video 'v': label set is empty"),
+            ([[0.0]], {-1}, None, "video 'v': label -1 out of range"),
+            ([[0.0]], {0}, (GroundTruthSegment(1, 0.0, 1.0),), r"video 'v': segment class 1 not in labels \[0\]"),
+            ([[0.0]], {0}, (GroundTruthSegment(0, 1.0, 1.0),), "video 'v': segment must satisfy 0 <= start < end"),
+        ],
+    )
+    def test_bad_sample_refused_when_built(self, features, labels, segments, message):
+        with pytest.raises(ValidationError, match=message):
+            VideoSample("v", np.asarray(features), labels, 1.0, segments)

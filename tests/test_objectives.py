@@ -9,6 +9,7 @@ from ttcloc import gradcheck, network, objectives
 from ttcloc.gradcheck import check_total_loss, numerical_gradient, relative_error
 from ttcloc.network import ScoreMap, gate_margins, gate_values, init_params
 from ttcloc.objectives import (
+    Clip,
     LossConfig,
     VideoProbabilities,
     classification_loss,
@@ -43,6 +44,45 @@ def make_clip(rng, t=4, d=2, labels=(0,), segments=None, flagged=False, tau=1.0)
         segments=segments,
         fully_annotated=flagged,
     )
+
+
+class TestClip:
+    def test_of_builds_the_label_row_and_a_flagged_video_raster(self):
+        rng = np.random.default_rng(40)
+        segments = (GroundTruthSegment(2, 1.0, 3.0),)
+        flagged = make_clip(rng, t=6, labels=(0, 2), segments=segments, flagged=True)
+        clip = Clip.of(flagged, 3)
+        assert clip.id == "clip" and clip.num_snippets == 6
+        assert clip.features is flagged.features and not clip.features.flags.writeable
+        assert clip.label.tobytes() == label_vector({0, 2}, 3).tobytes()
+        assert clip.annotation.tobytes() == rasterize(segments, 6, 3, 1.0).tobytes()
+        assert Clip.of(make_clip(rng, t=6, labels=(0, 2), segments=segments), 3).annotation is None
+
+    def test_of_refuses_a_label_beyond_the_classes(self):
+        with pytest.raises(ValidationError, match="^video 'clip': label 3 out of range$"):
+            Clip.of(make_clip(np.random.default_rng(41), labels=(0, 3)), 3)
+
+    def test_window_cuts_every_array_but_the_label(self):
+        rng = np.random.default_rng(42)
+        clip = Clip.of(make_clip(rng, t=9, labels=(1,), segments=(GroundTruthSegment(1, 2.0, 5.0),), flagged=True), 2)
+        cut = clip.window(slice(3, 7))
+        assert cut.id == clip.id and cut.label is clip.label
+        assert np.shares_memory(cut.features, clip.features)
+        assert cut.features.tobytes() == clip.features[3:7].tobytes()
+        assert cut.annotation.tobytes() == clip.annotation[3:7].tobytes()
+        assert Clip.of(make_clip(rng, t=9), 2).window(slice(0, 4)).annotation is None
+
+    def test_total_loss_takes_samples_as_their_clips(self):
+        rng = np.random.default_rng(43)
+        params = jittered_params(rng, 3, 6, 5)
+        samples = ragged_batch(rng, (4, 9, 2, 7))
+        clips = [Clip.of(s, 5) for s in samples]
+        for config in (LossConfig(loc_weight=2.0), LossConfig(aggregator="topk_eighth")):
+            from_samples, grads = total_loss(params, samples, config, "sigmoid")
+            from_samples, grads = from_samples.as_dict(), grads.flat.copy()
+            from_clips, clip_grads = total_loss(params, clips, config, "sigmoid")
+            assert from_clips.as_dict() == from_samples
+            assert clip_grads.flat.tobytes() == grads.tobytes()
 
 
 class TestLabelVector:

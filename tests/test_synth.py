@@ -69,7 +69,7 @@ class TestGenerate:
             assert s.features.dtype == np.float32
             assert 20 <= s.num_snippets <= 30
             assert s.feature_dim == 8
-            s.validate(3)
+            assert s.labels <= {0, 1, 2}
 
     def test_deterministic(self):
         s1 = generate(SMALL)

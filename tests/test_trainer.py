@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ttcloc import network, trainer
+from ttcloc import network, objectives, trainer
 from ttcloc.data import GroundTruthSegment, VideoSample, crop_clip
 from ttcloc.errors import NumericalError, ValidationError
 from ttcloc.network import init_params
-from ttcloc.objectives import LossConfig
+from ttcloc.objectives import Clip, LossConfig
 from ttcloc.trainer import (
     TrainConfig,
     TrainState,
@@ -52,6 +52,11 @@ def make_dataset(rng, num_classes=2, per_class=4, t=12, d=3):
                 )
             )
     return samples
+
+
+def videos(samples, num_classes=2):
+    """Each sample's arrays, as training builds them once per video."""
+    return [Clip.of(s, num_classes) for s in samples]
 
 
 class TestConfigValidation:
@@ -266,7 +271,7 @@ class TestFlatPathMatchesPerArrayReference:
         # per-array code exactly: the arithmetic per element is unchanged.
         rng = np.random.default_rng(16)
         cfg = tiny_config(dropout=0.5, supervision="semi", semi_k=2, learning_rate=1e-2)
-        samples = apply_supervision(make_dataset(rng), cfg)
+        samples = videos(apply_supervision(make_dataset(rng), cfg))
         state = init_state(cfg, 3, 2)
         ref_params = {name: arr.copy() for name, arr in state.params.as_dict().items()}
         ref_m = {name: np.zeros_like(arr) for name, arr in ref_params.items()}
@@ -310,7 +315,7 @@ def _split_by_clip(mask, clips):
 class TestTrainStep:
     def test_loss_finite_and_params_move(self):
         rng = np.random.default_rng(5)
-        samples = make_dataset(rng)
+        samples = videos(make_dataset(rng))
         cfg = tiny_config()
         state = init_state(cfg, 3, 2)
         before = state.params.flat.copy()
@@ -320,7 +325,7 @@ class TestTrainStep:
 
     def test_non_finite_loss_names_batch(self):
         rng = np.random.default_rng(6)
-        samples = make_dataset(rng)
+        samples = videos(make_dataset(rng))
         cfg = tiny_config()
         state = init_state(cfg, 3, 2)
         for arr in state.params.as_dict().values():
@@ -330,7 +335,7 @@ class TestTrainStep:
 
     def test_non_finite_gradient_leaves_state_untouched(self, monkeypatch):
         rng = np.random.default_rng(6)
-        samples = make_dataset(rng)
+        samples = videos(make_dataset(rng))
         cfg = tiny_config()
         state = init_state(cfg, 3, 2)
         finite_total_loss = trainer.total_loss
@@ -350,7 +355,7 @@ class TestTrainStep:
     def test_dropout_masks_are_boolean(self, monkeypatch):
         # a bool mask takes an eighth of the memory of a float64 one, and the same bytes come out
         rng = np.random.default_rng(8)
-        samples = make_dataset(rng)
+        samples = videos(make_dataset(rng))
         cfg = tiny_config(dropout=0.5)
         state = init_state(cfg, 3, 2)
         seen = []
@@ -369,7 +374,7 @@ class TestTrainStep:
         # bytes, and leave the rng where, one draw per clip did
         rng = np.random.default_rng(9)
         samples = make_dataset(rng, t=40)
-        samples = [replace(s, features=s.features[: 3 + 7 * i]) for i, s in enumerate(samples[:4])]
+        samples = videos([replace(s, features=s.features[: 3 + 7 * i]) for i, s in enumerate(samples[:4])])
         cfg = tiny_config(dropout=0.6, max_clip_len=16)
         state = init_state(cfg, 3, 2)
         reference_rng = copy.deepcopy(state.rng)
@@ -382,7 +387,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(trainer, "total_loss", recording)
         train_step(state, samples, cfg)
-        clips = [crop_clip(s, cfg.max_clip_len, reference_rng) for s in samples]
+        clips = [s.window(crop_clip(s.num_snippets, cfg.max_clip_len, reference_rng)) for s in samples]
         expected = [reference_rng.uniform(size=(c.num_snippets, cfg.hidden_dim)) >= cfg.dropout for c in clips]
         assert [c.num_snippets for c in clips] == [3, 10, 16, 16]
         assert [m.tobytes() for m in seen] == [m.tobytes() for m in expected]
@@ -390,7 +395,7 @@ class TestTrainStep:
 
     def test_crops_long_videos(self):
         rng = np.random.default_rng(7)
-        samples = make_dataset(rng, t=40)
+        samples = videos(make_dataset(rng, t=40))
         cfg = tiny_config(max_clip_len=8)
         state = init_state(cfg, 3, 2)
         breakdown = train_step(state, samples[:4], cfg)
@@ -401,7 +406,7 @@ class TestWorkspaceReuse:
     def test_steps_give_the_bytes_of_fresh_buffers(self):
         rng = np.random.default_rng(17)
         cfg = tiny_config(dropout=0.5, supervision="semi", semi_k=2, learning_rate=1e-2)
-        samples = apply_supervision(make_dataset(rng, t=20), cfg)
+        samples = videos(apply_supervision(make_dataset(rng, t=20), cfg))
         reused, fresh = init_state(cfg, 3, 2), init_state(cfg, 3, 2)
         workspaces = set()
         for _ in range(3):
@@ -418,7 +423,7 @@ class TestWorkspaceReuse:
     def test_a_larger_batch_gets_a_larger_workspace(self):
         rng = np.random.default_rng(18)
         cfg = tiny_config()
-        samples = make_dataset(rng)
+        samples = videos(make_dataset(rng))
         state = init_state(cfg, 3, 2)
         train_step(state, samples[:2], cfg)
         assert state.workspace.clips == 2
@@ -434,19 +439,19 @@ class TestWorkspaceReuse:
         def rows(ws):
             return {ws.forward.x.shape[0], ws.forward.out.shape[0], ws.keep.shape[0], ws.objective.shape[1]}
 
-        train_step(state, make_dataset(rng, t=12)[:4], cfg)
+        train_step(state, videos(make_dataset(rng, t=12)[:4]), cfg)
         first = state.workspace
         assert rows(first) == {4 * 12}
-        train_step(state, make_dataset(rng, t=7)[:4], cfg)  # shorter clips fit
+        train_step(state, videos(make_dataset(rng, t=7)[:4]), cfg)  # shorter clips fit
         assert state.workspace is first
-        train_step(state, make_dataset(rng, t=30)[:4], cfg)  # a longer clip regrows it
+        train_step(state, videos(make_dataset(rng, t=30)[:4]), cfg)  # a longer clip regrows it
         assert rows(state.workspace) == {4 * 30}
 
     def test_step_allocates_under_a_megabyte(self):
         # the acceptance shape: hidden 128, batch 10, clips of 64 snippets, dropout
         rng = np.random.default_rng(19)
         cfg = tiny_config(hidden_dim=128, batch_size=10, max_clip_len=64, dropout=0.7, supervision="semi", semi_k=1)
-        samples = apply_supervision(make_dataset(rng, num_classes=5, per_class=4, t=100, d=16), cfg)
+        samples = videos(apply_supervision(make_dataset(rng, num_classes=5, per_class=4, t=100, d=16), cfg), 5)
         state = init_state(cfg, 16, 5)
         train_step(state, _sample_batch(samples, cfg.batch_size, state.rng), cfg)  # makes the workspace
         batch = _sample_batch(samples, cfg.batch_size, state.rng)
@@ -520,6 +525,46 @@ class TestRunTraining:
         assert [rec["step"] for rec in log] == [1, 2, 3, 4]
         for rec in log:
             assert {"step", "L_clas", "L_reg", "L_loc", "L"} <= set(rec)
+
+    @pytest.mark.parametrize("iterations", [0, 2000])
+    def test_mixed_feature_dims_refused_before_the_first_step(self, iterations):
+        # the odd video may never be drawn; the run must fail before any step, naming it
+        rng = np.random.default_rng(21)
+        samples = make_dataset(rng, per_class=100, d=4)
+        odd = VideoSample("odd", rng.normal(size=(12, 5)), frozenset({1}), 1.0)
+        cfg = tiny_config(iterations=iterations, batch_size=1)
+        with pytest.raises(ValidationError, match="^video 'odd': 5-dim features, video 'v0_0' has 4$"):
+            run_training([*samples, odd], 2, cfg)
+
+    def test_label_beyond_the_classes_refused_before_the_first_step(self):
+        rng = np.random.default_rng(22)
+        samples = make_dataset(rng)
+        samples[5] = replace(samples[5], labels=frozenset({1, 2}))
+        with pytest.raises(ValidationError, match="^video 'v1_1': label 2 out of range$"):
+            run_training(samples, 2, tiny_config(iterations=0))
+
+    def test_each_video_is_built_once_whatever_the_iteration_count(self, monkeypatch):
+        # rasterize runs once per flagged video and label_vector once per video;
+        # a step builds no sample and no per-crop array
+        calls = {"rasterize": 0, "label_vector": 0, "sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(objectives, "rasterize", counted("rasterize", objectives.rasterize))
+        monkeypatch.setattr(objectives, "label_vector", counted("label_vector", objectives.label_vector))
+        monkeypatch.setattr(VideoSample, "__post_init__", counted("sample", VideoSample.__post_init__))
+        samples = make_dataset(np.random.default_rng(23), t=40)
+        for iterations in (0, 7):
+            calls.update(dict.fromkeys(calls, 0))
+            _, log = run_training(samples, 2, tiny_config(supervision="semi", semi_k=2, iterations=iterations, max_clip_len=8))
+            assert len(log) == iterations
+            # 4 flagged of 8 videos; apply_supervision's flags rebuild each sample once
+            assert calls == {"rasterize": 4, "label_vector": 8, "sample": 8}
 
     def test_loss_decreases_on_easy_data(self):
         from ttcloc.synth import SynthSpec, generate
